@@ -1,30 +1,35 @@
-"""Compare the compiled kernels against the pure-Python fallback.
+"""Time the numpy kernels against the scalar oracles of tests/test_kernels.py.
 
-Runs both implementations on identical inputs, checks they agree
-exactly, and reports wall-clock timings. Usage:
+Each case runs the kernel and the oracle on identical inputs, asserts
+that they agree exactly, and prints the best-of-repeat time of each.
+Usage, from the root of a checkout:
 
-    python3 benchmarks/bench_kernels.py
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py
+
+The simulation oracle is a Python double loop over all ordered pairs
+(about a minute at 6,000 referents).
 """
 
+import sys
 import timeit
+from pathlib import Path
 
 import numpy as np
 
-from colorlex import _kernels_py
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-try:
-    from colorlex import _kernels
-except ImportError:
-    _kernels = None
+from test_kernels import oracle_mean_pairwise, reference_simulate  # noqa: E402
+
+from colorlex import kernels  # noqa: E402
 
 
 def _spread_case(n: int, seed: int):
     rng = np.random.default_rng(seed)
-    pts = np.ascontiguousarray(rng.uniform(0.0, 100.0, size=(n, 3)))
-    return (pts,)
+    return np.ascontiguousarray(rng.uniform(0.0, 100.0, size=(n, 3)))
 
 
 def _simulate_case(n_referents: int, vocab: int, seed: int):
+    """2-4 names per referent, plus two extra applicable words per row."""
     rng = np.random.default_rng(seed)
     offsets = [0]
     flat = []
@@ -37,45 +42,52 @@ def _simulate_case(n_referents: int, vocab: int, seed: int):
     app = np.zeros((n_referents, vocab), dtype=np.uint8)
     for t in range(n_referents):
         app[t, words[offsets[t]:offsets[t + 1]]] = 1
-        extra = rng.choice(vocab, size=2, replace=False)
-        app[t, extra] = 1
-    return offsets, words, app, 0
+        app[t, rng.choice(vocab, size=2, replace=False)] = 1
+    return offsets, words, app
 
 
-def _time(fn, args, repeat: int, number: int) -> float:
-    return min(timeit.repeat(lambda: fn(*args), repeat=repeat, number=number))
+def _best(fn, repeat: int, number: int = 1) -> float:
+    """Best-of-repeat seconds per call; the first result is returned too."""
+    result = fn()
+    seconds = min(timeit.repeat(fn, repeat=repeat, number=number)) / number
+    return result, seconds
 
 
-def _report(name: str, args, repeat: int, number: int) -> None:
-    fn_py = getattr(_kernels_py, name)
-    t_py = _time(fn_py, args, repeat, number)
-    line = f"{name:<24} python {t_py * 1e3 / number:9.3f} ms"
-    if _kernels is not None:
-        fn_c = getattr(_kernels, name)
-        result_c = fn_c(*args)
-        result_py = fn_py(*args)
-        if name == "mean_pairwise_distance":
-            assert result_c == result_py, "backends disagree"
-        else:
-            assert result_c[0] == result_py[0], "backends disagree"
-            assert (result_c[1] == result_py[1]).all(), "backends disagree"
-        t_c = _time(fn_c, args, repeat, number)
-        line += (f"   compiled {t_c * 1e3 / number:9.3f} ms"
-                 f"   speedup {t_py / t_c:6.1f}x")
-    else:
-        line += "   (compiled kernels not built)"
-    print(line)
+def _line(label: str, t_kernel: float, t_oracle: float) -> None:
+    print(f"{label:<34} numpy {t_kernel * 1e3:10.3f} ms"
+          f"   oracle {t_oracle * 1e3:10.1f} ms"
+          f"   {t_oracle / t_kernel:8.1f}x")
+
+
+def bench_spread(n: int, seed: int) -> None:
+    pts = _spread_case(n, seed)
+    got, t_kernel = _best(lambda: kernels.mean_pairwise_distance(pts),
+                          repeat=5, number=100)
+    want, t_oracle = _best(lambda: oracle_mean_pairwise(pts.tolist()),
+                           repeat=3)
+    assert got == want, f"spread n={n}: {got!r} != {want!r}"
+    _line(f"mean_pairwise_distance n={n}", t_kernel, t_oracle)
+
+
+def bench_simulate(n_referents: int, vocab: int, seed: int) -> None:
+    offsets, words, app = _simulate_case(n_referents, vocab, seed)
+    for mode in (0, 1, 2):
+        got, t_kernel = _best(
+            lambda: kernels.simulate_counts(offsets, words, app, mode),
+            repeat=3)
+        want, t_oracle = _best(
+            lambda: reference_simulate(offsets, words, app, mode), repeat=1)
+        assert got[0] == want[0] and (got[1] == want[1]).all(), (
+            f"simulate n={n_referents} mode={mode} disagrees")
+        _line(f"simulate_counts n={n_referents} mode={mode}", t_kernel,
+              t_oracle)
 
 
 def main() -> None:
-    _report("mean_pairwise_distance", _spread_case(100, 1), repeat=3,
-            number=20)
-    _report("mean_pairwise_distance", _spread_case(1000, 2), repeat=3,
-            number=2)
-    _report("simulate_counts", _simulate_case(500, 40, 3), repeat=3,
-            number=2)
-    _report("simulate_counts", _simulate_case(1500, 60, 4), repeat=3,
-            number=1)
+    print(f"backend {kernels.backend_name()}, numpy {np.__version__}")
+    bench_spread(100, 1)
+    for i, n in enumerate((500, 1500, 2500, 6000)):
+        bench_simulate(n, 60, 3 + i)
 
 
 if __name__ == "__main__":

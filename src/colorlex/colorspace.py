@@ -77,7 +77,12 @@ def normalize_hue(h: float) -> float:
 
 
 def hsl_to_srgb(c: HslColor) -> SrgbColor:
-    """Standard HSL to gamma-encoded sRGB conversion."""
+    """Standard HSL to gamma-encoded sRGB conversion.
+
+    Exact results lie in [0, 1]; channels are clamped there because the
+    float arithmetic can miss by one rounding (about -1e-17 for full
+    saturation at some low lightnesses).
+    """
     chroma = (1.0 - abs(2.0 * c.l - 1.0)) * c.s
     hp = c.h / 60.0
     x = chroma * (1.0 - abs(math.fmod(hp, 2.0) - 1.0))
@@ -94,7 +99,10 @@ def hsl_to_srgb(c: HslColor) -> SrgbColor:
     else:
         r1, g1, b1 = chroma, 0.0, x
     m = c.l - chroma / 2.0
-    return SrgbColor(r1 + m, g1 + m, b1 + m)
+    r, g, b = r1 + m, g1 + m, b1 + m
+    if not (0.0 <= r <= 1.0 and 0.0 <= g <= 1.0 and 0.0 <= b <= 1.0):
+        r, g, b = (min(1.0, max(0.0, v)) for v in (r, g, b))
+    return SrgbColor(r, g, b)
 
 
 # sRGB (D65) to XYZ. Row sums define the white point, which makes

@@ -161,11 +161,11 @@ def ingest(
 ) -> tuple[list[RawRound], list[RejectedRow]]:
     """Read raw rounds from a delimited file.
 
-    Rows that fail to parse (bad numbers, out-of-range saturation or
-    lightness, malformed booleans) are returned in the rejects list
-    with their file line number, never silently dropped. A mapped
-    column missing from the header is a SchemaError: that is corpus
-    drift, not row noise.
+    Rows that fail to parse (too few or too many fields, bad numbers,
+    out-of-range saturation or lightness, malformed booleans) are
+    returned in the rejects list with their file line number, never
+    silently dropped. A mapped column missing from the header is a
+    SchemaError: that is corpus drift, not row noise.
     """
     schema = dict(DEFAULT_SCHEMA if schema is None else schema)
     if hsl_scale not in ("percent", "fraction"):
@@ -185,7 +185,16 @@ def ingest(
                     f"{path}: mapped column {column!r} (field {field!r}) "
                     f"not in header"
                 )
+        n_fields = len(reader.fieldnames)
         for line_no, row in enumerate(reader, start=2):
+            # DictReader files surplus fields under the key None and
+            # fills missing ones with the value None.
+            if None in row or None in row.values():
+                got = (n_fields + len(row[None]) if None in row else
+                       sum(v is not None for v in row.values()))
+                rejects.append(RejectedRow(
+                    line_no, f"row has {got} fields, header has {n_fields}"))
+                continue
             try:
                 speaker_col = schema.get("speaker_id")
                 speaker = row[speaker_col].strip() if speaker_col else ""

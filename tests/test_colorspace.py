@@ -17,10 +17,6 @@ from colorlex.colorspace import (
     srgb_to_lab,
 )
 
-skimage_color = pytest.importorskip(
-    "skimage.color", reason="reference CIELAB oracle needs scikit-image"
-)
-
 
 def _random_srgb(rng: random.Random) -> SrgbColor:
     return SrgbColor(rng.random(), rng.random(), rng.random())
@@ -51,6 +47,21 @@ class TestHslToSrgb:
             assert ours.g == pytest.approx(g, abs=1e-9)
             assert ours.b == pytest.approx(b, abs=1e-9)
 
+    def test_integer_grid_stays_in_gamut(self):
+        # At full saturation and these lightnesses the float arithmetic
+        # lands about 1e-17 below zero for every hue; the channel is
+        # clamped to the exact value 0.
+        for l_pct in (1, 2, 3, 8, 15, 16, 17):
+            for h in range(360):
+                c = HslColor(float(h), 1.0, l_pct / 100.0)
+                ours = hsl_to_srgb(c)
+                ref = colorsys.hls_to_rgb(h / 360.0, c.l, 1.0)
+                for v, r in zip((ours.r, ours.g, ours.b), ref):
+                    assert 0.0 <= v <= 1.0
+                    assert v == pytest.approx(r, abs=1e-12)
+                assert min(ours.r, ours.g, ours.b) == 0.0
+                srgb_to_lab(ours)
+
     def test_zero_saturation_is_gray(self):
         rgb = hsl_to_srgb(HslColor(123.0, 0.0, 0.37))
         assert rgb.r == rgb.g == rgb.b == pytest.approx(0.37)
@@ -73,6 +84,9 @@ class TestSrgbToLab:
         assert red.b_star == pytest.approx(67.2032, abs=0.01)
 
     def test_conformance_against_skimage(self):
+        skimage_color = pytest.importorskip(
+            "skimage.color", reason="reference CIELAB oracle needs scikit-image"
+        )
         rng = random.Random(402)
         worst = 0.0
         for _ in range(1000):

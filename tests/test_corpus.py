@@ -108,6 +108,24 @@ class TestIngest:
         assert len(rejects) == 1
         assert rejects[0].line == 2
 
+    def test_wrong_field_count_rejected(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        _write_csv(path, _MINI_HEADER, [
+            ("g1", 1),
+            _mini_row(idx=2),
+            _mini_row(idx=3)[:-1],
+            _mini_row(idx=4) + ("extra",),
+            _mini_row(idx=5) + ("extra", "more"),
+        ])
+        raw, rejects = ingest(path)
+        assert [r.round_index for r in raw] == [2]
+        assert [(r.line, r.reason) for r in rejects] == [
+            (2, "row has 2 fields, header has 14"),
+            (4, "row has 13 fields, header has 14"),
+            (5, "row has 15 fields, header has 14"),
+            (6, "row has 16 fields, header has 14"),
+        ]
+
     def test_deterministic(self, fixture_corpus):
         first = ingest(fixture_corpus.csv)
         second = ingest(fixture_corpus.csv)

@@ -1,4 +1,4 @@
-"""Backend agreement: compiled and Python kernels must match exactly."""
+"""The numpy kernels against scalar oracles: results must match exactly."""
 
 import math
 import random
@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from colorlex import _kernels_py, kernels
+from colorlex import kernels
 
 
 def oracle_mean_pairwise(pts) -> float:
@@ -46,6 +46,40 @@ def oracle_simulate(name_lists, mode):
     return acc_twice, counts
 
 
+def reference_simulate(offsets, words, applicable, mode):
+    """Scalar pair loop over an arbitrary `applicable` matrix.
+
+    Unlike `oracle_simulate`, a referent's row may hold words beyond its
+    names, or lack one of them; only distractor rows are consulted.
+    """
+    n_entries = len(offsets) - 1
+    counts = np.zeros(applicable.shape[1], dtype=np.int64)
+    name_lists = [
+        words[offsets[t]:offsets[t + 1]].tolist() for t in range(n_entries)
+    ]
+    app_rows = [row.tolist() for row in applicable]
+    acc_twice = 0
+    for t in range(n_entries):
+        names = name_lists[t]
+        for d in range(n_entries):
+            if d == t:
+                continue
+            row = app_rows[d]
+            if mode == 1:
+                chosen = names[0]
+            elif mode == 2:
+                chosen = names[-1]
+            else:
+                chosen = names[-1]
+                for w in names:
+                    if not row[w]:
+                        chosen = w
+                        break
+            acc_twice += 1 if row[chosen] else 2
+            counts[chosen] += 1
+    return acc_twice, counts
+
+
 def _random_points(rng, n):
     return np.array(
         [[rng.uniform(0, 100), rng.uniform(-80, 80), rng.uniform(-80, 80)]
@@ -70,6 +104,37 @@ def _random_system(rng, n_referents, vocab):
     return name_lists, offsets, words, app
 
 
+def _random_matrix_system(rng, n_referents, vocab):
+    """Name lists of 1 to 6 words over a random `applicable` matrix.
+
+    Rows get extra words at a density drawn per system, and one row in
+    four drops one of its own names.
+    """
+    density = rng.random()
+    app = np.array(
+        [[rng.random() < density for _ in range(vocab)]
+         for _ in range(n_referents)], dtype=np.uint8)
+    offsets = np.zeros(n_referents + 1, dtype=np.int64)
+    flat = []
+    for t in range(n_referents):
+        names = rng.sample(range(vocab), rng.randint(1, min(6, vocab)))
+        app[t, names] = 1
+        if rng.random() < 0.25:
+            app[t, rng.choice(names)] = 0
+        flat.extend(names)
+        offsets[t + 1] = len(flat)
+    return offsets, np.array(flat, dtype=np.int64), app
+
+
+def _assert_simulate_matches_reference(offsets, words, app):
+    for mode in (0, 1, 2):
+        acc_twice, counts = kernels.simulate_counts(offsets, words, app, mode)
+        exp_acc, exp_counts = reference_simulate(offsets, words, app, mode)
+        assert acc_twice == exp_acc
+        assert counts.dtype == np.int64
+        assert (counts == exp_counts).all()
+
+
 class TestMeanPairwiseDistance:
     def test_equals_oracle_bitwise(self):
         rng = random.Random(501)
@@ -80,14 +145,28 @@ class TestMeanPairwiseDistance:
             assert kernels.mean_pairwise_distance(pts) == expected
 
     def test_backends_agree_bitwise(self):
+        # Float32, integer and non-contiguous inputs go through the same
+        # float64 kernel as the oracle sees.
         rng = random.Random(502)
         for _ in range(50):
             pts = _random_points(rng, rng.randint(2, 80))
-            via_dispatch = kernels.mean_pairwise_distance(pts)
-            via_python = _kernels_py.mean_pairwise_distance(
-                np.ascontiguousarray(pts)
-            )
-            assert via_dispatch == via_python
+            expected = oracle_mean_pairwise(pts.tolist())
+            wide = np.asfortranarray(np.hstack([pts, pts]))[:, :3]
+            assert kernels.mean_pairwise_distance(wide) == expected
+            as_f32 = pts.astype(np.float32)
+            assert kernels.mean_pairwise_distance(as_f32) == (
+                oracle_mean_pairwise(as_f32.astype(np.float64).tolist()))
+            as_int = np.rint(pts).astype(np.int64)
+            assert kernels.mean_pairwise_distance(as_int) == (
+                oracle_mean_pairwise(as_int.astype(np.float64).tolist()))
+
+    @pytest.mark.parametrize("n", [2, 256, 257, 700])
+    def test_block_boundaries(self, n):
+        # 256 rows fill one default block exactly, 257 spill into a
+        # second, 700 take eight.
+        pts = _random_points(random.Random(504 + n), n)
+        assert kernels.mean_pairwise_distance(pts) == oracle_mean_pairwise(
+            pts.tolist())
 
     def test_repeat_is_bitwise_stable(self):
         rng = random.Random(503)
@@ -105,6 +184,8 @@ class TestMeanPairwiseDistance:
             kernels.mean_pairwise_distance(np.zeros((3, 2)))
         with pytest.raises(ValueError):
             kernels.mean_pairwise_distance(np.zeros((1, 3)))
+        with pytest.raises(ValueError):
+            kernels.mean_pairwise_distance(np.zeros(3))
 
 
 class TestSimulateCounts:
@@ -126,13 +207,50 @@ class TestSimulateCounts:
                 assert counts[w] == exp_counts.get(w, 0)
 
     def test_backends_agree(self):
+        # Extra words per row and targets lacking their own names, which
+        # `oracle_simulate` cannot express.
         rng = random.Random(520)
+        for _ in range(30):
+            offsets, words, app = _random_matrix_system(
+                rng, rng.randint(2, 40), rng.randint(1, 20))
+            _assert_simulate_matches_reference(offsets, words, app)
+
+    @pytest.mark.parametrize("n_referents", [2, 7, 8, 9, 63, 64, 65, 300])
+    def test_bitset_boundaries(self, n_referents):
+        # Referent counts around the byte and 64-bit word boundaries of
+        # the packed bitsets.
+        rng = random.Random(523 + n_referents)
+        offsets, words, app = _random_matrix_system(rng, n_referents, 24)
+        _assert_simulate_matches_reference(offsets, words, app)
+
+    def test_small_chunks(self, monkeypatch):
+        # One target per gathered chunk.
+        monkeypatch.setattr(kernels, "_SIMULATE_BLOCK", 1)
+        offsets, words, app = _random_matrix_system(
+            random.Random(524), 70, 12)
+        _assert_simulate_matches_reference(offsets, words, app)
+
+    def test_target_row_is_ignored(self):
+        # Referent 0's row lacks its first name; it must not count as
+        # its own distractor in any mode.
+        offsets = np.array([0, 2, 4], dtype=np.int64)
+        words = np.array([0, 1, 0, 1], dtype=np.int64)
+        app = np.array([[0, 1], [1, 1]], dtype=np.uint8)
+        assert kernels.simulate_counts(offsets, words, app, 0)[0] == 3
+        _assert_simulate_matches_reference(offsets, words, app)
+
+    def test_degenerate_sizes(self):
+        app = np.ones((1, 3), dtype=np.uint8)
+        offsets = np.array([0, 2], dtype=np.int64)
+        words = np.array([0, 2], dtype=np.int64)
+        _assert_simulate_matches_reference(offsets, words, app)
+        empty = np.zeros((0, 3), dtype=np.uint8)
         for mode in (0, 1, 2):
-            name_lists, offsets, words, app = _random_system(rng, 25, 12)
-            a1, c1 = kernels.simulate_counts(offsets, words, app, mode)
-            a2, c2 = _kernels_py.simulate_counts(offsets, words, app, mode)
-            assert a1 == a2
-            assert (np.asarray(c1) == np.asarray(c2)).all()
+            acc_twice, counts = kernels.simulate_counts(
+                np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                empty, mode)
+            assert acc_twice == 0
+            assert counts.tolist() == [0, 0, 0]
 
     def test_counts_sum_to_interactions(self):
         rng = random.Random(521)
@@ -146,7 +264,13 @@ class TestSimulateCounts:
         with pytest.raises(ValueError):
             kernels.simulate_counts(offsets, words, app, 3)
 
+    def test_every_target_needs_a_name(self):
+        app = np.ones((2, 2), dtype=np.uint8)
+        with pytest.raises(ValueError):
+            kernels.simulate_counts(np.array([0, 0, 1]), np.array([1]), app, 0)
+        with pytest.raises(ValueError):
+            kernels.simulate_counts(np.array([0, 1]), np.array([1]), app, 0)
+
 
 def test_backend_name_consistent():
-    assert kernels.backend_name() in ("compiled", "python")
-    assert kernels.USING_COMPILED == (kernels.backend_name() == "compiled")
+    assert kernels.backend_name() == "numpy"
