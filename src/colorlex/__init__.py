@@ -34,9 +34,7 @@ from .informativeness import (
     SamplingConfig,
     WordInfo,
     compute_word_infos,
-    informativeness,
     spread,
-    system_informativeness,
 )
 from .regress import FitResult, fit_ols, fit_random_intercept, pearson_r
 from .simulate import (
@@ -74,8 +72,6 @@ __all__ = [
     "WordInfo",
     "SamplingConfig",
     "spread",
-    "informativeness",
-    "system_informativeness",
     "compute_word_infos",
     "FitResult",
     "fit_ols",

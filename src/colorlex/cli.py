@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import corpus, regress, simulate, svgplot
@@ -76,7 +77,6 @@ def cmd_ingest(cfg: RunConfig, args) -> None:
         cfg.input,
         cfg.schema,
         delimiter=cfg.delimiter,
-        language=cfg.language,
         hsl_scale=cfg.hsl_scale,
     )
     rounds = corpus.clean(raw, spellmap)
@@ -132,8 +132,8 @@ def cmd_regress(cfg: RunConfig, args) -> None:
     (out / f"fit_{args.subset}.txt").write_text(text, encoding="utf-8")
     _write_json(out / f"fit_{args.subset}.json", cfg, {
         "subset": args.subset,
-        "ols": regress.fit_to_dict(ols),
-        "random_intercept": regress.fit_to_dict(mixed),
+        "ols": asdict(ols),
+        "random_intercept": asdict(mixed),
     })
     print(regress.format_fit(mixed, label), end="")
 
@@ -151,11 +151,7 @@ def cmd_simulate(cfg: RunConfig, args) -> None:
         "report": report,
         "results": {
             r.variant.value: {
-                "accuracy": r.accuracy,
-                "i_l": r.i_l,
-                "n_interactions": r.n_interactions,
-                "vocab_size": r.vocab_size,
-                "counts": dict(r.counts),
+                k: v for k, v in asdict(r).items() if k != "variant"
             }
             for r in ordered
         },
@@ -210,17 +206,11 @@ def cmd_plot(cfg: RunConfig, args) -> None:
         svg = svgplot.denotation_plot(denotations, words, header)
         path = out / "plot_denotations.svg"
     else:
-        infos = _read_infos(cfg)
-        points = [
-            (r.context_ease, infos[r.word].i_w)
-            for r in rounds
-            if r.word in infos
-        ]
+        rows = regress.rows_from_rounds(rounds, _read_infos(cfg))
+        points = [(row.ease, row.i_w) for row in rows]
         line = None
-        if len(points) >= 3 and len({p[0] for p in points}) > 1:
-            fit = regress.fit_ols(
-                [regress.RegressionRow(i_w, ease, "") for ease, i_w in points]
-            )
+        if len(rows) >= 3 and len({row.ease for row in rows}) > 1:
+            fit = regress.fit_ols(rows)
             line = (fit.intercept, fit.slope)
         svg = svgplot.ease_plot(points, header, line)
         path = out / "plot_ease_vs_iw.svg"

@@ -47,6 +47,7 @@ __all__ = [
     "context_ease",
     "build_denotations",
     "repeated_chip_subset",
+    "format_chip_key",
     "read_spellmap",
     "write_clean_rounds",
     "read_clean_rounds",
@@ -75,7 +76,6 @@ class RawRound:
     distractor2: HslColor
     listener_correct: bool
     speaker_id: str | None
-    language: str
 
 
 @dataclass(frozen=True)
@@ -94,21 +94,16 @@ class CleanRound:
 
 @dataclass(frozen=True)
 class Denotation:
-    """All chips a word labeled, one entry per clean round (a multiset).
-
-    keys holds the quantized grid identities of those chips; a word is
-    "applicable" to a chip when the chip's key is in here.
-    """
+    """All chips a word labeled, one entry per clean round (a multiset)."""
 
     word: str
     chips: tuple[LabColor, ...]
     count: int
-    keys: frozenset[ChipKey]
 
 
 @dataclass(frozen=True)
 class RejectedRow:
-    """A row that failed schema validation, with its 1-based file line."""
+    """A row that failed schema validation, with the file line it ends on."""
 
     line: int
     reason: str
@@ -126,6 +121,9 @@ CANONICAL_FIELDS = (
 # Canonical layout: column names equal field names. speaker_id may be
 # mapped to None / omitted when the corpus has no speaker identifiers.
 DEFAULT_SCHEMA = {name: name for name in CANONICAL_FIELDS}
+
+# Characters that would split an id across clean_rounds.tsv fields or lines.
+_ROW_BREAKS = re.compile("[\t\r\n]")
 
 _TRUE_VALUES = {"true", "1", "yes", "t"}
 _FALSE_VALUES = {"false", "0", "no", "f"}
@@ -156,16 +154,16 @@ def ingest(
     schema: Mapping[str, str] | None = None,
     *,
     delimiter: str = ",",
-    language: str = "english",
     hsl_scale: str = "percent",
 ) -> tuple[list[RawRound], list[RejectedRow]]:
     """Read raw rounds from a delimited file.
 
     Rows that fail to parse (too few or too many fields, bad numbers,
-    out-of-range saturation or lightness, malformed booleans) are
-    returned in the rejects list with their file line number, never
-    silently dropped. A mapped column missing from the header is a
-    SchemaError: that is corpus drift, not row noise.
+    out-of-range saturation or lightness, malformed booleans, ids that
+    hold a tab or line break) are returned in the rejects list with the
+    file line they end on, never silently dropped. A mapped column
+    missing from the header is a SchemaError: that is corpus drift, not
+    row noise.
     """
     schema = dict(DEFAULT_SCHEMA if schema is None else schema)
     if hsl_scale not in ("percent", "fraction"):
@@ -186,7 +184,8 @@ def ingest(
                     f"not in header"
                 )
         n_fields = len(reader.fieldnames)
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
+            line_no = reader.line_num
             # DictReader files surplus fields under the key None and
             # fills missing ones with the value None.
             if None in row or None in row.values():
@@ -198,9 +197,15 @@ def ingest(
             try:
                 speaker_col = schema.get("speaker_id")
                 speaker = row[speaker_col].strip() if speaker_col else ""
+                game_id = row[schema["game_id"]].strip()
+                for field, value in (("game_id", game_id),
+                                     ("speaker_id", speaker)):
+                    if _ROW_BREAKS.search(value):
+                        raise ValueError(
+                            f"{field} {value!r} holds a tab or line break")
                 rounds.append(
                     RawRound(
-                        game_id=row[schema["game_id"]].strip(),
+                        game_id=game_id,
                         round_index=int(row[schema["round_index"]]),
                         utterance=row[schema["utterance"]] or "",
                         target=_parse_hsl(row, schema, "target", hsl_scale),
@@ -211,7 +216,6 @@ def ingest(
                         listener_correct=_parse_bool(
                             row[schema["listener_correct"]]),
                         speaker_id=speaker or None,
-                        language=language,
                     )
                 )
             except (ValueError, TypeError, KeyError) as exc:
@@ -292,13 +296,10 @@ def build_denotations(
     if min_count < 1:
         raise ValueError("min_count must be at least 1")
     chips: dict[str, list[LabColor]] = {}
-    keys: dict[str, set[ChipKey]] = {}
     for r in rounds:
         chips.setdefault(r.word, []).append(r.target)
-        keys.setdefault(r.word, set()).add(r.target_key)
     return {
-        word: Denotation(word, tuple(points), len(points),
-                         frozenset(keys[word]))
+        word: Denotation(word, tuple(points), len(points))
         for word, points in chips.items()
         if len(points) >= min_count
     }
@@ -335,7 +336,8 @@ _CLEAN_HEADER = (
 )
 
 
-def _key_str(key: ChipKey) -> str:
+def format_chip_key(key: ChipKey) -> str:
+    """A chip key as written in output tables: "h:s:l"."""
     return f"{key[0]}:{key[1]}:{key[2]}"
 
 
@@ -352,7 +354,7 @@ def write_clean_rounds(
             str(r.round_index),
             r.speaker_id or "",
             r.word,
-            _key_str(r.target_key),
+            format_chip_key(r.target_key),
             repr(r.context_ease),
             repr(r.target.l_star), repr(r.target.a_star), repr(r.target.b_star),
             repr(d1.l_star), repr(d1.a_star), repr(d1.b_star),
@@ -362,12 +364,18 @@ def write_clean_rounds(
 
 
 def read_clean_rounds(handle: TextIO) -> list[CleanRound]:
-    """Read a file written by write_clean_rounds."""
+    """Read a file written by write_clean_rounds.
+
+    Every line after the column header is a round, even one that
+    starts with "#"."""
+    for line in handle:
+        if line.rstrip("\n") == _CLEAN_HEADER:
+            break
+    else:
+        raise ValueError("no clean-rounds column header found")
     rounds: list[CleanRound] = []
     for line in handle:
         line = line.rstrip("\n")
-        if not line or line.startswith("#") or line == _CLEAN_HEADER:
-            continue
         parts = line.split("\t")
         if len(parts) != 15:
             raise ValueError(f"malformed clean-rounds line: {line!r}")

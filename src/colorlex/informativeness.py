@@ -34,7 +34,6 @@ __all__ = [
     "derive_seed",
     "spread",
     "informativeness",
-    "system_informativeness",
     "compute_word_infos",
     "write_word_infos",
     "read_word_infos",
@@ -157,13 +156,6 @@ def informativeness(
         n,
         sampled=True,
     )
-
-
-def system_informativeness(uttered: Sequence[float]) -> float:
-    """Mean informativeness of the words uttered across interactions."""
-    if len(uttered) == 0:
-        raise ValueError("empty utterance log")
-    return fsum(uttered) / len(uttered)
 
 
 def compute_word_infos(

@@ -15,9 +15,9 @@ data-dependent step counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import fsum
-from typing import Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 from .errors import ColorlexError
 from .informativeness import WordInfo
@@ -31,7 +31,6 @@ __all__ = [
     "rows_from_rounds",
     "pearson_r",
     "format_fit",
-    "fit_to_dict",
 ]
 
 
@@ -44,12 +43,12 @@ class RegressionRow:
     """One observation: informativeness of the word uttered in a round.
 
     i_w is the response, ease the predictor, group the random-intercept
-    key (the target chip, or any other opaque label).
+    key (the target chip's key, or any other opaque hashable label).
     """
 
     i_w: float
     ease: float
-    group: str
+    group: Hashable
 
 
 @dataclass(frozen=True)
@@ -186,27 +185,16 @@ def fit_random_intercept(rows: Sequence[RegressionRow]) -> FitResult:
     the result's warnings.
     """
     n = _check_rows(rows)
-    by_group: dict[str, tuple[list[float], list[float]]] = {}
+    by_group: dict[Hashable, tuple[list[float], list[float]]] = {}
     for r in rows:
         xs, ys = by_group.setdefault(r.group, ([], []))
         xs.append(r.ease)
         ys.append(r.i_w)
     if max(len(xs) for xs, _ in by_group.values()) < 2:
-        ols = fit_ols(rows)
-        return FitResult(
+        return replace(
+            fit_ols(rows),
             method="random_intercept",
-            intercept=ols.intercept,
-            slope=ols.slope,
-            se_intercept=ols.se_intercept,
-            se_slope=ols.se_slope,
-            t_slope=ols.t_slope,
-            p_slope=ols.p_slope,
-            sigma2_residual=ols.sigma2_residual,
-            sigma2_group=0.0,
-            n=n,
             n_groups=len(by_group),
-            converged=True,
-            loglik=ols.loglik,
             warnings=(
                 "every group has a single observation; "
                 "group variance not identifiable, fell back to OLS",
@@ -279,8 +267,7 @@ def rows_from_rounds(rounds, infos: Mapping[str, WordInfo]) -> list[RegressionRo
         info = infos.get(r.word)
         if info is None:
             continue
-        key = f"{r.target_key[0]}:{r.target_key[1]}:{r.target_key[2]}"
-        rows.append(RegressionRow(info.i_w, r.context_ease, key))
+        rows.append(RegressionRow(info.i_w, r.context_ease, r.target_key))
     return rows
 
 
@@ -324,22 +311,3 @@ def format_fit(result: FitResult, label: str = "") -> str:
     for w in result.warnings:
         lines.append(f"warning: {w}")
     return "\n".join(lines) + "\n"
-
-
-def fit_to_dict(result: FitResult) -> dict:
-    return {
-        "method": result.method,
-        "intercept": result.intercept,
-        "slope": result.slope,
-        "se_intercept": result.se_intercept,
-        "se_slope": result.se_slope,
-        "t_slope": result.t_slope,
-        "p_slope": result.p_slope,
-        "sigma2_residual": result.sigma2_residual,
-        "sigma2_group": result.sigma2_group,
-        "n": result.n,
-        "n_groups": result.n_groups,
-        "converged": result.converged,
-        "loglik": result.loglik,
-        "warnings": list(result.warnings),
-    }

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import kernels
 from .colorspace import LabColor
-from .corpus import ChipKey, CleanRound, Denotation
+from .corpus import ChipKey, CleanRound, format_chip_key
 from .errors import ColorlexError
 from .informativeness import WordInfo
 
@@ -42,11 +42,7 @@ __all__ = [
     "SimResult",
     "Stimulus",
     "SimulationError",
-    "UnknownWordError",
     "build_entries",
-    "applicable",
-    "speak",
-    "listen_accuracy",
     "run_simulation",
     "run_all_variants",
     "generate_stimuli",
@@ -57,10 +53,6 @@ __all__ = [
 
 class SimulationError(ColorlexError):
     pass
-
-
-class UnknownWordError(ColorlexError):
-    """Applicability asked about a word with no denotation."""
 
 
 class SystemVariant(Enum):
@@ -88,7 +80,6 @@ class ReferentEntry:
 
     key: ChipKey
     names: tuple[tuple[str, float], ...]
-    name_set: frozenset[str]
 
     @property
     def general(self) -> str:
@@ -165,7 +156,7 @@ def build_entries(
         scores = [i for _, i in ordered]
         if len(set(scores)) != len(scores):
             ties += 1
-        entries.append(ReferentEntry(key, ordered, frozenset(words)))
+        entries.append(ReferentEntry(key, ordered))
     report = {
         "n_referents": len(entries),
         "skipped_few_names": skipped,
@@ -175,58 +166,8 @@ def build_entries(
     return entries, report
 
 
-def applicable(
-    word: str,
-    referent: ReferentEntry,
-    denotations: Mapping[str, Denotation] | None = None,
-) -> bool:
-    """Whether a word names the referent (the corpus used it for it).
-
-    With denotations the check consults the word's full denotation and
-    an unknown word is an error; without them it falls back to the
-    referent's own name inventory, which agrees for every word that
-    can actually be uttered in a simulation.
-    """
-    if denotations is None:
-        return word in referent.name_set
-    den = denotations.get(word)
-    if den is None:
-        raise UnknownWordError(f"no denotation for {word!r}")
-    return referent.key in den.keys
-
-
-def speak(
-    target: ReferentEntry,
-    distractor: ReferentEntry,
-    variant: SystemVariant,
-    denotations: Mapping[str, Denotation] | None = None,
-) -> str:
-    """The word the simulated speaker utters for target in this context."""
-    if variant is SystemVariant.GENERAL_ONLY:
-        return target.general
-    if variant is SystemVariant.SPECIFIC_ONLY:
-        return target.specific
-    for word, _ in target.names:
-        if not applicable(word, distractor, denotations):
-            return word
-    return target.specific
-
-
-def listen_accuracy(
-    word: str,
-    target: ReferentEntry,
-    distractor: ReferentEntry,
-    denotations: Mapping[str, Denotation] | None = None,
-) -> float:
-    """Chance of the listener picking the target given the uttered word."""
-    if not applicable(word, target, denotations):
-        raise SimulationError(
-            f"{word!r} does not apply to the target it describes"
-        )
-    return 0.5 if applicable(word, distractor, denotations) else 1.0
-
-
 def _vocab_arrays(entries: Sequence[ReferentEntry]):
+    """Kernel inputs; a word applies to the referents it names."""
     vocab = sorted({w for e in entries for w, _ in e.names})
     index = {w: i for i, w in enumerate(vocab)}
     offsets = np.zeros(len(entries) + 1, dtype=np.int64)
@@ -236,9 +177,7 @@ def _vocab_arrays(entries: Sequence[ReferentEntry]):
         offsets[i + 1] = len(flat)
     words = np.array(flat, dtype=np.int64)
     app = np.zeros((len(entries), len(vocab)), dtype=np.uint8)
-    for i, e in enumerate(entries):
-        for w in e.name_set:
-            app[i, index[w]] = 1
+    app[np.repeat(np.arange(len(entries)), np.diff(offsets)), words] = 1
     return vocab, offsets, words, app
 
 
@@ -396,11 +335,10 @@ def write_stimuli(
         "target_l\ttarget_a\ttarget_b\td1_l\td1_a\td1_b\td2_l\td2_a\td2_b\n"
     )
     for s in stimuli:
-        key = f"{s.target_key[0]}:{s.target_key[1]}:{s.target_key[2]}"
         fields = [
             str(s.bin_index),
             repr(s.ease),
-            key,
+            format_chip_key(s.target_key),
             s.actual_name,
             s.simulated_general or "",
             s.simulated_specific or "",

@@ -304,23 +304,11 @@ def toy_system() -> SimpleNamespace:
         for w in words
     ]
     entries, report = build_entries(rounds, infos)
-    denotations = {
-        w: Denotation(
-            w,
-            (gray, gray),
-            2,
-            frozenset(
-                _toy_key(ref) for ref, ws in TOY_NAMES.items() if w in ws
-            ),
-        )
-        for w in TOY_I_W
-    }
     by_key = {e.key[0]: e for e in entries}
     return SimpleNamespace(
         entries=entries,
         report=report,
         infos=infos,
-        denotations=denotations,
         by_referent=by_key,
     )
 
@@ -373,7 +361,7 @@ def _load_real(lang: str, min_count: int, tmp_path_factory) -> SimpleNamespace:
 
     dst = tmp_path_factory.mktemp(f"corpus_{lang}") / "canonical.csv"
     to_canonical(src, dst)
-    raw, _ = ingest(dst, language="english" if lang == "en" else "chinese")
+    raw, _ = ingest(dst)
     rounds = clean(raw)
     denotations = build_denotations(rounds, min_count)
     infos = compute_word_infos(denotations, SamplingConfig(seed=0))

@@ -2,7 +2,8 @@
 
 import csv
 import json
-from types import SimpleNamespace
+from pathlib import Path
+from types import ModuleType, SimpleNamespace
 
 import pytest
 
@@ -329,3 +330,23 @@ class TestConfigParsing:
         a = load_config(cfg)
         assert config_hash(a) == config_hash(with_overrides(a, None, "else"))
         assert config_hash(a) != config_hash(with_overrides(a, 123, None))
+
+
+class TestReadmeLibraryExample:
+    def test_submodules_are_not_shadowed(self):
+        import colorlex
+
+        for name in ("corpus", "informativeness", "regress", "simulate"):
+            assert isinstance(getattr(colorlex, name), ModuleType), name
+
+    def test_runs_on_fixture(self, fixture_corpus, capsys):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        library = readme.read_text(encoding="utf-8").split("## Library")[1]
+        code = library.split("```python\n")[1].split("```")[0]
+        assert '"corpus.csv"' in code
+        code = code.replace('"corpus.csv"', repr(str(fixture_corpus.csv)))
+        exec(compile(code, "README.md (Library)", "exec"), {})
+        out = capsys.readouterr().out
+        assert "informativeness ~ ease (random_intercept)" in out
+        assert [line.split()[0] for line in out.splitlines()[-3:]] == \
+            ["actual", "general_only", "specific_only"]

@@ -1,8 +1,12 @@
 """Ingestion, normalization, cleaning and denotation building."""
 
+import csv
 import io
+import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from colorlex.colorspace import HslColor, LabColor, lab_distance
 from colorlex.corpus import (
@@ -39,8 +43,16 @@ _MINI_HEADER = (
 )
 
 
-def _mini_row(word="blue", ok="true", h=230, game="g1", idx=1):
-    return (game, idx, word, h, 80, 50, 0, 80, 50, 60, 80, 50, ok, "s1")
+def _mini_row(word="blue", ok="true", h=230, game="g1", idx=1, speaker="s1"):
+    return (game, idx, word, h, 80, 50, 0, 80, 50, 60, 80, 50, ok, speaker)
+
+
+def _write_quoted_csv(path, rows, header=_MINI_HEADER):
+    """Write rows as CSV, quoting fields that hold commas, quotes or breaks."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 class TestIngest:
@@ -125,6 +137,34 @@ class TestIngest:
             (5, "row has 15 fields, header has 14"),
             (6, "row has 16 fields, header has 14"),
         ]
+
+    def test_reject_lines_count_file_lines(self, tmp_path):
+        path = tmp_path / "multiline.csv"
+        bad = ("g1", 2, "blue", 230, 180, 50, 0, 80, 50, 60, 80, 50,
+               "true", "s1")
+        # a quoted utterance spanning file lines 2-3, then a bad row on 4
+        _write_quoted_csv(path, [_mini_row(word="light\nblue"), bad])
+        raw, rejects = ingest(path)
+        assert [r.utterance for r in raw] == ["light\nblue"]
+        assert [r.line for r in rejects] == [4]
+
+    def test_ids_with_tabs_or_line_breaks_rejected(self, tmp_path):
+        path = tmp_path / "ids.csv"
+        _write_quoted_csv(path, [
+            _mini_row(idx=1),
+            _mini_row(game="g\t2", idx=2),
+            _mini_row(idx=3, speaker="s\n3"),
+            _mini_row(game="g\r4", idx=4),
+            _mini_row(idx=5, speaker=" s5\t"),
+        ])
+        raw, rejects = ingest(path)
+        # surrounding whitespace is stripped before the check
+        assert [(r.round_index, r.speaker_id) for r in raw] == \
+            [(1, "s1"), (5, "s5")]
+        assert [r.line for r in rejects] == [3, 5, 7]
+        assert [r.reason.split()[0] for r in rejects] == \
+            ["game_id", "speaker_id", "game_id"]
+        assert all("tab or line break" in r.reason for r in rejects)
 
     def test_deterministic(self, fixture_corpus):
         first = ingest(fixture_corpus.csv)
@@ -253,7 +293,6 @@ class TestBuildDenotations:
         den = build_denotations(rounds, 1)["blue"]
         assert den.count == 2
         assert len(den.chips) == 2
-        assert den.keys == frozenset({(1, 0, 0)})
 
     def test_counts_match_rounds(self, fixture_rounds, fixture_denotations):
         for word, den in fixture_denotations.items():
@@ -310,6 +349,19 @@ class TestSerialization:
         buffer.seek(0)
         assert read_clean_rounds(buffer) == fixture_rounds
 
+    def test_hash_game_id_survives(self):
+        # only lines before the column header are comments
+        rounds = [_round_with("blue", (1, 2, 3), game="#g1"),
+                  _round_with("teal", (4, 5, 6), game="g#2", idx=2)]
+        buffer = io.StringIO()
+        write_clean_rounds(buffer, rounds, "# header line")
+        buffer.seek(0)
+        assert read_clean_rounds(buffer) == rounds
+
+    def test_missing_column_header_is_an_error(self):
+        with pytest.raises(ValueError, match="column header"):
+            read_clean_rounds(io.StringIO("# header line\n"))
+
     def test_rejects_sanitized(self):
         from colorlex.corpus import RejectedRow
 
@@ -317,3 +369,98 @@ class TestSerialization:
         write_rejects(buffer, [RejectedRow(5, "bad\tvalue\nhere")], "# h")
         text = buffer.getvalue()
         assert "5\tbad value here" in text.splitlines()[-1]
+
+
+# ------------------------------------------------------------ properties
+
+# Few characters, but every one that matters to CSV, TSV or the comment
+# syntax of the clean-rounds file.
+_JUNK = st.text(alphabet='a1-. ,"#\t\r\n\x00é', max_size=6)
+
+# Rows with every field well formed except, possibly, the ids.
+_COLUMNS = {
+    "game_id": _JUNK,
+    "round_index": st.integers(0, 60).map(str),
+    "utterance": st.sampled_from(["blue", "BLUE!", " teal", "very blue", ""]),
+    "listener_correct": st.sampled_from(["true", "1", "0"]),
+    "speaker_id": _JUNK,
+}
+for _c in ("target", "distractor1", "distractor2"):
+    _COLUMNS[f"{_c}_h"] = st.integers(-400, 400).map(str)
+    _COLUMNS[f"{_c}_s"] = st.integers(0, 100).map(str)
+    _COLUMNS[f"{_c}_l"] = st.integers(0, 100).map(str)
+_WIDTH = len(_MINI_HEADER)
+_ID_ROWS = st.tuples(*(_COLUMNS[c] for c in _MINI_HEADER))
+
+
+def _mangle(row, junk, width, extra):
+    """Overwrite some fields with junk, then cut or pad the row."""
+    row = list(row)
+    for i, text in junk:
+        row[i] = text
+    return tuple(row[:width] + extra[:max(0, width - len(row))])
+
+
+# Junk fields and missing or surplus fields mixed into those rows.
+_ROWS = st.builds(
+    _mangle,
+    _ID_ROWS,
+    st.lists(st.tuples(st.integers(0, _WIDTH - 1), _JUNK), max_size=2),
+    st.one_of(st.just(_WIDTH), st.integers(1, _WIDTH + 2)),
+    st.lists(_JUNK, min_size=2, max_size=2),
+)
+
+_PROPERTY = settings(
+    derandomize=True, database=None, deadline=None, max_examples=100,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+def _csv_text(rows):
+    buffer = io.StringIO(newline="")
+    csv.writer(buffer).writerows(rows)
+    return buffer.getvalue()
+
+
+def _line_breaks(text):
+    """Line ends as a newline="" file iterator sees them: CRLF, CR or LF."""
+    return len(re.findall(r"\r\n|\r|\n", text))
+
+
+class TestIngestProperties:
+    @_PROPERTY
+    @given(rows=st.lists(_ROWS, max_size=6))
+    def test_every_row_is_a_round_or_a_reject(self, tmp_path, rows):
+        path = tmp_path / "rows.csv"
+        _write_quoted_csv(path, rows)
+        raw, rejects = ingest(path)
+        assert len(raw) + len(rejects) == len(rows)
+        # each reject names the file line its row ends on
+        ends = set()
+        line = 1
+        for row in rows:
+            line += _line_breaks(_csv_text([row]))
+            ends.add(line)
+        lines = [r.line for r in rejects]
+        assert set(lines) <= ends
+        assert lines == sorted(set(lines))
+
+    @_PROPERTY
+    @given(text=st.text(alphabet='a1,"\t\r\n\x00', max_size=60))
+    def test_arbitrary_text_never_raises(self, tmp_path, text):
+        path = tmp_path / "raw.csv"
+        path.write_text(",".join(_MINI_HEADER) + "\n" + text,
+                        encoding="utf-8", newline="")
+        ingest(path)
+
+    @_PROPERTY
+    @given(rows=st.lists(_ID_ROWS, max_size=6))
+    def test_clean_rounds_round_trip(self, tmp_path, rows):
+        path = tmp_path / "rows.csv"
+        _write_quoted_csv(path, rows)
+        raw, _ = ingest(path)
+        rounds = clean(raw)
+        buffer = io.StringIO()
+        write_clean_rounds(buffer, rounds, "# header line")
+        buffer.seek(0)
+        assert read_clean_rounds(buffer) == rounds

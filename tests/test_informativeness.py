@@ -19,7 +19,6 @@ from colorlex.informativeness import (
     informativeness,
     read_word_infos,
     spread,
-    system_informativeness,
     write_word_infos,
 )
 
@@ -149,15 +148,6 @@ class TestInformativeness:
         assert derive_seed(0, "blue") == derive_seed(0, "blue")
         assert derive_seed(0, "blue") != derive_seed(0, "green")
         assert derive_seed(0, "blue") != derive_seed(1, "blue")
-
-
-class TestSystemInformativeness:
-    def test_mean(self):
-        assert system_informativeness([1.0, 2.0, 3.0]) == 2.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            system_informativeness([])
 
 
 class TestSerialization:

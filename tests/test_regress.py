@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from colorlex.regress import (
     _profile,
     fit_ols,
     fit_random_intercept,
-    fit_to_dict,
     format_fit,
     pearson_r,
     rows_from_rounds,
@@ -41,6 +41,16 @@ def _noisy_rows(seed, n, intercept, slope, sd):
                           str(i))
         )
     return rows
+
+
+def _group_stats(rows):
+    """Per-group statistics in first-appearance order, as the fit uses."""
+    by_group = {}
+    for r in rows:
+        xs, ys = by_group.setdefault(r.group, ([], []))
+        xs.append(r.ease)
+        ys.append(r.i_w)
+    return [_GroupStats(xs, ys) for xs, ys in by_group.values()]
 
 
 class TestOls:
@@ -142,12 +152,7 @@ class TestRandomIntercept:
     def test_profile_loglik_locally_optimal(self):
         rows = make_grouped_rows(2024)
         fit = fit_random_intercept(rows)
-        by_group = {}
-        for r in rows:
-            xs, ys = by_group.setdefault(r.group, ([], []))
-            xs.append(r.ease)
-            ys.append(r.i_w)
-        stats = [_GroupStats(xs, ys) for xs, ys in by_group.values()]
+        stats = _group_stats(rows)
         theta = fit.sigma2_group / fit.sigma2_residual
         n = len(rows)
         at_hat = _profile(stats, n, theta)[0]
@@ -199,6 +204,77 @@ class TestRandomIntercept:
         assert a.loglik == b.loglik
 
 
+def _dense_profile(rows, theta):
+    """GLS estimates and ML log-likelihood from the full covariance.
+
+    V = I + theta * Z Z' with Z the row-to-group indicator matrix, i.e.
+    blockdiag(J_g) up to a row permutation. For the profiled deviance
+    see Bates et al. 2015, "Fitting Linear Mixed-Effects Models Using
+    lme4", JSS 67(1).
+    """
+    labels = {}
+    g = np.array([labels.setdefault(r.group, len(labels)) for r in rows])
+    n = len(rows)
+    v = np.eye(n) + theta * (g[:, None] == g[None, :])
+    x = np.column_stack([np.ones(n), [r.ease for r in rows]])
+    y = np.array([r.i_w for r in rows])
+    vinv = np.linalg.inv(v)
+    intercept, slope = np.linalg.solve(x.T @ vinv @ x, x.T @ vinv @ y)
+    resid = y - intercept - slope * x[:, 1]
+    sigma2 = resid @ vinv @ resid / n
+    sign, logdet = np.linalg.slogdet(v)
+    assert sign == 1.0
+    loglik = -0.5 * (n * math.log(2.0 * math.pi) + n * math.log(sigma2)
+                     + logdet + n)
+    return loglik, intercept, slope, sigma2
+
+
+def _unequal_groups(seed):
+    """Groups of 1, 2, 3, 5 and 8 rows, shuffled so groups interleave."""
+    rng = random.Random(seed)
+    rows = []
+    for g, size in enumerate((1, 2, 3, 5, 8)):
+        offset = rng.gauss(0.0, 0.7)
+        for _ in range(size):
+            x = rng.uniform(0.0, 50.0)
+            rows.append(RegressionRow(1.0 + offset - 0.03 * x
+                                      + rng.gauss(0.0, 0.4), x, (g, 0, 0)))
+    rng.shuffle(rows)
+    return rows
+
+
+_DENSE_PROBLEMS = {
+    "equal_groups": lambda: make_grouped_rows(5, n_groups=6, group_size=4),
+    "unequal_interleaved": lambda: _unequal_groups(11),
+    "weak_groups": lambda: make_grouped_rows(
+        6, n_groups=8, group_size=3, group_sd=0.05),
+}
+
+
+class TestDenseLikelihoodOracle:
+    """_profile and the fitted optimum against the dense-covariance ML."""
+
+    @pytest.mark.parametrize("problem", sorted(_DENSE_PROBLEMS))
+    @pytest.mark.parametrize("theta", [0.0, 0.1, 1.0, 10.0, 100.0])
+    def test_profile_matches_dense(self, problem, theta):
+        rows = _DENSE_PROBLEMS[problem]()
+        loglik, intercept, slope, sigma2 = _profile(
+            _group_stats(rows), len(rows), theta)[:4]
+        dense = _dense_profile(rows, theta)
+        assert (loglik, intercept, slope, sigma2) == pytest.approx(
+            dense, rel=1e-9)
+
+    @pytest.mark.parametrize("problem", sorted(_DENSE_PROBLEMS))
+    def test_fit_maximizes_dense_loglik(self, problem):
+        rows = _DENSE_PROBLEMS[problem]()
+        fit = fit_random_intercept(rows)
+        grid = np.concatenate([[0.0], np.geomspace(1e-4, 1e3, 141)])
+        for theta in grid:
+            dense = _dense_profile(rows, theta)[0]
+            # the dense and profiled values agree to ~1e-9 relative
+            assert fit.loglik >= dense - 1e-9 * abs(dense), theta
+
+
 class TestRowsFromRounds:
     def test_groups_by_target_chip(self, fixture_rounds, fixture_infos):
         rows = rows_from_rounds(fixture_rounds, fixture_infos)
@@ -207,8 +283,7 @@ class TestRowsFromRounds:
         for row, r in zip(rows, with_info):
             assert row.i_w == fixture_infos[r.word].i_w
             assert row.ease == r.context_ease
-            k = r.target_key
-            assert row.group == f"{k[0]}:{k[1]}:{k[2]}"
+            assert row.group == r.target_key
 
     def test_skips_words_below_threshold(self, fixture_rounds, fixture_infos):
         rows = rows_from_rounds(fixture_rounds, fixture_infos)
@@ -303,9 +378,9 @@ class TestReporting:
         assert "NOT CONVERGED" in text
         assert "warning: something odd" in text
 
-    def test_fit_to_dict_is_json_ready(self):
+    def test_asdict_is_json_ready(self):
         fit = fit_random_intercept(make_grouped_rows(12, n_groups=20))
-        payload = fit_to_dict(fit)
+        payload = asdict(fit)
         parsed = json.loads(json.dumps(payload))
         assert parsed["method"] == "random_intercept"
         assert parsed["n_groups"] == 20

@@ -15,17 +15,12 @@ from colorlex.colorspace import LabColor
 from colorlex.corpus import CleanRound
 from colorlex.informativeness import WordInfo
 from colorlex.simulate import (
-    ReferentEntry,
     SimulationError,
     SystemVariant,
-    UnknownWordError,
-    applicable,
     build_entries,
     generate_stimuli,
-    listen_accuracy,
     run_all_variants,
     run_simulation,
-    speak,
     write_simulation,
     write_stimuli,
 )
@@ -76,7 +71,7 @@ class TestBuildEntries:
         }
         for ref, words in TOY_NAMES.items():
             entry = toy_system.by_referent[ref]
-            assert entry.name_set == frozenset(words)
+            assert {w for w, _ in entry.names} == set(words)
             scores = [i for _, i in entry.names]
             assert scores == sorted(scores)
             assert entry.general == min(words, key=TOY_I_W.get)
@@ -101,7 +96,7 @@ class TestBuildEntries:
             _round("rare", (1, 0, 0), idx=3),
         ]
         entries, report = build_entries(rounds, infos)
-        assert entries[0].name_set == frozenset({"a", "b"})
+        assert [w for w, _ in entries[0].names] == ["a", "b"]
         assert report["dropped_names"] == 1
 
     def test_three_names_ordered(self):
@@ -143,73 +138,60 @@ class TestBuildEntries:
         assert report["dropped_names"] > 0
 
 
-class TestApplicability:
-    def test_name_set_path(self, toy_system):
-        e1 = toy_system.by_referent[1]
-        assert applicable("blue", e1)
-        assert applicable("turquoise", e1)
-        assert not applicable("teal", e1)
+def _assert_pair(toy_system, t, d, variant, counts, accuracy):
+    """Play the two-referent system {t, d}: interactions t->d and d->t.
 
-    def test_denotation_path_agrees_everywhere(self, toy_system):
-        dens = toy_system.denotations
-        for entry in toy_system.entries:
-            for word in TOY_I_W:
-                assert applicable(word, entry, dens) == \
-                    applicable(word, entry)
+    counts are the words uttered over both interactions; accuracy is
+    their mean listener credit (1 when the word excludes the
+    distractor, 1/2 when it also applies to it).
+    """
+    by = toy_system.by_referent
+    result = run_simulation([by[t], by[d]], variant)
+    assert result.n_interactions == 2
+    assert result.counts == counts
+    assert result.accuracy == accuracy
 
-    def test_unknown_word(self, toy_system):
-        with pytest.raises(UnknownWordError, match="chartreuse"):
-            applicable("chartreuse", toy_system.entries[0],
-                       toy_system.denotations)
+
+ACTUAL = SystemVariant.ACTUAL
+GENERAL = SystemVariant.GENERAL_ONLY
+SPECIFIC = SystemVariant.SPECIFIC_ONLY
 
 
 class TestSpeak:
     def test_prefers_general_when_discriminating(self, toy_system):
-        by = toy_system.by_referent
-        assert speak(by[1], by[3], SystemVariant.ACTUAL) == "blue"
+        _assert_pair(toy_system, 1, 3, ACTUAL, {"blue": 1, "green": 1}, 1.0)
 
     def test_escalates_when_general_ambiguous(self, toy_system):
-        by = toy_system.by_referent
-        assert speak(by[1], by[2], SystemVariant.ACTUAL) == "turquoise"
-        assert speak(by[4], by[5], SystemVariant.ACTUAL) == "magenta"
+        _assert_pair(toy_system, 1, 2, ACTUAL,
+                     {"turquoise": 1, "teal": 1}, 1.0)
+        _assert_pair(toy_system, 4, 5, ACTUAL,
+                     {"magenta": 1, "mauve": 1}, 1.0)
 
     def test_falls_back_to_specific(self, toy_system):
-        by = toy_system.by_referent
         # 5 and 6 share both names; nothing discriminates
-        assert speak(by[5], by[6], SystemVariant.ACTUAL) == "mauve"
+        _assert_pair(toy_system, 5, 6, ACTUAL, {"mauve": 2}, 0.5)
 
     def test_fixed_variants_ignore_context(self, toy_system):
-        by = toy_system.by_referent
-        for d in (2, 3, 4):
-            assert speak(by[1], by[d], SystemVariant.GENERAL_ONLY) == "blue"
-            assert speak(by[1], by[d],
-                         SystemVariant.SPECIFIC_ONLY) == "turquoise"
-
-    def test_denotation_path_agrees(self, toy_system):
-        by = toy_system.by_referent
-        dens = toy_system.denotations
-        for t in TOY_NAMES:
-            for d in TOY_NAMES:
-                if t == d:
-                    continue
-                for variant in SystemVariant:
-                    assert speak(by[t], by[d], variant) == \
-                        speak(by[t], by[d], variant, dens)
+        # 1 says blue / turquoise whatever the distractor
+        _assert_pair(toy_system, 1, 2, GENERAL, {"blue": 2}, 0.5)
+        _assert_pair(toy_system, 1, 3, GENERAL, {"blue": 1, "green": 1}, 1.0)
+        _assert_pair(toy_system, 1, 4, GENERAL,
+                     {"blue": 1, "purple": 1}, 1.0)
+        _assert_pair(toy_system, 1, 2, SPECIFIC,
+                     {"turquoise": 1, "teal": 1}, 1.0)
+        _assert_pair(toy_system, 1, 3, SPECIFIC,
+                     {"turquoise": 1, "teal": 1}, 1.0)
+        _assert_pair(toy_system, 1, 4, SPECIFIC,
+                     {"turquoise": 1, "magenta": 1}, 1.0)
 
 
 class TestListen:
     def test_full_credit_when_unambiguous(self, toy_system):
-        by = toy_system.by_referent
-        assert listen_accuracy("blue", by[1], by[3]) == 1.0
+        _assert_pair(toy_system, 1, 3, GENERAL, {"blue": 1, "green": 1}, 1.0)
 
     def test_half_credit_when_ambiguous(self, toy_system):
-        by = toy_system.by_referent
-        assert listen_accuracy("blue", by[1], by[2]) == 0.5
-
-    def test_word_must_apply_to_target(self, toy_system):
-        by = toy_system.by_referent
-        with pytest.raises(SimulationError):
-            listen_accuracy("teal", by[1], by[2])
+        # blue names both 1 and 2
+        _assert_pair(toy_system, 1, 2, GENERAL, {"blue": 2}, 0.5)
 
 
 class TestRunSimulation:
