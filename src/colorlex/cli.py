@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -43,32 +44,44 @@ from .informativeness import (
 __all__ = ["main"]
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    path = Path(cfg.out)
-    path.mkdir(parents=True, exist_ok=True)
+def _write(cfg: RunConfig, name: str, fill) -> Path:
+    """Write an output file through fill(handle), replacing it only once
+    fill has returned, so a failed stage never leaves a partial file."""
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / name
+    tmp = out / f".{name}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            fill(handle)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
-def _write_json(path: Path, cfg: RunConfig, payload: dict) -> None:
+def _write_json(cfg: RunConfig, name: str, payload: dict) -> None:
     body = {"_config": config_hash(cfg), "_seed": cfg.seed, **payload}
-    path.write_text(json.dumps(body, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    text = json.dumps(body, indent=2, sort_keys=True) + "\n"
+    _write(cfg, name, lambda handle: handle.write(text))
+
+
+def _read(cfg: RunConfig, name: str, stage: str, reader):
+    path = Path(cfg.out) / name
+    if not path.exists():
+        raise ColorlexError(f"{path} not found; run `colorlex {stage}` first")
+    with open(path, "r", encoding="utf-8") as handle:
+        return reader(handle)
 
 
 def _read_rounds(cfg: RunConfig) -> list[corpus.CleanRound]:
-    path = Path(cfg.out) / "clean_rounds.tsv"
-    if not path.exists():
-        raise ColorlexError(f"{path} not found; run `colorlex ingest` first")
-    with open(path, "r", encoding="utf-8") as handle:
-        return corpus.read_clean_rounds(handle)
+    return _read(cfg, "clean_rounds.tsv", "ingest", corpus.read_clean_rounds)
 
 
 def _read_infos(cfg: RunConfig) -> dict[str, WordInfo]:
-    path = Path(cfg.out) / "word_info.tsv"
-    if not path.exists():
-        raise ColorlexError(f"{path} not found; run `colorlex info` first")
-    with open(path, "r", encoding="utf-8") as handle:
-        return {info.word: info for info in read_word_infos(handle)}
+    infos = _read(cfg, "word_info.tsv", "info", read_word_infos)
+    return {info.word: info for info in infos}
 
 
 def cmd_ingest(cfg: RunConfig, args) -> None:
@@ -80,13 +93,12 @@ def cmd_ingest(cfg: RunConfig, args) -> None:
         hsl_scale=cfg.hsl_scale,
     )
     rounds = corpus.clean(raw, spellmap)
-    out = _out_dir(cfg)
     header = header_line(cfg)
-    with open(out / "clean_rounds.tsv", "w", encoding="utf-8") as handle:
-        corpus.write_clean_rounds(handle, rounds, header)
-    with open(out / "rejects.tsv", "w", encoding="utf-8") as handle:
-        corpus.write_rejects(handle, rejects, header)
-    _write_json(out / "ingest.json", cfg, {
+    _write(cfg, "clean_rounds.tsv",
+           lambda h: corpus.write_clean_rounds(h, rounds, header))
+    _write(cfg, "rejects.tsv",
+           lambda h: corpus.write_rejects(h, rejects, header))
+    _write_json(cfg, "ingest.json", {
         "n_raw": len(raw),
         "n_rejected": len(rejects),
         "n_clean": len(rounds),
@@ -107,9 +119,8 @@ def cmd_info(cfg: RunConfig, args) -> None:
     )
     infos = compute_word_infos(denotations, sampling)
     ordered = sorted(infos.values(), key=lambda w: (-w.i_w, w.word))
-    out = _out_dir(cfg)
-    with open(out / "word_info.tsv", "w", encoding="utf-8") as handle:
-        write_word_infos(handle, ordered, header_line(cfg))
+    _write(cfg, "word_info.tsv",
+           lambda h: write_word_infos(h, ordered, header_line(cfg)))
     print(f"{len(ordered)} words at min_count={cfg.min_count} "
           f"({sum(1 for w in ordered if w.sampled)} subsampled)")
 
@@ -123,14 +134,13 @@ def cmd_regress(cfg: RunConfig, args) -> None:
     label = f"informativeness ~ ease, subset={args.subset}"
     ols = regress.fit_ols(rows)
     mixed = regress.fit_random_intercept(rows)
-    out = _out_dir(cfg)
     text = (
         header_line(cfg) + "\n"
         + regress.format_fit(ols, label) + "\n"
         + regress.format_fit(mixed, label)
     )
-    (out / f"fit_{args.subset}.txt").write_text(text, encoding="utf-8")
-    _write_json(out / f"fit_{args.subset}.json", cfg, {
+    _write(cfg, f"fit_{args.subset}.txt", lambda h: h.write(text))
+    _write_json(cfg, f"fit_{args.subset}.json", {
         "subset": args.subset,
         "ols": asdict(ols),
         "random_intercept": asdict(mixed),
@@ -144,10 +154,9 @@ def cmd_simulate(cfg: RunConfig, args) -> None:
     entries, report = simulate.build_entries(rounds, infos)
     results = simulate.run_all_variants(entries)
     ordered = [results[v] for v in simulate.SystemVariant]
-    out = _out_dir(cfg)
-    with open(out / "simulation.tsv", "w", encoding="utf-8") as handle:
-        simulate.write_simulation(handle, ordered, header_line(cfg))
-    _write_json(out / "simulation.json", cfg, {
+    _write(cfg, "simulation.tsv",
+           lambda h: simulate.write_simulation(h, ordered, header_line(cfg)))
+    _write_json(cfg, "simulation.json", {
         "report": report,
         "results": {
             r.variant.value: {
@@ -173,10 +182,9 @@ def cmd_stimuli(cfg: RunConfig, args) -> None:
         bins=args.bins,
         seed=derive_seed(cfg.seed, "stimuli"),
     )
-    out = _out_dir(cfg)
-    with open(out / "stimuli.tsv", "w", encoding="utf-8") as handle:
-        simulate.write_stimuli(handle, stimuli, header_line(cfg))
-    _write_json(out / "stimuli.json", cfg, {
+    _write(cfg, "stimuli.tsv",
+           lambda h: simulate.write_stimuli(h, stimuli, header_line(cfg)))
+    _write_json(cfg, "stimuli.json", {
         "n": args.n,
         "bins": args.bins,
         "report": report,
@@ -186,7 +194,6 @@ def cmd_stimuli(cfg: RunConfig, args) -> None:
 
 def cmd_plot(cfg: RunConfig, args) -> None:
     rounds = _read_rounds(cfg)
-    out = _out_dir(cfg)
     header = header_line(cfg).lstrip("# ")
     if args.kind == "denotations":
         denotations = corpus.build_denotations(rounds, cfg.min_count)
@@ -204,7 +211,6 @@ def cmd_plot(cfg: RunConfig, args) -> None:
             )
             words = [d.word for d in by_count[:6]]
         svg = svgplot.denotation_plot(denotations, words, header)
-        path = out / "plot_denotations.svg"
     else:
         rows = regress.rows_from_rounds(rounds, _read_infos(cfg))
         points = [(row.ease, row.i_w) for row in rows]
@@ -213,8 +219,7 @@ def cmd_plot(cfg: RunConfig, args) -> None:
             fit = regress.fit_ols(rows)
             line = (fit.intercept, fit.slope)
         svg = svgplot.ease_plot(points, header, line)
-        path = out / "plot_ease_vs_iw.svg"
-    path.write_text(svg, encoding="utf-8")
+    path = _write(cfg, f"plot_{args.kind}.svg", lambda h: h.write(svg))
     print(f"wrote {path}")
 
 

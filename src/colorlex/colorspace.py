@@ -73,7 +73,8 @@ def normalize_hue(h: float) -> float:
     h = math.fmod(h, 360.0)
     if h < 0.0:
         h += 360.0
-    return h
+    # A tiny negative hue rounds up to exactly 360 when wrapped.
+    return 0.0 if h == 360.0 else h
 
 
 def hsl_to_srgb(c: HslColor) -> SrgbColor:

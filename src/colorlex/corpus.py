@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .colorspace import (
     HslColor,
@@ -49,6 +49,10 @@ __all__ = [
     "repeated_chip_subset",
     "format_chip_key",
     "read_spellmap",
+    "LAB_COLUMNS",
+    "lab_fields",
+    "write_table",
+    "read_table",
     "write_clean_rounds",
     "read_clean_rounds",
     "write_rejects",
@@ -138,11 +142,11 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_hsl(row: Mapping[str, str], schema: Mapping[str, str],
+def _parse_hsl(row: Sequence[str], cols: Mapping[str, int],
                field: str, hsl_scale: str) -> HslColor:
-    h = float(row[schema[f"{field}_h"]])
-    s = float(row[schema[f"{field}_s"]])
-    l = float(row[schema[f"{field}_l"]])
+    h = float(row[cols[f"{field}_h"]])
+    s = float(row[cols[f"{field}_s"]])
+    l = float(row[cols[f"{field}_l"]])
     if hsl_scale == "percent":
         s /= 100.0
         l /= 100.0
@@ -163,7 +167,7 @@ def ingest(
     hold a tab or line break) are returned in the rejects list with the
     file line they end on, never silently dropped. A mapped column
     missing from the header is a SchemaError: that is corpus drift, not
-    row noise.
+    row noise. A column named twice resolves to its last occurrence.
     """
     schema = dict(DEFAULT_SCHEMA if schema is None else schema)
     if hsl_scale not in ("percent", "fraction"):
@@ -171,33 +175,35 @@ def ingest(
     rounds: list[RawRound] = []
     rejects: list[RejectedRow] = []
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle, delimiter=delimiter)
-        if reader.fieldnames is None:
+        reader = csv.reader(handle, delimiter=delimiter)
+        header = next(reader, None)
+        if header is None:
             raise SchemaError(f"{path}: empty file, no header row")
-        header = set(reader.fieldnames)
+        index = {column: i for i, column in enumerate(header)}
+        cols: dict[str, int] = {}
         for field, column in schema.items():
             if field == "speaker_id" and column is None:
                 continue
-            if column not in header:
+            if column not in index:
                 raise SchemaError(
                     f"{path}: mapped column {column!r} (field {field!r}) "
                     f"not in header"
                 )
-        n_fields = len(reader.fieldnames)
+            cols[field] = index[column]
+        speaker_col = cols.get("speaker_id")
         for row in reader:
+            if not row:
+                continue
             line_no = reader.line_num
-            # DictReader files surplus fields under the key None and
-            # fills missing ones with the value None.
-            if None in row or None in row.values():
-                got = (n_fields + len(row[None]) if None in row else
-                       sum(v is not None for v in row.values()))
+            if len(row) != len(header):
                 rejects.append(RejectedRow(
-                    line_no, f"row has {got} fields, header has {n_fields}"))
+                    line_no,
+                    f"row has {len(row)} fields, header has {len(header)}"))
                 continue
             try:
-                speaker_col = schema.get("speaker_id")
-                speaker = row[speaker_col].strip() if speaker_col else ""
-                game_id = row[schema["game_id"]].strip()
+                speaker = ("" if speaker_col is None
+                           else row[speaker_col].strip())
+                game_id = row[cols["game_id"]].strip()
                 for field, value in (("game_id", game_id),
                                      ("speaker_id", speaker)):
                     if _ROW_BREAKS.search(value):
@@ -206,19 +212,19 @@ def ingest(
                 rounds.append(
                     RawRound(
                         game_id=game_id,
-                        round_index=int(row[schema["round_index"]]),
-                        utterance=row[schema["utterance"]] or "",
-                        target=_parse_hsl(row, schema, "target", hsl_scale),
+                        round_index=int(row[cols["round_index"]]),
+                        utterance=row[cols["utterance"]],
+                        target=_parse_hsl(row, cols, "target", hsl_scale),
                         distractor1=_parse_hsl(
-                            row, schema, "distractor1", hsl_scale),
+                            row, cols, "distractor1", hsl_scale),
                         distractor2=_parse_hsl(
-                            row, schema, "distractor2", hsl_scale),
+                            row, cols, "distractor2", hsl_scale),
                         listener_correct=_parse_bool(
-                            row[schema["listener_correct"]]),
+                            row[cols["listener_correct"]]),
                         speaker_id=speaker or None,
                     )
                 )
-            except (ValueError, TypeError, KeyError) as exc:
+            except (ValueError, KeyError) as exc:
                 rejects.append(RejectedRow(line_no, str(exc)))
     return rounds, rejects
 
@@ -330,10 +336,47 @@ def read_spellmap(path) -> dict[str, str]:
     return spellmap
 
 
-_CLEAN_HEADER = (
-    "game_id\tround_index\tspeaker_id\tword\ttarget_key\tease\t"
-    "target_l\ttarget_a\ttarget_b\td1_l\td1_a\td1_b\td2_l\td2_a\td2_b"
-)
+def write_table(handle: TextIO, header_comment: str, columns: Sequence[str],
+                rows: Iterable[Sequence[str]]) -> None:
+    """Write a stage table: the provenance comment, the column line,
+    then one line per row, fields separated by tabs."""
+    handle.write(header_comment + "\n")
+    handle.write("\t".join(columns) + "\n")
+    for fields in rows:
+        handle.write("\t".join(fields) + "\n")
+
+
+def read_table(handle: TextIO, columns: Sequence[str]) -> Iterator[list[str]]:
+    """Yield the fields of every line after the exact column line, even
+    a line that starts with "#". A missing column line or a row of the
+    wrong width is a ValueError."""
+    header = "\t".join(columns)
+    for line in handle:
+        if line.rstrip("\n") == header:
+            break
+    else:
+        raise ValueError(f"no column header {header!r} found")
+    width = len(columns)
+    for line in handle:
+        fields = line.rstrip("\n").split("\t")
+        if len(fields) != width:
+            raise ValueError(
+                f"row has {len(fields)} fields, expected {width}: {line!r}")
+        yield fields
+
+
+LAB_COLUMNS = tuple(f"{c}_{ch}" for c in ("target", "d1", "d2")
+                    for ch in "lab")
+
+
+def lab_fields(*colors: LabColor) -> list[str]:
+    """The LAB_COLUMNS text of a target and its two distractors."""
+    return [repr(v) for c in colors
+            for v in (c.l_star, c.a_star, c.b_star)]
+
+
+_CLEAN_COLUMNS = ("game_id", "round_index", "speaker_id", "word",
+                  "target_key", "ease") + LAB_COLUMNS
 
 
 def format_chip_key(key: ChipKey) -> str:
@@ -344,43 +387,21 @@ def format_chip_key(key: ChipKey) -> str:
 def write_clean_rounds(
     handle: TextIO, rounds: Iterable[CleanRound], header_comment: str
 ) -> None:
-    """Write clean rounds as tab-separated text, repr-precision floats."""
-    handle.write(header_comment + "\n")
-    handle.write(_CLEAN_HEADER + "\n")
-    for r in rounds:
-        d1, d2 = r.distractors
-        fields = [
-            r.game_id,
-            str(r.round_index),
-            r.speaker_id or "",
-            r.word,
-            format_chip_key(r.target_key),
-            repr(r.context_ease),
-            repr(r.target.l_star), repr(r.target.a_star), repr(r.target.b_star),
-            repr(d1.l_star), repr(d1.a_star), repr(d1.b_star),
-            repr(d2.l_star), repr(d2.a_star), repr(d2.b_star),
-        ]
-        handle.write("\t".join(fields) + "\n")
+    """Write clean rounds as a stage table, repr-precision floats."""
+    write_table(handle, header_comment, _CLEAN_COLUMNS, (
+        [r.game_id, str(r.round_index), r.speaker_id or "", r.word,
+         format_chip_key(r.target_key), repr(r.context_ease),
+         *lab_fields(r.target, *r.distractors)]
+        for r in rounds
+    ))
 
 
 def read_clean_rounds(handle: TextIO) -> list[CleanRound]:
-    """Read a file written by write_clean_rounds.
-
-    Every line after the column header is a round, even one that
-    starts with "#"."""
-    for line in handle:
-        if line.rstrip("\n") == _CLEAN_HEADER:
-            break
-    else:
-        raise ValueError("no clean-rounds column header found")
+    """Read a file written by write_clean_rounds."""
     rounds: list[CleanRound] = []
-    for line in handle:
-        line = line.rstrip("\n")
-        parts = line.split("\t")
-        if len(parts) != 15:
-            raise ValueError(f"malformed clean-rounds line: {line!r}")
-        (game_id, round_index, speaker, word, key, ease,
-         tl, ta, tb, d1l, d1a, d1b, d2l, d2a, d2b) = parts
+    for (game_id, round_index, speaker, word, key, ease,
+         tl, ta, tb, d1l, d1a, d1b, d2l, d2a, d2b) in read_table(
+            handle, _CLEAN_COLUMNS):
         kh, ks, kl = key.split(":")
         rounds.append(
             CleanRound(
@@ -403,8 +424,7 @@ def read_clean_rounds(handle: TextIO) -> list[CleanRound]:
 def write_rejects(
     handle: TextIO, rejects: Iterable[RejectedRow], header_comment: str
 ) -> None:
-    handle.write(header_comment + "\n")
-    handle.write("line\treason\n")
-    for r in rejects:
-        reason = r.reason.replace("\t", " ").replace("\n", " ")
-        handle.write(f"{r.line}\t{reason}\n")
+    write_table(handle, header_comment, ("line", "reason"), (
+        [str(r.line), r.reason.replace("\t", " ").replace("\n", " ")]
+        for r in rejects
+    ))

@@ -14,16 +14,14 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from math import fsum
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, TextIO
+from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
 from . import kernels
 from .colorspace import LabColor
+from .corpus import Denotation, read_table, write_table
 from .errors import ColorlexError
-
-if TYPE_CHECKING:
-    from .corpus import Denotation
 
 __all__ = [
     "SCALE",
@@ -159,7 +157,7 @@ def informativeness(
 
 
 def compute_word_infos(
-    denotations: Mapping[str, "Denotation"], cfg: SamplingConfig
+    denotations: Mapping[str, Denotation], cfg: SamplingConfig
 ) -> dict[str, WordInfo]:
     """Informativeness for every denotation, keyed by word."""
     return {
@@ -168,28 +166,23 @@ def compute_word_infos(
     }
 
 
+_INFO_COLUMNS = ("word", "n_chips", "spread", "i_w", "sampled")
+
+
 def write_word_infos(
     handle: TextIO, infos: Iterable[WordInfo], header_comment: str
 ) -> None:
-    """Write the word-info table (tab-separated, repr-precision floats)."""
-    handle.write(header_comment + "\n")
-    handle.write("word\tn_chips\tspread\ti_w\tsampled\n")
-    for info in infos:
-        handle.write(
-            f"{info.word}\t{info.n_chips}\t{info.spread!r}\t{info.i_w!r}"
-            f"\t{int(info.sampled)}\n"
-        )
+    """Write the word-info table (repr-precision floats)."""
+    write_table(handle, header_comment, _INFO_COLUMNS, (
+        [info.word, str(info.n_chips), repr(info.spread), repr(info.i_w),
+         str(int(info.sampled))]
+        for info in infos
+    ))
 
 
 def read_word_infos(handle: TextIO) -> list[WordInfo]:
     """Read a table written by write_word_infos."""
-    infos = []
-    for line in handle:
-        line = line.rstrip("\n")
-        if not line or line.startswith("#") or line.startswith("word\t"):
-            continue
-        word, n_chips, s, i_w, sampled = line.split("\t")
-        infos.append(
-            WordInfo(word, float(s), float(i_w), int(n_chips), bool(int(sampled)))
-        )
-    return infos
+    return [
+        WordInfo(word, float(s), float(i_w), int(n_chips), bool(int(sampled)))
+        for word, n_chips, s, i_w, sampled in read_table(handle, _INFO_COLUMNS)
+    ]

@@ -32,7 +32,14 @@ import numpy as np
 
 from . import kernels
 from .colorspace import LabColor
-from .corpus import ChipKey, CleanRound, format_chip_key
+from .corpus import (
+    LAB_COLUMNS,
+    ChipKey,
+    CleanRound,
+    format_chip_key,
+    lab_fields,
+    write_table,
+)
 from .errors import ColorlexError
 from .informativeness import WordInfo
 
@@ -313,39 +320,31 @@ def generate_stimuli(
     return stimuli, report
 
 
+_SIMULATION_COLUMNS = ("variant", "accuracy", "i_l", "n_interactions",
+                       "vocab_size")
+
+
 def write_simulation(
     handle: TextIO, results: Iterable[SimResult], header_comment: str
 ) -> None:
-    handle.write(header_comment + "\n")
-    handle.write("variant\taccuracy\ti_l\tn_interactions\tvocab_size\n")
-    for r in results:
-        handle.write(
-            f"{r.variant.value}\t{r.accuracy!r}\t{r.i_l!r}"
-            f"\t{r.n_interactions}\t{r.vocab_size}\n"
-        )
+    write_table(handle, header_comment, _SIMULATION_COLUMNS, (
+        [r.variant.value, repr(r.accuracy), repr(r.i_l),
+         str(r.n_interactions), str(r.vocab_size)]
+        for r in results
+    ))
+
+
+_STIMULUS_COLUMNS = ("bin", "ease", "target_key", "actual",
+                     "simulated_general", "simulated_specific") + LAB_COLUMNS
 
 
 def write_stimuli(
     handle: TextIO, stimuli: Iterable[Stimulus], header_comment: str
 ) -> None:
-    handle.write(header_comment + "\n")
-    handle.write(
-        "bin\tease\ttarget_key\tactual\tsimulated_general\t"
-        "simulated_specific\t"
-        "target_l\ttarget_a\ttarget_b\td1_l\td1_a\td1_b\td2_l\td2_a\td2_b\n"
-    )
-    for s in stimuli:
-        fields = [
-            str(s.bin_index),
-            repr(s.ease),
-            format_chip_key(s.target_key),
-            s.actual_name,
-            s.simulated_general or "",
-            s.simulated_specific or "",
-            repr(s.target.l_star), repr(s.target.a_star), repr(s.target.b_star),
-            repr(s.distractor1.l_star), repr(s.distractor1.a_star),
-            repr(s.distractor1.b_star),
-            repr(s.distractor2.l_star), repr(s.distractor2.a_star),
-            repr(s.distractor2.b_star),
-        ]
-        handle.write("\t".join(fields) + "\n")
+    write_table(handle, header_comment, _STIMULUS_COLUMNS, (
+        [str(s.bin_index), repr(s.ease), format_chip_key(s.target_key),
+         s.actual_name, s.simulated_general or "",
+         s.simulated_specific or "",
+         *lab_fields(s.target, s.distractor1, s.distractor2)]
+        for s in stimuli
+    ))

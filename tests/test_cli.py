@@ -7,6 +7,7 @@ from types import ModuleType, SimpleNamespace
 
 import pytest
 
+from colorlex import simulate
 from colorlex.cli import main
 from colorlex.config import (
     ConfigError,
@@ -144,6 +145,14 @@ class TestPipeline:
         lines = (pipeline.out / "stimuli.tsv").read_text().splitlines()
         assert len(lines) == 102
 
+    def test_tables_share_one_layout(self, pipeline):
+        header = header_line(pipeline.cfg)
+        for path in sorted(pipeline.out.glob("*.tsv")):
+            comment, columns, *rows = path.read_text().split("\n")[:-1]
+            assert comment == header, path.name
+            width = len(columns.split("\t"))
+            assert all(len(row.split("\t")) == width for row in rows)
+
     def test_ingest_rerun_is_stable(self, pipeline):
         before = (pipeline.out / "clean_rounds.tsv").read_bytes()
         code = main(["--config", str(pipeline.corpus.config),
@@ -247,6 +256,27 @@ class TestErrorHandling:
                      "stimuli", "--n", "7", "--bins", "10"])
         assert code == 2
         assert "divide" in capsys.readouterr().err
+
+
+class TestAtomicWrites:
+    def test_failed_write_keeps_previous_file(self, fixture_corpus, tmp_path,
+                                              monkeypatch, capsys):
+        out = tmp_path / "o"
+        for step in (["ingest"], ["info"], ["stimuli"]):
+            assert main(["--config", str(fixture_corpus.config),
+                         "--out", str(out)] + step) == 0
+        before = (out / "stimuli.tsv").read_bytes()
+
+        def broken(handle, stimuli, header_comment):
+            handle.write(header_comment + "\n")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(simulate, "write_stimuli", broken)
+        assert main(["--config", str(fixture_corpus.config),
+                     "--out", str(out), "stimuli"]) == 2
+        assert "disk full" in capsys.readouterr().err
+        assert (out / "stimuli.tsv").read_bytes() == before
+        assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
 
 
 class TestDegenerateCorpora:

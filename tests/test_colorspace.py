@@ -5,6 +5,9 @@ import math
 import random
 
 import pytest
+from _labref import srgb_to_lab_decimal
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from colorlex.colorspace import (
     HslColor,
@@ -101,6 +104,24 @@ class TestSrgbToLab:
             )
         assert worst <= 0.01
 
+    def _assert_matches_decimal(self, c: SrgbColor):
+        ours = srgb_to_lab(c)
+        ref = srgb_to_lab_decimal(c.r, c.g, c.b)
+        for got, want in zip((ours.l_star, ours.a_star, ours.b_star), ref):
+            assert got == pytest.approx(want, rel=0, abs=1e-9)
+
+    def test_matches_decimal_oracle(self):
+        rng = random.Random(404)
+        for _ in range(1000):
+            self._assert_matches_decimal(_random_srgb(rng))
+
+    def test_grid_chips_match_decimal_oracle(self):
+        # the 2,520 integer-grid chips whose channels hsl_to_srgb clamps
+        for l_pct in (1, 2, 3, 8, 15, 16, 17):
+            for h in range(360):
+                c = HslColor(float(h), 1.0, l_pct / 100.0)
+                self._assert_matches_decimal(hsl_to_srgb(c))
+
     def test_gray_axis_has_no_chroma(self):
         for v in (0.1, 0.33, 0.5, 0.78, 0.95):
             lab = srgb_to_lab(SrgbColor(v, v, v))
@@ -163,3 +184,11 @@ class TestValidation:
         assert normalize_hue(-30.0) == 330.0
         assert normalize_hue(725.0) == pytest.approx(5.0)
         assert normalize_hue(123.4) == pytest.approx(123.4)
+
+    @settings(derandomize=True, database=None)
+    @given(h=st.floats(allow_nan=False, allow_infinity=False))
+    @example(h=-1e-20)
+    def test_normalize_hue_stays_below_360(self, h):
+        wrapped = normalize_hue(h)
+        assert 0.0 <= wrapped < 360.0
+        HslColor(wrapped, 0.5, 0.5)

@@ -104,11 +104,32 @@ class TestIngest:
 
     def test_hue_normalized(self, tmp_path):
         path = tmp_path / "hue.csv"
-        _write_csv(path, _MINI_HEADER, [_mini_row(h=365), _mini_row(h=-10)])
+        _write_csv(path, _MINI_HEADER, [
+            _mini_row(h=365), _mini_row(h=-10), _mini_row(h="-1e-20")])
         raw, rejects = ingest(path)
         assert not rejects
         assert raw[0].target.h == pytest.approx(5.0)
         assert raw[1].target.h == pytest.approx(350.0)
+        # wrapping a tiny negative hue rounds up to 360, which means 0
+        assert raw[2].target.h == 0.0
+        assert clean(raw)[2].target_key == (0, 80, 50)
+
+    def test_repeated_column_uses_last_occurrence(self, tmp_path):
+        path = tmp_path / "twice.csv"
+        _write_csv(path, ("utterance",) + _MINI_HEADER,
+                   [("very teal",) + _mini_row()])
+        raw, rejects = ingest(path)
+        assert not rejects
+        assert raw[0].utterance == "blue"
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        rows = [",".join(str(v) for v in _mini_row(idx=i)) for i in (1, 2)]
+        path.write_text(",".join(_MINI_HEADER) + "\n\n" + rows[0]
+                        + "\n\n\n" + rows[1] + "\n", encoding="utf-8")
+        raw, rejects = ingest(path)
+        assert [r.round_index for r in raw] == [1, 2]
+        assert not rejects
 
     def test_out_of_range_rejected_not_clamped(self, tmp_path):
         path = tmp_path / "range.csv"
@@ -361,6 +382,14 @@ class TestSerialization:
     def test_missing_column_header_is_an_error(self):
         with pytest.raises(ValueError, match="column header"):
             read_clean_rounds(io.StringIO("# header line\n"))
+
+    def test_wrong_width_is_an_error(self, fixture_rounds):
+        buffer = io.StringIO()
+        write_clean_rounds(buffer, fixture_rounds[:2], "# header line")
+        lines = buffer.getvalue().splitlines(keepends=True)
+        lines[-1] = lines[-1].rsplit("\t", 1)[0] + "\n"
+        with pytest.raises(ValueError, match="14 fields, expected 15"):
+            read_clean_rounds(io.StringIO("".join(lines)))
 
     def test_rejects_sanitized(self):
         from colorlex.corpus import RejectedRow

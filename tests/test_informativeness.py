@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colorlex.colorspace import LabColor
 from colorlex.informativeness import (
@@ -150,6 +152,15 @@ class TestInformativeness:
         assert derive_seed(0, "blue") != derive_seed(1, "blue")
 
 
+# Any text without a tab or line break; "#" and the letters of "word"
+# are drawn often, so words that look like comments or the column line
+# come up.
+_WORDS = st.text(st.one_of(
+    st.sampled_from("#word"),
+    st.characters(exclude_characters="\t\r\n"),
+))
+
+
 class TestSerialization:
     def test_round_trip(self, fixture_infos):
         buffer = io.StringIO()
@@ -167,6 +178,39 @@ class TestSerialization:
         write_word_infos(buffer, [info], "# h")
         buffer.seek(0)
         assert read_word_infos(buffer) == [info]
+
+    def test_header_like_words_survive(self):
+        infos = [WordInfo(w, 2.0, 50.0, 3, False)
+                 for w in ("word", "#1", "blue")]
+        buffer = io.StringIO()
+        write_word_infos(buffer, infos, "# h")
+        buffer.seek(0)
+        assert read_word_infos(buffer) == infos
+
+    @settings(derandomize=True, database=None)
+    @given(infos=st.lists(st.builds(
+        WordInfo,
+        word=_WORDS,
+        spread=st.floats(allow_nan=False, allow_infinity=False),
+        i_w=st.floats(allow_nan=False, allow_infinity=False),
+        n_chips=st.integers(0, 10**9),
+        sampled=st.booleans(),
+    ), max_size=8))
+    def test_round_trip_property(self, infos):
+        buffer = io.StringIO()
+        write_word_infos(buffer, infos, "# h")
+        # read with universal newlines, as the stages open the file
+        back = read_word_infos(io.StringIO(buffer.getvalue(), newline=None))
+        assert back == infos
+
+    def test_missing_column_line_is_an_error(self):
+        with pytest.raises(ValueError, match="column header"):
+            read_word_infos(io.StringIO("# h\nblue\t3\t2.0\t50.0\t0\n"))
+
+    def test_wrong_width_is_an_error(self):
+        text = "# h\nword\tn_chips\tspread\ti_w\tsampled\nblue\t3\t2.0\n"
+        with pytest.raises(ValueError, match="3 fields, expected 5"):
+            read_word_infos(io.StringIO(text))
 
 
 class TestFixtureCorpusInfos:
