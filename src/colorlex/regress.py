@@ -10,6 +10,14 @@ I - theta/(1 + theta*n) * J), and theta itself is found by
 golden-section search on the profile log-likelihood. Everything is
 deterministic: no starting values, no iterative solvers with
 data-dependent step counts.
+
+The per-group statistics are float64 arrays, and each profile sum is a
+sequential numpy accumulation: `np.cumsum` adds the group terms one at
+a time in group order, so every sum has the bits of a plain Python
+loop over the groups. `np.sum` is not used because it adds pairwise,
+which changes the low bits, and `np.log1p` is not used because it need
+not round as `math.log1p` does; `math.log1p` runs once per distinct
+group size instead.
 """
 
 from __future__ import annotations
@@ -17,7 +25,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from math import fsum
-from typing import Hashable, Mapping, Sequence
+from operator import mul
+from typing import Hashable, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import ColorlexError
 from .informativeness import WordInfo
@@ -138,32 +149,78 @@ _THETA_MAX = 1e3
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-class _GroupStats:
-    """Per-group sufficient statistics for the profiled GLS solve."""
+class _GroupStats(NamedTuple):
+    """Per-group sufficient statistics for the profiled GLS solve.
 
-    __slots__ = ("n", "sx", "sy", "sxx", "sxy", "syy")
+    One float64 array per statistic, one entry per group, in the order
+    the groups first appear in the rows. `sizes` holds the distinct
+    group sizes in ascending order and `size_index` each group's
+    position in it.
+    """
 
-    def __init__(self, xs: list[float], ys: list[float]):
-        self.n = len(xs)
-        self.sx = fsum(xs)
-        self.sy = fsum(ys)
-        self.sxx = fsum(v * v for v in xs)
-        self.sxy = fsum(a * b for a, b in zip(xs, ys))
-        self.syy = fsum(v * v for v in ys)
+    n: np.ndarray
+    sx: np.ndarray
+    sy: np.ndarray
+    sxx: np.ndarray
+    sxy: np.ndarray
+    syy: np.ndarray
+    sizes: np.ndarray
+    size_index: np.ndarray
 
 
-def _profile(stats: list[_GroupStats], n: int, theta: float):
-    """GLS estimates and profile log-likelihood at a fixed variance ratio."""
-    a11 = a12 = a22 = b1 = b2 = yy = logdet = 0.0
-    for g in stats:
-        c = theta / (1.0 + theta * g.n)
-        a11 += g.n - c * g.n * g.n
-        a12 += g.sx * (1.0 - c * g.n)
-        a22 += g.sxx - c * g.sx * g.sx
-        b1 += g.sy - c * g.n * g.sy
-        b2 += g.sxy - c * g.sx * g.sy
-        yy += g.syy - c * g.sy * g.sy
-        logdet += math.log1p(theta * g.n)
+def _group_stats(rows: Sequence[RegressionRow]) -> _GroupStats:
+    """Group the rows by label and sum each group's statistics with fsum."""
+    by_group: dict[Hashable, tuple[list[float], list[float]]] = {}
+    for r in rows:
+        xs, ys = by_group.setdefault(r.group, ([], []))
+        xs.append(r.ease)
+        ys.append(r.i_w)
+    columns = np.array(
+        [
+            (
+                len(xs),
+                fsum(xs),
+                fsum(ys),
+                fsum(map(mul, xs, xs)),
+                fsum(map(mul, xs, ys)),
+                fsum(map(mul, ys, ys)),
+            )
+            for xs, ys in by_group.values()
+        ],
+        dtype=np.float64,
+    )
+    n, sx, sy, sxx, sxy, syy = np.ascontiguousarray(columns.T)
+    sizes, size_index = np.unique(n, return_inverse=True)
+    return _GroupStats(n, sx, sy, sxx, sxy, syy, sizes, size_index)
+
+
+def _sequential_sum(terms: np.ndarray) -> float:
+    """terms[0] + terms[1] + ..., added left to right from 0.0."""
+    # np.cumsum adds strictly in order. Adding the loop's starting 0.0
+    # turns a sum of negative zeros into +0.0, the one case where a
+    # running total that starts at terms[0] differs.
+    return 0.0 + float(np.cumsum(terms)[-1])
+
+
+def _profile(stats: _GroupStats, n: int, theta: float):
+    """GLS estimates and profile log-likelihood at a fixed variance ratio.
+
+    Each sum adds its per-group terms in group order, and each term is
+    computed with the same operations in the same order as a scalar
+    loop over the groups would use, so the results have its bits.
+    """
+    c = theta / (1.0 + theta * stats.n)
+    cn = c * stats.n
+    cx = c * stats.sx
+    cy = c * stats.sy
+    a11 = _sequential_sum(stats.n - cn * stats.n)
+    a12 = _sequential_sum(stats.sx * (1.0 - cn))
+    a22 = _sequential_sum(stats.sxx - cx * stats.sx)
+    b1 = _sequential_sum(stats.sy - cn * stats.sy)
+    b2 = _sequential_sum(stats.sxy - cx * stats.sy)
+    yy = _sequential_sum(stats.syy - cy * stats.sy)
+    log1p = np.array([math.log1p(theta * s) for s in stats.sizes.tolist()])
+    logdet = _sequential_sum(log1p[stats.size_index])
     det = a11 * a22 - a12 * a12
     if det <= 0.0:
         raise FitError("singular design; predictor constant within groups")
@@ -185,22 +242,18 @@ def fit_random_intercept(rows: Sequence[RegressionRow]) -> FitResult:
     the result's warnings.
     """
     n = _check_rows(rows)
-    by_group: dict[Hashable, tuple[list[float], list[float]]] = {}
-    for r in rows:
-        xs, ys = by_group.setdefault(r.group, ([], []))
-        xs.append(r.ease)
-        ys.append(r.i_w)
-    if max(len(xs) for xs, _ in by_group.values()) < 2:
+    stats = _group_stats(rows)
+    n_groups = len(stats.n)
+    if stats.sizes[-1] < 2:  # the largest group has one row
         return replace(
             fit_ols(rows),
             method="random_intercept",
-            n_groups=len(by_group),
+            n_groups=n_groups,
             warnings=(
                 "every group has a single observation; "
                 "group variance not identifiable, fell back to OLS",
             ),
         )
-    stats = [_GroupStats(xs, ys) for xs, ys in by_group.values()]
 
     def objective(u: float) -> float:
         return _profile(stats, n, math.expm1(u))[0]
@@ -248,7 +301,7 @@ def fit_random_intercept(rows: Sequence[RegressionRow]) -> FitResult:
         sigma2_residual=sigma2,
         sigma2_group=theta * sigma2,
         n=n,
-        n_groups=len(by_group),
+        n_groups=n_groups,
         converged=converged,
         loglik=loglik,
         warnings=warnings,

@@ -24,6 +24,13 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _escape(text: str) -> str:
+    """Text content for an XML element: &, < and > as entities."""
+    # xml.sax.saxutils.escape does the same, but importing it loads
+    # urllib.request, http.client and ssl into every CLI stage.
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _hex_color(c: LabColor) -> str:
     rgb = lab_to_srgb(c)
     return "#{:02x}{:02x}{:02x}".format(
@@ -180,7 +187,7 @@ def denotation_plot(
             f'fill="{color}"/>'
         )
         body.append(
-            f'<text x="584" y="{ly}" {_FONT}>{word} '
+            f'<text x="584" y="{ly}" {_FONT}>{_escape(word)} '
             f'(n={den.count})</text>'
         )
     return _document(width, height, body, header_comment)

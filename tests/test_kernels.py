@@ -5,8 +5,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from colorlex import kernels
+
+_PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                     max_examples=100)
 
 
 def oracle_mean_pairwise(pts) -> float:
@@ -135,6 +141,24 @@ def _assert_simulate_matches_reference(offsets, words, app):
         assert (counts == exp_counts).all()
 
 
+@st.composite
+def _named_system(draw):
+    """A 0/1 applicability matrix and 1 to 4 distinct names per target."""
+    n_referents = draw(st.integers(1, 12))
+    vocab = draw(st.integers(1, 8))
+    app = draw(arrays(np.uint8, (n_referents, vocab),
+                      elements=st.sampled_from([0, 1])))
+    name_lists = [
+        draw(st.lists(st.integers(0, vocab - 1), min_size=1,
+                      max_size=min(4, vocab), unique=True))
+        for _ in range(n_referents)
+    ]
+    offsets = np.cumsum([0] + [len(names) for names in name_lists])
+    words = np.array([w for names in name_lists for w in names],
+                     dtype=np.int64)
+    return offsets.astype(np.int64), words, app
+
+
 class TestMeanPairwiseDistance:
     def test_equals_oracle_bitwise(self):
         rng = random.Random(501)
@@ -167,6 +191,16 @@ class TestMeanPairwiseDistance:
         pts = _random_points(random.Random(504 + n), n)
         assert kernels.mean_pairwise_distance(pts) == oracle_mean_pairwise(
             pts.tolist())
+
+    @_PROPERTY
+    @given(pts=arrays(np.float64, st.tuples(st.integers(2, 30), st.just(3)),
+                      elements=st.floats(allow_nan=False,
+                                         allow_infinity=False)))
+    def test_equals_oracle_property(self, pts):
+        # Coordinates far apart overflow to inf in both; that is expected.
+        with np.errstate(over="ignore"):
+            got = kernels.mean_pairwise_distance(pts)
+        assert got == oracle_mean_pairwise(pts.tolist())
 
     def test_repeat_is_bitwise_stable(self):
         rng = random.Random(503)
@@ -229,6 +263,11 @@ class TestSimulateCounts:
         offsets, words, app = _random_matrix_system(
             random.Random(524), 70, 12)
         _assert_simulate_matches_reference(offsets, words, app)
+
+    @_PROPERTY
+    @given(system=_named_system())
+    def test_equals_reference_property(self, system):
+        _assert_simulate_matches_reference(*system)
 
     def test_target_row_is_ignored(self):
         # Referent 0's row lacks its first name; it must not count as

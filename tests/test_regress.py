@@ -8,13 +8,16 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 from conftest import make_grouped_rows
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from colorlex import regress
 from colorlex.colorspace import lab_distance
 from colorlex.regress import (
     FitError,
     FitResult,
     RegressionRow,
-    _GroupStats,
+    _group_stats,
     _profile,
     fit_ols,
     fit_random_intercept,
@@ -43,14 +46,36 @@ def _noisy_rows(seed, n, intercept, slope, sd):
     return rows
 
 
-def _group_stats(rows):
-    """Per-group statistics in first-appearance order, as the fit uses."""
-    by_group = {}
-    for r in rows:
-        xs, ys = by_group.setdefault(r.group, ([], []))
-        xs.append(r.ease)
-        ys.append(r.i_w)
-    return [_GroupStats(xs, ys) for xs, ys in by_group.values()]
+def reference_profile(groups, n, theta):
+    """The scalar per-group loop that `regress._profile` vectorises.
+
+    groups holds per-group statistics as `regress._group_stats` returns
+    them; each sum runs over the groups in order from 0.0. `_profile`
+    must return these seven values bit for bit.
+    """
+    a11 = a12 = a22 = b1 = b2 = yy = logdet = 0.0
+    columns = (groups.n, groups.sx, groups.sy, groups.sxx, groups.sxy,
+               groups.syy)
+    for g_n, sx, sy, sxx, sxy, syy in zip(*(a.tolist() for a in columns)):
+        c = theta / (1.0 + theta * g_n)
+        a11 += g_n - c * g_n * g_n
+        a12 += sx * (1.0 - c * g_n)
+        a22 += sxx - c * sx * sx
+        b1 += sy - c * g_n * sy
+        b2 += sxy - c * sx * sy
+        yy += syy - c * sy * sy
+        logdet += math.log1p(theta * g_n)
+    det = a11 * a22 - a12 * a12
+    if det <= 0.0:
+        raise FitError("singular design; predictor constant within groups")
+    intercept = (a22 * b1 - a12 * b2) / det
+    slope = (a11 * b2 - a12 * b1) / det
+    rss_w = yy - (intercept * b1 + slope * b2)
+    sigma2 = max(rss_w / n, 1e-300)
+    loglik = -0.5 * (
+        n * math.log(2.0 * math.pi) + n * math.log(sigma2) + logdet + n
+    )
+    return loglik, intercept, slope, sigma2, a11, a22, det
 
 
 class TestOls:
@@ -273,6 +298,109 @@ class TestDenseLikelihoodOracle:
             dense = _dense_profile(rows, theta)[0]
             # the dense and profiled values agree to ~1e-9 relative
             assert fit.loglik >= dense - 1e-9 * abs(dense), theta
+
+
+def _mixed_groups(seed, n_groups, singleton_share):
+    """Groups of 1 row (at the given share) or 2-8 rows, interleaved."""
+    rng = random.Random(seed)
+    rows = []
+    for g in range(n_groups):
+        size = 1 if rng.random() < singleton_share else rng.randint(2, 8)
+        offset = rng.gauss(0.0, 0.5)
+        for _ in range(size):
+            x = rng.uniform(0.0, 100.0)
+            rows.append(RegressionRow(4.0 + offset - 0.02 * x
+                                      + rng.gauss(0.0, 0.3), x, f"g{g}"))
+    rng.shuffle(rows)
+    return rows
+
+
+_ORACLE_PROBLEMS = {
+    "grouped_2024": lambda: make_grouped_rows(2024),
+    "unequal_interleaved": lambda: _mixed_groups(31, 400, 0.2),
+    # ~90 % singleton groups, as in a corpus whose chips rarely repeat
+    "mostly_singletons": lambda: _mixed_groups(32, 3000, 0.9),
+}
+
+
+def _outcome(profile, groups, n, theta):
+    """The seven values as reprs (exact, and NaN equals NaN), or the error."""
+    try:
+        return [repr(v) for v in profile(groups, n, theta)]
+    except FitError as exc:
+        return f"FitError: {exc}"
+
+
+@st.composite
+def _grouped_rows(draw):
+    """Random group sizes, interleaved, with arbitrary finite values.
+
+    Magnitudes stay below 1e100 so the groups' fsum totals cannot
+    overflow; the profile's own products may still reach inf or NaN.
+    """
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=12))
+    labels = draw(st.permutations(
+        [g for g, size in enumerate(sizes) for _ in range(size)]))
+    value = st.floats(-1e100, 1e100, allow_nan=False, allow_infinity=False)
+    return [RegressionRow(draw(value), draw(value), g) for g in labels]
+
+
+class TestProfileOracle:
+    """_profile against the scalar loop: all seven values bit for bit."""
+
+    def test_group_stats_in_first_appearance_order(self):
+        rows = [RegressionRow(1.0, 2.0, "b"), RegressionRow(3.0, 5.0, "a"),
+                RegressionRow(0.1, 0.2, "b")]
+        stats = _group_stats(rows)
+        assert stats.n.tolist() == [2.0, 1.0]
+        assert stats.sx.tolist() == [math.fsum([2.0, 0.2]), 5.0]
+        assert stats.sy.tolist() == [math.fsum([1.0, 0.1]), 3.0]
+        assert stats.sxx.tolist() == [math.fsum([4.0, 0.2 * 0.2]), 25.0]
+        assert stats.sxy.tolist() == [math.fsum([2.0, 0.1 * 0.2]), 15.0]
+        assert stats.syy.tolist() == [math.fsum([1.0, 0.1 * 0.1]), 9.0]
+        assert stats.sizes.tolist() == [1.0, 2.0]
+        assert stats.size_index.tolist() == [1, 0]
+
+    def test_sum_of_negative_zeros_is_positive_zero(self):
+        # A loop's total starts at +0.0, and 0.0 + -0.0 is +0.0.
+        total = regress._sequential_sum(np.array([-0.0, -0.0]))
+        assert math.copysign(1.0, total) == 1.0
+
+    @pytest.mark.parametrize("problem", sorted(_ORACLE_PROBLEMS))
+    @pytest.mark.parametrize("theta", [0.0, 1e3])
+    def test_equals_reference(self, problem, theta):
+        rows = _ORACLE_PROBLEMS[problem]()
+        groups = _group_stats(rows)
+        assert _profile(groups, len(rows), theta) == reference_profile(
+            groups, len(rows), theta)
+
+    @pytest.mark.parametrize("problem", sorted(_ORACLE_PROBLEMS))
+    def test_equals_reference_on_search_grid(self, problem, monkeypatch):
+        # Every theta the golden-section search visits, then the final
+        # evaluation at its estimate.
+        rows = _ORACLE_PROBLEMS[problem]()
+        seen = []
+
+        def recording(groups, n, theta):
+            seen.append(theta)
+            return _profile(groups, n, theta)
+
+        monkeypatch.setattr(regress, "_profile", recording)
+        fit_random_intercept(rows)
+        assert len(seen) == 125
+        groups = _group_stats(rows)
+        for theta in seen:
+            assert _profile(groups, len(rows), theta) == reference_profile(
+                groups, len(rows), theta), theta
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=150)
+    @given(rows=_grouped_rows(),
+           theta=st.one_of(st.just(0.0), st.floats(0.0, 1e3)))
+    def test_equals_reference_property(self, rows, theta):
+        groups = _group_stats(rows)
+        assert _outcome(_profile, groups, len(rows), theta) == _outcome(
+            reference_profile, groups, len(rows), theta)
 
 
 class TestRowsFromRounds:
