@@ -196,14 +196,19 @@ _HEADER = (
 )
 
 
+def write_fixture_csv(path) -> None:
+    """Write the synthetic fixture corpus to `path`."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(_HEADER)
+        writer.writerows(_generate_rows(random.Random(20240811)))
+
+
 @pytest.fixture(scope="session")
 def fixture_corpus(tmp_path_factory) -> SimpleNamespace:
     root = tmp_path_factory.mktemp("fixture_corpus")
     csv_path = root / "rounds.csv"
-    with open(csv_path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_HEADER)
-        writer.writerows(_generate_rows(random.Random(20240811)))
+    write_fixture_csv(csv_path)
     spellmap_path = root / "spellmap.txt"
     spellmap_path.write_text(
         "# fixture spelling corrections\n"
