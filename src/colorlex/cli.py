@@ -75,7 +75,7 @@ def _read(cfg: RunConfig, name: str, stage: str, reader):
         return reader(handle)
 
 
-def _read_rounds(cfg: RunConfig) -> list[corpus.CleanRound]:
+def _read_rounds(cfg: RunConfig) -> corpus.Rounds:
     return _read(cfg, "clean_rounds.tsv", "ingest", corpus.read_clean_rounds)
 
 
@@ -207,7 +207,7 @@ def cmd_plot(cfg: RunConfig, args) -> None:
                 )
         else:
             by_count = sorted(
-                denotations.values(), key=lambda d: (-d.count, d.word)
+                denotations.values(), key=lambda d: (-len(d.chips), d.word)
             )
             words = [d.word for d in by_count[:6]]
         svg = svgplot.denotation_plot(denotations, words, header)

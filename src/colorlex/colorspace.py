@@ -69,7 +69,10 @@ class LabColor:
 
 
 def normalize_hue(h: float) -> float:
-    """Wrap a hue in degrees into [0, 360)."""
+    """Wrap a hue in degrees into [0, 360). An infinite or NaN hue is
+    returned as it is, for HslColor to reject by value."""
+    if not math.isfinite(h):
+        return h
     h = math.fmod(h, 360.0)
     if h < 0.0:
         h += 360.0

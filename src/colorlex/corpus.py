@@ -20,7 +20,10 @@ from __future__ import annotations
 import csv
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from functools import cached_property
+from typing import Callable, Iterable, Mapping, Sequence, TextIO
+
+import numpy as np
 
 from .colorspace import (
     HslColor,
@@ -38,6 +41,7 @@ __all__ = [
     "LANGUAGE_MIN_COUNT",
     "RawRound",
     "CleanRound",
+    "Rounds",
     "Denotation",
     "RejectedRow",
     "SchemaError",
@@ -96,13 +100,13 @@ class CleanRound:
     round_index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Denotation:
-    """All chips a word labeled, one entry per clean round (a multiset)."""
+    """All chips a word labeled, one entry per clean round (a multiset):
+    `chips` holds their CIELAB points as the rows of a (k, 3) array."""
 
     word: str
-    chips: tuple[LabColor, ...]
-    count: int
+    chips: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -291,32 +295,207 @@ def clean(
     return out
 
 
-def build_denotations(
-    rounds: Sequence[CleanRound], min_count: int
-) -> dict[str, Denotation]:
+def _dense_ids(values: Sequence) -> tuple[np.ndarray, list]:
+    """Each value's index among the distinct values, which are returned
+    in first-appearance order."""
+    index: dict = {}
+    ids = [index.setdefault(v, len(index)) for v in values]
+    return np.array(ids, dtype=np.intp), list(index)
+
+
+def _chip_table(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort (h, s, l) rows as integer triples and merge equal rows.
+
+    Returns the sorted distinct rows and each input row's index in them.
+    """
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    ids = np.empty(len(keys), dtype=np.intp)
+    ids[order] = np.cumsum(first) - 1
+    return ordered[first], ids
+
+
+def _parse_column(convert, values: Sequence[str], column: str,
+                  where: Callable[[int], str], dtype=None):
+    """convert() applied to every value: a list, or an array of dtype.
+
+    A value that does not convert is a ValueError naming where(i), the
+    file position of value i, and the column.
+    """
+    try:
+        parsed = list(map(convert, values))
+        return parsed if dtype is None else np.array(parsed, dtype=dtype)
+    except (ValueError, OverflowError) as exc:
+        error = exc
+    for i, value in enumerate(values):
+        try:
+            np.array(convert(value), dtype=dtype)
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"{where(i)}: {column}: {exc}") from None
+    raise error
+
+
+_LAB_BLOCKS = ("target", "distractor1", "distractor2")
+
+
+class _LabText:
+    """The LAB_COLUMNS text of a stage table's rows (all of them, or
+    those at `rows`), converted to floats one block of three columns at
+    a time."""
+
+    def __init__(self, columns: Sequence[list[str]],
+                 where: Callable[[int], str], rows: np.ndarray | None = None):
+        self.columns = columns
+        self.where = where
+        self.rows = rows
+
+    def take(self, index: np.ndarray) -> _LabText:
+        rows = index if self.rows is None else self.rows[index]
+        return _LabText(self.columns, self.where, rows)
+
+    def block(self, k: int) -> np.ndarray:
+        where = self.where
+        picked = None if self.rows is None else self.rows.tolist()
+        if picked is not None:
+            def where(i: int) -> str:
+                return self.where(picked[i])
+        out = []
+        for j in range(3 * k, 3 * k + 3):
+            text = self.columns[j]
+            if picked is not None:
+                text = [text[i] for i in picked]
+            out.append(_parse_column(float, text, LAB_COLUMNS[j], where,
+                                     np.float64))
+        return np.column_stack(out)
+
+
+class Rounds:
+    """Clean rounds as columns: entry i of every column is round i.
+
+    - `vocab` holds the words and `word_ids[i]` indexes it;
+    - `chip_keys` is an (m, 3) int64 array of target chip keys, sorted
+      as (h, s, l) integer triples, and `chip_ids[i]` indexes it, so
+      ascending chip ids are ascending keys;
+    - `ease` is the float64 context ease;
+    - `game_ids`, `speaker_ids` ("" when the corpus has none) and
+      `round_indices` are lists;
+    - `target`, `distractor1` and `distractor2` are (n, 3) float64
+      arrays of (L*, a*, b*) rows. A table read by read_clean_rounds
+      keeps them as text and converts a block on its first access, so
+      a stage that reads no Lab converts none.
+
+    Rounds.from_clean builds the table from the rows `clean` returns.
+    """
+
+    def __init__(self, *, vocab: tuple[str, ...], word_ids: np.ndarray,
+                 chip_keys: np.ndarray, chip_ids: np.ndarray,
+                 ease: np.ndarray, game_ids: list[str],
+                 speaker_ids: list[str], round_indices: list[int],
+                 lab: _LabText | None):
+        self.vocab = vocab
+        self.word_ids = word_ids
+        self.chip_keys = chip_keys
+        self.chip_ids = chip_ids
+        self.ease = ease
+        self.game_ids = game_ids
+        self.speaker_ids = speaker_ids
+        self.round_indices = round_indices
+        self._lab = lab
+
+    @classmethod
+    def from_clean(cls, rows: Sequence[CleanRound]) -> Rounds:
+        """The table of the given clean rounds, in their order."""
+        word_ids, vocab = _dense_ids([r.word for r in rows])
+        key_ids, keys = _dense_ids([r.target_key for r in rows])
+        chip_keys, chip_ids = _chip_table(
+            np.array(keys, dtype=np.int64).reshape(-1, 3))
+        rounds = cls(
+            vocab=tuple(vocab),
+            word_ids=word_ids,
+            chip_keys=chip_keys,
+            chip_ids=chip_ids[key_ids],
+            ease=np.array([r.context_ease for r in rows], dtype=np.float64),
+            game_ids=[r.game_id for r in rows],
+            speaker_ids=[r.speaker_id or "" for r in rows],
+            round_indices=[r.round_index for r in rows],
+            lab=None,
+        )
+        # The Lab blocks are known already: fill the cached properties.
+        for k, name in enumerate(_LAB_BLOCKS):
+            colors = [(r.target, *r.distractors)[k] for r in rows]
+            rounds.__dict__[name] = np.array(
+                [(c.l_star, c.a_star, c.b_star) for c in colors],
+                dtype=np.float64).reshape(-1, 3)
+        return rounds
+
+    def __len__(self) -> int:
+        return len(self.word_ids)
+
+    @cached_property
+    def target(self) -> np.ndarray:
+        return self._lab.block(0)
+
+    @cached_property
+    def distractor1(self) -> np.ndarray:
+        return self._lab.block(1)
+
+    @cached_property
+    def distractor2(self) -> np.ndarray:
+        return self._lab.block(2)
+
+    def take(self, index) -> Rounds:
+        """The rounds at the given row positions, as a new table; Lab
+        text not yet converted stays text."""
+        index = np.asarray(index, dtype=np.intp)
+        rows = index.tolist()
+        out = Rounds(
+            vocab=self.vocab,
+            word_ids=self.word_ids[index],
+            chip_keys=self.chip_keys,
+            chip_ids=self.chip_ids[index],
+            ease=self.ease[index],
+            game_ids=[self.game_ids[i] for i in rows],
+            speaker_ids=[self.speaker_ids[i] for i in rows],
+            round_indices=[self.round_indices[i] for i in rows],
+            lab=None if self._lab is None else self._lab.take(index),
+        )
+        for name in _LAB_BLOCKS:
+            if name in self.__dict__:
+                out.__dict__[name] = self.__dict__[name][index]
+        return out
+
+
+def build_denotations(rounds: Rounds, min_count: int) -> dict[str, Denotation]:
     """Group chips by word, dropping words used fewer than min_count times.
 
-    Words appear in first-occurrence order. Chips are a multiset: a chip
-    named twice with the same word contributes two entries.
+    Words appear in first-occurrence order, and each word's chips in row
+    order. Chips are a multiset: a chip named twice with the same word
+    contributes two entries.
     """
     if min_count < 1:
         raise ValueError("min_count must be at least 1")
-    chips: dict[str, list[LabColor]] = {}
-    for r in rounds:
-        chips.setdefault(r.word, []).append(r.target)
+    counts = np.bincount(rounds.word_ids, minlength=len(rounds.vocab))
+    present, first = np.unique(rounds.word_ids, return_index=True)
+    kept = [w for w in present[np.argsort(first)].tolist()
+            if counts[w] >= min_count]
+    if not kept:
+        return {}
+    chips = rounds.target[np.argsort(rounds.word_ids, kind="stable")]
+    ends = np.cumsum(counts).tolist()
+    counts = counts.tolist()
     return {
-        word: Denotation(word, tuple(points), len(points))
-        for word, points in chips.items()
-        if len(points) >= min_count
+        rounds.vocab[w]: Denotation(
+            rounds.vocab[w], chips[ends[w] - counts[w]:ends[w]])
+        for w in kept
     }
 
 
-def repeated_chip_subset(rounds: Sequence[CleanRound]) -> list[CleanRound]:
+def repeated_chip_subset(rounds: Rounds) -> Rounds:
     """Keep rounds whose target chip occurs at least twice in the data."""
-    occurrences: dict[ChipKey, int] = {}
-    for r in rounds:
-        occurrences[r.target_key] = occurrences.get(r.target_key, 0) + 1
-    return [r for r in rounds if occurrences[r.target_key] >= 2]
+    counts = np.bincount(rounds.chip_ids, minlength=len(rounds.chip_keys))
+    return rounds.take(np.flatnonzero(counts[rounds.chip_ids] >= 2))
 
 
 def read_spellmap(path) -> dict[str, str]:
@@ -346,23 +525,37 @@ def write_table(handle: TextIO, header_comment: str, columns: Sequence[str],
         handle.write("\t".join(fields) + "\n")
 
 
-def read_table(handle: TextIO, columns: Sequence[str]) -> Iterator[list[str]]:
-    """Yield the fields of every line after the exact column line, even
-    a line that starts with "#". A missing column line or a row of the
-    wrong width is a ValueError."""
+def read_table(handle: TextIO, columns: Sequence[str]
+               ) -> tuple[Callable[[int], str], list[str]]:
+    """The data lines of a stage table: every line after the exact
+    column line, even one that starts with "#".
+
+    Also returns where(i), the "path:line" of data line i, for error
+    messages. A missing column line, or a line that does not hold one
+    field per column, is a ValueError naming the file (and line).
+    """
+    source = getattr(handle, "name", "<table>")
+    lines = handle.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
     header = "\t".join(columns)
-    for line in handle:
-        if line.rstrip("\n") == header:
-            break
-    else:
-        raise ValueError(f"no column header {header!r} found")
-    width = len(columns)
-    for line in handle:
-        fields = line.rstrip("\n").split("\t")
-        if len(fields) != width:
+    try:
+        start = lines.index(header) + 1
+    except ValueError:
+        raise ValueError(
+            f"{source}: no column header {header!r} found") from None
+    del lines[:start]
+
+    def where(i: int) -> str:
+        return f"{source}:{start + 1 + i}"
+
+    tabs = len(columns) - 1
+    for i, line in enumerate(lines):
+        if line.count("\t") != tabs:
             raise ValueError(
-                f"row has {len(fields)} fields, expected {width}: {line!r}")
-        yield fields
+                f"{where(i)}: row has {line.count(chr(9)) + 1} fields, "
+                f"expected {len(columns)}")
+    return where, lines
 
 
 LAB_COLUMNS = tuple(f"{c}_{ch}" for c in ("target", "d1", "d2")
@@ -396,29 +589,52 @@ def write_clean_rounds(
     ))
 
 
-def read_clean_rounds(handle: TextIO) -> list[CleanRound]:
-    """Read a file written by write_clean_rounds."""
-    rounds: list[CleanRound] = []
-    for (game_id, round_index, speaker, word, key, ease,
-         tl, ta, tb, d1l, d1a, d1b, d2l, d2a, d2b) in read_table(
-            handle, _CLEAN_COLUMNS):
-        kh, ks, kl = key.split(":")
-        rounds.append(
-            CleanRound(
-                word=word,
-                target=LabColor(float(tl), float(ta), float(tb)),
-                distractors=(
-                    LabColor(float(d1l), float(d1a), float(d1b)),
-                    LabColor(float(d2l), float(d2a), float(d2b)),
-                ),
-                context_ease=float(ease),
-                target_key=(int(kh), int(ks), int(kl)),
-                speaker_id=speaker or None,
-                game_id=game_id,
-                round_index=int(round_index),
-            )
-        )
-    return rounds
+def _parse_keys(texts: Sequence[str],
+                where: Callable[[int], str]) -> np.ndarray:
+    """The (h, s, l) int64 rows of "h:s:l" chip key texts."""
+    for i, text in enumerate(texts):
+        if text.count(":") != 2:
+            raise ValueError(f"{where(i)}: target_key: expected h:s:l, "
+                             f"got {text!r}")
+    if not texts:
+        return np.empty((0, 3), dtype=np.int64)
+    parts = ":".join(texts).split(":")
+    return _parse_column(int, parts, "target_key", lambda j: where(j // 3),
+                         np.int64).reshape(-1, 3)
+
+
+def read_clean_rounds(handle: TextIO) -> Rounds:
+    """Read a file written by write_clean_rounds, one column at a time.
+
+    The lines are split once into fields and each column is sliced out
+    and converted with float() or int() as a whole; Lab columns stay
+    text until a stage reads them (see Rounds).
+    """
+    where, lines = read_table(handle, _CLEAN_COLUMNS)
+    width = len(_CLEAN_COLUMNS)
+    fields = "\t".join(lines).split("\t") if lines else []
+    del lines
+    (game_ids, round_text, speaker_ids, words, key_text, ease_text,
+     *lab_text) = (fields[k::width] for k in range(width))
+    del fields
+    word_ids, vocab = _dense_ids(words)
+    key_ids, keys = _dense_ids(key_text)
+
+    def key_where(j: int) -> str:  # the first row holding key j
+        return where(key_ids.tolist().index(j))
+
+    chip_keys, chip_ids = _chip_table(_parse_keys(keys, key_where))
+    return Rounds(
+        vocab=tuple(vocab),
+        word_ids=word_ids,
+        chip_keys=chip_keys,
+        chip_ids=chip_ids[key_ids],
+        ease=_parse_column(float, ease_text, "ease", where, np.float64),
+        game_ids=game_ids,
+        speaker_ids=speaker_ids,
+        round_indices=_parse_column(int, round_text, "round_index", where),
+        lab=_LabText(lab_text, where),
+    )
 
 
 def write_rejects(

@@ -14,12 +14,11 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from math import fsum
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import Iterable, Mapping, TextIO
 
 import numpy as np
 
 from . import kernels
-from .colorspace import LabColor
 from .corpus import Denotation, read_table, write_table
 from .errors import ColorlexError
 
@@ -91,17 +90,10 @@ class SamplingConfig:
             raise ValueError("seed must be nonnegative")
 
 
-def _as_points(chips) -> np.ndarray:
-    if isinstance(chips, np.ndarray):
-        return np.ascontiguousarray(chips, dtype=np.float64)
-    return np.array(
-        [(c.l_star, c.a_star, c.b_star) for c in chips], dtype=np.float64
-    ).reshape(-1, 3)
-
-
-def spread(chips: Sequence[LabColor] | np.ndarray) -> float:
-    """Mean pairwise CIELAB distance over a denotation (unscaled)."""
-    pts = _as_points(chips)
+def spread(chips: np.ndarray) -> float:
+    """Mean pairwise CIELAB distance over a denotation's (n, 3) chips
+    (unscaled)."""
+    pts = np.ascontiguousarray(chips, dtype=np.float64)
     if pts.shape[0] < 2:
         raise InsufficientDenotationError(
             f"need at least 2 chips, got {pts.shape[0]}"
@@ -124,7 +116,7 @@ def derive_seed(seed: int, label: str) -> int:
 
 
 def informativeness(
-    chips: Sequence[LabColor] | np.ndarray,
+    chips: np.ndarray,
     cfg: SamplingConfig,
     word: str = "",
 ) -> WordInfo:
@@ -134,7 +126,7 @@ def informativeness(
     otherwise the mean over cfg.iterations subsample estimates.
     Deterministic given (cfg.seed, word).
     """
-    pts = _as_points(chips)
+    pts = np.ascontiguousarray(chips, dtype=np.float64)
     n = pts.shape[0]
     if n <= cfg.max_exact:
         s = spread(pts)
@@ -181,8 +173,15 @@ def write_word_infos(
 
 
 def read_word_infos(handle: TextIO) -> list[WordInfo]:
-    """Read a table written by write_word_infos."""
-    return [
-        WordInfo(word, float(s), float(i_w), int(n_chips), bool(int(sampled)))
-        for word, n_chips, s, i_w, sampled in read_table(handle, _INFO_COLUMNS)
-    ]
+    """Read a table written by write_word_infos. A malformed value is a
+    ValueError naming its file and line."""
+    where, lines = read_table(handle, _INFO_COLUMNS)
+    infos = []
+    for i, line in enumerate(lines):
+        word, n_chips, s, i_w, sampled = line.split("\t")
+        try:
+            infos.append(WordInfo(word, float(s), float(i_w), int(n_chips),
+                                  bool(int(sampled))))
+        except ValueError as exc:
+            raise ValueError(f"{where(i)}: {exc}") from None
+    return infos

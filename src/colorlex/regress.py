@@ -25,11 +25,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from math import fsum
-from operator import mul
 from typing import Hashable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .corpus import Rounds
 from .errors import ColorlexError
 from .informativeness import WordInfo
 
@@ -40,7 +40,6 @@ __all__ = [
     "fit_ols",
     "fit_random_intercept",
     "rows_from_rounds",
-    "pearson_r",
     "format_fit",
 ]
 
@@ -49,12 +48,11 @@ class FitError(ColorlexError):
     pass
 
 
-@dataclass(frozen=True)
-class RegressionRow:
+class RegressionRow(NamedTuple):
     """One observation: informativeness of the word uttered in a round.
 
     i_w is the response, ease the predictor, group the random-intercept
-    key (the target chip's key, or any other opaque hashable label).
+    key (the target chip's id, or any other opaque hashable label).
     """
 
     i_w: float
@@ -169,29 +167,33 @@ class _GroupStats(NamedTuple):
 
 
 def _group_stats(rows: Sequence[RegressionRow]) -> _GroupStats:
-    """Group the rows by label and sum each group's statistics with fsum."""
-    by_group: dict[Hashable, tuple[list[float], list[float]]] = {}
-    for r in rows:
-        xs, ys = by_group.setdefault(r.group, ([], []))
-        xs.append(r.ease)
-        ys.append(r.i_w)
-    columns = np.array(
-        [
-            (
-                len(xs),
-                fsum(xs),
-                fsum(ys),
-                fsum(map(mul, xs, xs)),
-                fsum(map(mul, xs, ys)),
-                fsum(map(mul, ys, ys)),
-            )
-            for xs, ys in by_group.values()
-        ],
-        dtype=np.float64,
-    )
-    n, sx, sy, sxx, sxy, syy = np.ascontiguousarray(columns.T)
+    """Group the rows by label and sum each group's statistics.
+
+    Labels become dense integer ids in first-appearance order, and each
+    group's values are gathered in row order. A group of several rows
+    takes one fsum per statistic; a single row's fsum is the value
+    itself, except that fsum([-0.0]) is +0.0, so it is `0.0 + v`.
+    """
+    ids: dict[Hashable, int] = {}
+    group = np.fromiter((ids.setdefault(r.group, len(ids)) for r in rows),
+                        dtype=np.intp, count=len(rows))
+    x = np.fromiter((r.ease for r in rows), dtype=np.float64, count=len(rows))
+    y = np.fromiter((r.i_w for r in rows), dtype=np.float64, count=len(rows))
+    counts = np.bincount(group, minlength=len(ids))
+    order = np.argsort(group, kind="stable")
+    x, y = x[order], y[order]
+    terms = (x, y, x * x, x * y, y * y)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    sums = [0.0 + t[starts] for t in terms]
+    multi = np.flatnonzero(counts > 1)
+    if len(multi):
+        spans = list(zip(starts[multi].tolist(), ends[multi].tolist()))
+        for total, values in zip(sums, (t.tolist() for t in terms)):
+            total[multi] = [fsum(values[a:b]) for a, b in spans]
+    n = counts.astype(np.float64)
     sizes, size_index = np.unique(n, return_inverse=True)
-    return _GroupStats(n, sx, sy, sxx, sxy, syy, sizes, size_index)
+    return _GroupStats(n, *sums, sizes, size_index)
 
 
 def _sequential_sum(terms: np.ndarray) -> float:
@@ -308,36 +310,23 @@ def fit_random_intercept(rows: Sequence[RegressionRow]) -> FitResult:
     )
 
 
-def rows_from_rounds(rounds, infos: Mapping[str, WordInfo]) -> list[RegressionRow]:
+def rows_from_rounds(rounds: Rounds,
+                     infos: Mapping[str, WordInfo]) -> list[RegressionRow]:
     """Pair each round's context ease with its word's informativeness.
 
     Rounds whose word fell below the frequency threshold (no info
-    entry) are skipped. Rows are grouped by target chip, so chips that
-    recur across rounds share a random intercept.
+    entry) are skipped. Rows are grouped by target chip id, so chips
+    that recur across rounds share a random intercept.
     """
-    rows = []
-    for r in rounds:
-        info = infos.get(r.word)
-        if info is None:
-            continue
-        rows.append(RegressionRow(info.i_w, r.context_ease, r.target_key))
-    return rows
-
-
-def pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
-    n = len(x)
-    if n != len(y):
-        raise ValueError("length mismatch")
-    if n < 3:
-        raise ValueError("need at least 3 observations")
-    mean_x = fsum(x) / n
-    mean_y = fsum(y) / n
-    sxx = fsum((v - mean_x) ** 2 for v in x)
-    syy = fsum((v - mean_y) ** 2 for v in y)
-    if sxx == 0.0 or syy == 0.0:
-        raise ValueError("zero variance")
-    sxy = fsum((a - mean_x) * (b - mean_y) for a, b in zip(x, y))
-    return sxy / math.sqrt(sxx * syy)
+    i_w = [infos[w].i_w if w in infos else None for w in rounds.vocab]
+    known = np.array([v is not None for v in i_w], dtype=bool)
+    kept = np.flatnonzero(known[rounds.word_ids])
+    return list(map(
+        RegressionRow,
+        [i_w[w] for w in rounds.word_ids[kept].tolist()],
+        rounds.ease[kept].tolist(),
+        rounds.chip_ids[kept].tolist(),
+    ))
 
 
 def format_fit(result: FitResult, label: str = "") -> str:

@@ -35,7 +35,7 @@ from .colorspace import LabColor
 from .corpus import (
     LAB_COLUMNS,
     ChipKey,
-    CleanRound,
+    Rounds,
     format_chip_key,
     lab_fields,
     write_table,
@@ -130,7 +130,7 @@ class Stimulus:
 
 
 def build_entries(
-    rounds: Sequence[CleanRound], infos: Mapping[str, WordInfo]
+    rounds: Rounds, infos: Mapping[str, WordInfo]
 ) -> tuple[list[ReferentEntry], dict]:
     """Collect referents that received at least two distinct names.
 
@@ -140,34 +140,36 @@ def build_entries(
     dropped names, and entries whose name order needed a lexicographic
     tie-break.
     """
-    words_by_key: dict[ChipKey, set[str]] = {}
-    dropped: set[tuple[ChipKey, str]] = set()
-    for r in rounds:
-        words_by_key.setdefault(r.target_key, set())
-        if r.word in infos:
-            words_by_key[r.target_key].add(r.word)
-        else:
-            dropped.add((r.target_key, r.word))
+    n_words = len(rounds.vocab)
+    # Distinct (chip, word) pairs, by chip id (ascending key), then word.
+    chips, words = np.divmod(
+        np.unique(rounds.chip_ids.astype(np.int64) * n_words
+                  + rounds.word_ids),
+        n_words)
+    named = np.array([w in infos for w in rounds.vocab], dtype=bool)[words]
+    chips, words = chips[named], words[named]
+    starts = np.flatnonzero(np.diff(chips, prepend=-1))
+    ends = np.append(starts[1:], len(chips))
     entries: list[ReferentEntry] = []
-    skipped = 0
     ties = 0
-    for key in sorted(words_by_key):
-        words = words_by_key[key]
-        if len(words) < 2:
-            skipped += 1
+    for chip, a, b in zip(chips[starts].tolist(), starts.tolist(),
+                          ends.tolist()):
+        if b - a < 2:
             continue
         ordered = tuple(
             (w, infos[w].i_w)
-            for w in sorted(words, key=lambda w: (infos[w].i_w, w))
+            for w in sorted((rounds.vocab[i] for i in words[a:b].tolist()),
+                            key=lambda w: (infos[w].i_w, w))
         )
         scores = [i for _, i in ordered]
         if len(set(scores)) != len(scores):
             ties += 1
-        entries.append(ReferentEntry(key, ordered))
+        entries.append(
+            ReferentEntry(tuple(rounds.chip_keys[chip].tolist()), ordered))
     report = {
         "n_referents": len(entries),
-        "skipped_few_names": skipped,
-        "dropped_names": len(dropped),
+        "skipped_few_names": len(np.unique(rounds.chip_ids)) - len(entries),
+        "dropped_names": int(np.count_nonzero(~named)),
         "tie_entries": ties,
     }
     return entries, report
@@ -235,7 +237,7 @@ def _assign_bins(values: Sequence[float], bins: int) -> list[int]:
 
 
 def generate_stimuli(
-    rounds: Sequence[CleanRound],
+    rounds: Rounds,
     entries: Sequence[ReferentEntry],
     infos: Mapping[str, WordInfo],
     n: int = 100,
@@ -256,13 +258,15 @@ def generate_stimuli(
     if bins < 1 or n % bins != 0:
         raise ValueError(f"bins must divide n evenly, got n={n} bins={bins}")
     by_key = {e.key: e for e in entries}
-    eligible = [r for r in rounds if r.word in infos]
+    known = np.array([w in infos for w in rounds.vocab], dtype=bool)
+    eligible = np.flatnonzero(known[rounds.word_ids]).tolist()
     if len(eligible) < n:
         raise SimulationError(f"only {len(eligible)} eligible rounds, need {n}")
-    bin_of = _assign_bins([r.context_ease for r in eligible], bins)
-    pools: list[list[CleanRound]] = [[] for _ in range(bins)]
-    for r, b in zip(eligible, bin_of):
-        pools[b].append(r)
+    ease = rounds.ease.tolist()
+    bin_of = _assign_bins([ease[i] for i in eligible], bins)
+    pools: list[list[int]] = [[] for _ in range(bins)]
+    for i, b in zip(eligible, bin_of):
+        pools[b].append(i)
     quota = n // bins
     take = [min(quota, len(p)) for p in pools]
     short = [b for b in range(bins) if take[b] < quota]
@@ -284,33 +288,42 @@ def generate_stimuli(
             moved[best] = moved.get(best, 0) + 1
             deficit -= 1
     rng = random.Random(seed)
-    stimuli: list[Stimulus] = []
+    picked: list[tuple[int, int]] = []  # (bin, row)
     for b in range(bins):
-        for r in sorted(
+        picked.extend((b, i) for i in sorted(
             rng.sample(pools[b], take[b]),
-            key=lambda r: (r.context_ease, r.game_id, r.round_index),
-        ):
-            entry = by_key.get(r.target_key)
-            actual_i_w = infos[r.word].i_w
-            general = specific = None
-            if entry is not None:
-                if entry.names[0][1] < actual_i_w:
-                    general = entry.general
-                if entry.names[-1][1] > actual_i_w:
-                    specific = entry.specific
-            stimuli.append(
-                Stimulus(
-                    target=r.target,
-                    distractor1=r.distractors[0],
-                    distractor2=r.distractors[1],
-                    target_key=r.target_key,
-                    actual_name=r.word,
-                    simulated_general=general,
-                    simulated_specific=specific,
-                    ease=r.context_ease,
-                    bin_index=b,
-                )
+            key=lambda i: (ease[i], rounds.game_ids[i],
+                           rounds.round_indices[i]),
+        ))
+    # Only the picked rounds' Lab values are read.
+    chosen = rounds.take([i for _, i in picked])
+    lab = zip(chosen.target.tolist(), chosen.distractor1.tolist(),
+              chosen.distractor2.tolist())
+    stimuli: list[Stimulus] = []
+    for (b, i), (target, d1, d2) in zip(picked, lab):
+        key = tuple(rounds.chip_keys[rounds.chip_ids[i]].tolist())
+        word = rounds.vocab[rounds.word_ids[i]]
+        entry = by_key.get(key)
+        actual_i_w = infos[word].i_w
+        general = specific = None
+        if entry is not None:
+            if entry.names[0][1] < actual_i_w:
+                general = entry.general
+            if entry.names[-1][1] > actual_i_w:
+                specific = entry.specific
+        stimuli.append(
+            Stimulus(
+                target=LabColor(*target),
+                distractor1=LabColor(*d1),
+                distractor2=LabColor(*d2),
+                target_key=key,
+                actual_name=word,
+                simulated_general=general,
+                simulated_specific=specific,
+                ease=ease[i],
+                bin_index=b,
             )
+        )
     report = {
         "n_eligible": len(eligible),
         "bin_counts": take,

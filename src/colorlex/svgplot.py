@@ -38,12 +38,12 @@ def _hex_color(c: LabColor) -> str:
     )
 
 
-def _mean_lab(chips: Sequence[LabColor]) -> LabColor:
+def _mean_lab(chips: Sequence[tuple[float, float, float]]) -> LabColor:
     n = len(chips)
     return LabColor(
-        fsum(c.l_star for c in chips) / n,
-        fsum(c.a_star for c in chips) / n,
-        fsum(c.b_star for c in chips) / n,
+        fsum(c[0] for c in chips) / n,
+        fsum(c[1] for c in chips) / n,
+        fsum(c[2] for c in chips) / n,
     )
 
 
@@ -141,18 +141,14 @@ def denotation_plot(
     mean chip color. Unknown words raise KeyError.
     """
     width, height = 800, 480
-    chosen = [(w, denotations[w]) for w in words]
+    # Each chip as an (L*, a*, b*) tuple of floats.
+    chosen = [(w, denotations[w].chips.tolist()) for w in words]
     if not chosen:
         return _no_data(width, height, header_comment)
-    all_chips = [c for _, d in chosen for c in d.chips]
-    main_x = _Scale(
-        min(c.a_star for c in all_chips),
-        max(c.a_star for c in all_chips), 60, 560,
-    )
-    main_y = _Scale(
-        min(c.b_star for c in all_chips),
-        max(c.b_star for c in all_chips), 430, 40,
-    )
+    all_a = [c[1] for _, chips in chosen for c in chips]
+    all_b = [c[2] for _, chips in chosen for c in chips]
+    main_x = _Scale(min(all_a), max(all_a), 60, 560)
+    main_y = _Scale(min(all_b), max(all_b), 430, 40)
     strip_x0, strip_x1 = 620, 770
     strip_y = _Scale(0.0, 100.0, 430, 40)
     body: list[str] = []
@@ -168,17 +164,17 @@ def denotation_plot(
         f'{_FONT} text-anchor="middle">L*</text>'
     )
     n_words = len(chosen)
-    for i, (word, den) in enumerate(chosen):
-        color = _hex_color(_mean_lab(den.chips))
+    for i, (word, chips) in enumerate(chosen):
+        color = _hex_color(_mean_lab(chips))
         col_x = strip_x0 + (i + 0.5) / n_words * (strip_x1 - strip_x0)
-        for c in den.chips:
+        for l_star, a_star, b_star in chips:
             body.append(
-                f'<circle cx="{_fmt(main_x(c.a_star))}" '
-                f'cy="{_fmt(main_y(c.b_star))}" r="3" fill="{color}" '
+                f'<circle cx="{_fmt(main_x(a_star))}" '
+                f'cy="{_fmt(main_y(b_star))}" r="3" fill="{color}" '
                 f'fill-opacity="0.7"/>'
             )
             body.append(
-                f'<circle cx="{_fmt(col_x)}" cy="{_fmt(strip_y(c.l_star))}" '
+                f'<circle cx="{_fmt(col_x)}" cy="{_fmt(strip_y(l_star))}" '
                 f'r="3" fill="{color}" fill-opacity="0.7"/>'
             )
         ly = 40 + 18 * i
@@ -188,7 +184,7 @@ def denotation_plot(
         )
         body.append(
             f'<text x="584" y="{ly}" {_FONT}>{_escape(word)} '
-            f'(n={den.count})</text>'
+            f'(n={len(chips)})</text>'
         )
     return _document(width, height, body, header_comment)
 

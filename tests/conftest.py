@@ -29,6 +29,7 @@ from colorlex.colorspace import LabColor
 from colorlex.corpus import (
     CleanRound,
     Denotation,
+    Rounds,
     build_denotations,
     clean,
     ingest,
@@ -241,10 +242,17 @@ def fixture_corpus(tmp_path_factory) -> SimpleNamespace:
 
 
 @pytest.fixture(scope="session")
-def fixture_rounds(fixture_corpus) -> list[CleanRound]:
+def fixture_clean(fixture_corpus) -> list[CleanRound]:
+    """The fixture corpus's clean rounds, as `clean` returns them."""
     raw, rejects = ingest(fixture_corpus.csv)
     assert len(rejects) == fixture_corpus.n_rejects
     return clean(raw)
+
+
+@pytest.fixture(scope="session")
+def fixture_rounds(fixture_clean) -> Rounds:
+    """The same rounds as the table the analysis stages take."""
+    return Rounds.from_clean(fixture_clean)
 
 
 @pytest.fixture(scope="session")
@@ -308,7 +316,7 @@ def toy_system() -> SimpleNamespace:
         for ref, words in TOY_NAMES.items()
         for w in words
     ]
-    entries, report = build_entries(rounds, infos)
+    entries, report = build_entries(Rounds.from_clean(rounds), infos)
     by_key = {e.key[0]: e for e in entries}
     return SimpleNamespace(
         entries=entries,
@@ -367,7 +375,7 @@ def _load_real(lang: str, min_count: int, tmp_path_factory) -> SimpleNamespace:
     dst = tmp_path_factory.mktemp(f"corpus_{lang}") / "canonical.csv"
     to_canonical(src, dst)
     raw, _ = ingest(dst)
-    rounds = clean(raw)
+    rounds = Rounds.from_clean(clean(raw))
     denotations = build_denotations(rounds, min_count)
     infos = compute_word_infos(denotations, SamplingConfig(seed=0))
     return SimpleNamespace(

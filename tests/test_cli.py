@@ -2,6 +2,8 @@
 
 import csv
 import json
+import re
+import shutil
 from pathlib import Path
 from types import ModuleType, SimpleNamespace
 
@@ -73,7 +75,7 @@ class TestPipeline:
         with open(pipeline.out / "clean_rounds.tsv") as handle:
             rounds = read_clean_rounds(handle)
         assert payload["n_clean"] == len(rounds)
-        assert payload["n_chips"] == len({r.target_key for r in rounds})
+        assert payload["n_chips"] == len(rounds.chip_keys)
 
     def test_headers_consistent(self, pipeline):
         expected = header_line(pipeline.cfg)
@@ -194,10 +196,74 @@ class TestOverrides:
 
         def blue_count(path):
             with open(path / "clean_rounds.tsv") as handle:
-                return sum(1 for r in read_clean_rounds(handle)
-                           if r.word == "blue")
+                rounds = read_clean_rounds(handle)
+            blue = rounds.vocab.index("blue")
+            return int((rounds.word_ids == blue).sum())
 
         assert blue_count(fixed_out) > blue_count(plain_out)
+
+
+def _corrupt(path, column, rows):
+    """Write "nanx" into `column` of the given data rows of a stage
+    table (every row when rows is None); returns their file lines."""
+    lines = path.read_text(encoding="utf-8").split("\n")
+    col = lines[1].split("\t").index(column)
+    if rows is None:
+        rows = range(len(lines) - 3)  # the text ends with a line break
+    for r in rows:
+        fields = lines[2 + r].split("\t")
+        fields[col] = "nanx"
+        lines[2 + r] = "\t".join(fields)
+    path.write_text("\n".join(lines), encoding="utf-8")
+    return {3 + r for r in rows}
+
+
+_ALL = ["regress", "--subset", "all"]
+_REPEATED = ["regress", "--subset", "repeated"]
+_DENOTATIONS = ["plot", "--kind", "denotations"]
+_EASE = ["plot", "--kind", "ease_vs_iw"]
+
+
+class TestReadErrorsNameTheLine:
+    """A malformed value in a stage table stops every stage that reads
+    it with `error: <path>:<line>: ...` and exit status 2, whether the
+    value is parsed on read or, for Lab values, on first use."""
+
+    @pytest.mark.parametrize("stage, table, column, rows", [
+        (["info"], "clean_rounds.tsv", "ease", [7]),
+        (["info"], "clean_rounds.tsv", "target_l", [7, 9]),
+        (_ALL, "clean_rounds.tsv", "ease", [7]),
+        (_REPEATED, "clean_rounds.tsv", "ease", [7]),
+        (["simulate"], "clean_rounds.tsv", "ease", [7]),
+        (["stimuli"], "clean_rounds.tsv", "ease", [7]),
+        (["stimuli"], "clean_rounds.tsv", "d1_a", None),
+        (_DENOTATIONS, "clean_rounds.tsv", "ease", [7]),
+        (_DENOTATIONS, "clean_rounds.tsv", "target_b", [7]),
+        (_EASE, "clean_rounds.tsv", "ease", [7]),
+        (_ALL, "word_info.tsv", "i_w", [2]),
+        (_REPEATED, "word_info.tsv", "i_w", [2]),
+        (["simulate"], "word_info.tsv", "i_w", [2]),
+        (["stimuli"], "word_info.tsv", "i_w", [2]),
+        (_EASE, "word_info.tsv", "i_w", [2]),
+    ])
+    def test_nanx(self, pipeline, tmp_path, capsys, stage, table, column,
+                  rows):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline.out, out)
+        lines = _corrupt(out / table, column, rows)
+        code = main(["--config", str(pipeline.corpus.config),
+                     "--out", str(out), *stage])
+        assert code == 2
+        err = capsys.readouterr().err
+        found = re.fullmatch(
+            rf"error: {re.escape(str(out / table))}:(\d+): (.*)\n", err)
+        assert found, err
+        assert int(found[1]) == min(lines) or rows is None
+        assert int(found[1]) in lines
+        reason = "could not convert string to float: 'nanx'"
+        if table == "clean_rounds.tsv":
+            reason = f"{column}: {reason}"
+        assert found[2] == reason
 
 
 class TestErrorHandling:

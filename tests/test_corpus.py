@@ -4,7 +4,9 @@ import csv
 import io
 import re
 
+import numpy as np
 import pytest
+from _rounds_oracle import clean_rows, oracle_read_clean_rounds, rounds_rows
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +15,7 @@ from colorlex.corpus import (
     DEFAULT_SCHEMA,
     CleanRound,
     RawRound,
+    Rounds,
     SchemaError,
     build_denotations,
     chip_key,
@@ -221,35 +224,35 @@ class TestNormalizeUtterance:
 
 class TestClean:
     def test_keeps_single_token_successes_only(self, fixture_corpus,
-                                               fixture_rounds):
+                                               fixture_clean):
         raw, _ = ingest(fixture_corpus.csv)
         by_key = {(r.game_id, r.round_index): r for r in raw}
-        assert fixture_rounds
-        for r in fixture_rounds:
+        assert fixture_clean
+        for r in fixture_clean:
             source = by_key[(r.game_id, r.round_index)]
             assert source.listener_correct
             assert len(normalize_utterance(source.utterance)) == 1
 
-    def test_normalization_applied(self, fixture_rounds):
+    def test_normalization_applied(self, fixture_clean):
         # the hand-written "BLUE!" row must survive as plain "blue"
         special = [
-            r for r in fixture_rounds
+            r for r in fixture_clean
             if r.game_id == "g21" and r.round_index == 1
         ]
         assert len(special) == 1
         assert special[0].word == "blue"
         assert special[0].target_key == (230, 80, 50)
 
-    def test_multiword_and_empty_dropped(self, fixture_rounds):
+    def test_multiword_and_empty_dropped(self, fixture_clean):
         dropped = {
             (r.game_id, r.round_index)
-            for r in fixture_rounds if r.game_id == "g21"
+            for r in fixture_clean if r.game_id == "g21"
         }
         assert ("g21", 2) not in dropped
         assert ("g21", 3) not in dropped
 
-    def test_context_ease_is_closest_distractor(self, fixture_rounds):
-        for r in fixture_rounds[:50]:
+    def test_context_ease_is_closest_distractor(self, fixture_clean):
+        for r in fixture_clean[:50]:
             d1, d2 = r.distractors
             expected = min(lab_distance(r.target, d1),
                            lab_distance(r.target, d2))
@@ -297,51 +300,70 @@ def _round_with(word, key, game="g1", idx=1):
     )
 
 
+def _rounds(*rows):
+    return Rounds.from_clean(rows)
+
+
 class TestBuildDenotations:
     def test_threshold_boundary(self):
-        rounds = [_round_with("blue", (i, 0, 0), idx=i) for i in range(3)]
-        rounds += [_round_with("teal", (9, 0, 0), idx=9)]
+        rounds = _rounds(*(_round_with("blue", (i, 0, 0), idx=i)
+                           for i in range(3)),
+                         _round_with("teal", (9, 0, 0), idx=9))
         kept = build_denotations(rounds, 3)
         assert set(kept) == {"blue"}
         kept2 = build_denotations(rounds, 4)
         assert set(kept2) == set()
 
     def test_chips_are_a_multiset(self):
-        rounds = [
+        rounds = _rounds(
             _round_with("blue", (1, 0, 0), idx=1),
             _round_with("blue", (1, 0, 0), idx=2),
-        ]
+        )
         den = build_denotations(rounds, 1)["blue"]
-        assert den.count == 2
-        assert len(den.chips) == 2
+        assert den.chips.tolist() == [[1.0, 0.0, 0.0]] * 2
 
-    def test_counts_match_rounds(self, fixture_rounds, fixture_denotations):
+    def test_counts_match_rounds(self, fixture_clean, fixture_denotations):
         for word, den in fixture_denotations.items():
-            n = sum(1 for r in fixture_rounds if r.word == word)
-            assert den.count == n == len(den.chips)
+            chips = [(r.target.l_star, r.target.a_star, r.target.b_star)
+                     for r in fixture_clean if r.word == word]
+            # the word's chips, in row order
+            assert den.chips.shape == (len(chips), 3)
+            assert list(map(tuple, den.chips.tolist())) == chips
+
+    def test_words_in_first_occurrence_order(self, fixture_clean,
+                                             fixture_denotations):
+        first = list(dict.fromkeys(r.word for r in fixture_clean))
+        assert list(fixture_denotations) == [
+            w for w in first if w in fixture_denotations]
+
+    def test_subset_words_in_its_own_first_occurrence_order(self):
+        rounds = _rounds(_round_with("blue", (1, 0, 0)),
+                         _round_with("teal", (2, 0, 0)),
+                         _round_with("blue", (3, 0, 0)))
+        assert list(build_denotations(rounds.take([1, 2]), 1)) == [
+            "teal", "blue"]
 
     def test_min_count_validated(self):
         with pytest.raises(ValueError):
-            build_denotations([], 0)
+            build_denotations(_rounds(), 0)
 
 
 class TestRepeatedChipSubset:
     def test_small_example(self):
-        rounds = [
+        rounds = _rounds(
             _round_with("blue", (1, 0, 0), idx=1),
             _round_with("teal", (1, 0, 0), idx=2),
             _round_with("blue", (2, 0, 0), idx=3),
-        ]
+        )
         subset = repeated_chip_subset(rounds)
-        assert [r.round_index for r in subset] == [1, 2]
+        assert subset.round_indices == [1, 2]
+        assert rounds_rows(subset) == rounds_rows(rounds)[:2]
 
     def test_fixture_subset(self, fixture_rounds):
         subset = repeated_chip_subset(fixture_rounds)
         assert 0 < len(subset) < len(fixture_rounds)
-        seen = {}
-        for r in subset:
-            seen[r.target_key] = seen.get(r.target_key, 0) + 1
-        assert all(v >= 2 for v in seen.values())
+        counts = np.bincount(subset.chip_ids)
+        assert counts[subset.chip_ids].min() >= 2
 
 
 class TestSpellmapFile:
@@ -364,11 +386,12 @@ class TestPublishedCorpus:
 
 
 class TestSerialization:
-    def test_clean_rounds_round_trip(self, fixture_rounds):
+    def test_clean_rounds_round_trip(self, fixture_clean):
         buffer = io.StringIO()
-        write_clean_rounds(buffer, fixture_rounds, "# header line")
+        write_clean_rounds(buffer, fixture_clean, "# header line")
         buffer.seek(0)
-        assert read_clean_rounds(buffer) == fixture_rounds
+        assert repr(rounds_rows(read_clean_rounds(buffer))) == repr(
+            clean_rows(fixture_clean))
 
     def test_hash_game_id_survives(self):
         # only lines before the column header are comments
@@ -377,15 +400,15 @@ class TestSerialization:
         buffer = io.StringIO()
         write_clean_rounds(buffer, rounds, "# header line")
         buffer.seek(0)
-        assert read_clean_rounds(buffer) == rounds
+        assert rounds_rows(read_clean_rounds(buffer)) == clean_rows(rounds)
 
     def test_missing_column_header_is_an_error(self):
         with pytest.raises(ValueError, match="column header"):
             read_clean_rounds(io.StringIO("# header line\n"))
 
-    def test_wrong_width_is_an_error(self, fixture_rounds):
+    def test_wrong_width_is_an_error(self, fixture_clean):
         buffer = io.StringIO()
-        write_clean_rounds(buffer, fixture_rounds[:2], "# header line")
+        write_clean_rounds(buffer, fixture_clean[:2], "# header line")
         lines = buffer.getvalue().splitlines(keepends=True)
         lines[-1] = lines[-1].rsplit("\t", 1)[0] + "\n"
         with pytest.raises(ValueError, match="14 fields, expected 15"):
@@ -492,4 +515,140 @@ class TestIngestProperties:
         buffer = io.StringIO()
         write_clean_rounds(buffer, rounds, "# header line")
         buffer.seek(0)
-        assert read_clean_rounds(buffer) == rounds
+        assert rounds_rows(read_clean_rounds(buffer)) == clean_rows(rounds)
+
+
+# ------------------------------------------------- columnar clean rounds
+
+_LAB_VALUE = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e-310, float("inf"), -float("inf"), float("nan")]),
+    st.floats(),
+)
+# Ids and words hold "#", spaces and non-ASCII letters, never a tab or a
+# line break (ingest rejects those, and words are single tokens).
+_ID_TEXT = st.text(alphabet="ab#é蓝 -", max_size=5)
+
+_CLEAN_ROUNDS = st.builds(
+    lambda game, idx, speaker, word, key, ease, lab: CleanRound(
+        word=word,
+        target=LabColor(*lab[0:3]),
+        distractors=(LabColor(*lab[3:6]), LabColor(*lab[6:9])),
+        context_ease=ease,
+        target_key=key,
+        speaker_id=speaker or None,
+        game_id=game,
+        round_index=idx,
+    ),
+    _ID_TEXT,
+    st.integers(-10, 10**6),
+    st.one_of(st.just(""), _ID_TEXT),
+    st.one_of(st.sampled_from(["blue", "蓝", "bleu#", "é"]), _ID_TEXT),
+    st.tuples(st.integers(-5, 400), st.integers(0, 100), st.integers(0, 100)),
+    _LAB_VALUE,
+    st.lists(_LAB_VALUE, min_size=9, max_size=9),
+)
+
+
+def _written(rows) -> str:
+    buffer = io.StringIO()
+    write_clean_rounds(buffer, rows, "# header line")
+    return buffer.getvalue()
+
+
+class TestColumnarRead:
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=200)
+    @given(rows=st.lists(_CLEAN_ROUNDS, max_size=8))
+    def test_equals_per_row_oracle(self, rows):
+        text = _written(rows)
+        got = rounds_rows(read_clean_rounds(io.StringIO(text)))
+        want = clean_rows(oracle_read_clean_rounds(io.StringIO(text)))
+        # repr tells -0.0 from 0.0 and shows NaN, which == does not
+        assert repr(got) == repr(want)
+        assert repr(got) == repr(clean_rows(rows))
+
+    def test_zero_rows(self):
+        rounds = read_clean_rounds(io.StringIO(_written([])))
+        assert len(rounds) == 0
+        assert rounds.vocab == ()
+        assert rounds.chip_keys.shape == (0, 3)
+        assert rounds.target.shape == (0, 3)
+        assert rounds_rows(rounds) == []
+
+    def test_chip_ids_sort_as_integer_triples(self):
+        keys = [(100, 5, 5), (20, 50, 5), (9, 100, 100), (20, 50, 5)]
+        rows = [_round_with("blue", k, idx=i) for i, k in enumerate(keys)]
+        rounds = read_clean_rounds(io.StringIO(_written(rows)))
+        # as strings "100:5:5" < "20:50:5" < "9:100:100"
+        assert rounds.chip_keys.tolist() == [
+            [9, 100, 100], [20, 50, 5], [100, 5, 5]]
+        assert rounds.chip_ids.tolist() == [2, 1, 0, 1]
+
+    def test_from_clean_equals_read(self, fixture_clean):
+        read = read_clean_rounds(io.StringIO(_written(fixture_clean)))
+        built = Rounds.from_clean(fixture_clean)
+        assert rounds_rows(read) == rounds_rows(built)
+        assert read.vocab == built.vocab
+        assert read.chip_keys.tolist() == built.chip_keys.tolist()
+        assert read.chip_ids.tolist() == built.chip_ids.tolist()
+
+    def test_lab_converted_on_first_access(self, fixture_clean):
+        rounds = read_clean_rounds(io.StringIO(_written(fixture_clean)))
+        assert "target" not in vars(rounds)
+        repeated_chip_subset(rounds)
+        rows_picked = rounds.take([3, 1])
+        assert "target" not in vars(rounds)
+        assert rows_picked.distractor2.tolist() == [
+            [c.l_star, c.a_star, c.b_star]
+            for c in (fixture_clean[3].distractors[1],
+                      fixture_clean[1].distractors[1])]
+        assert "distractor2" not in vars(rounds)
+
+    def test_malformed_lab_named_when_converted(self, tmp_path,
+                                               fixture_clean):
+        path = tmp_path / "clean_rounds.tsv"
+        lines = _written(fixture_clean[:5]).splitlines(keepends=True)
+        fields = lines[4].split("\t")
+        fields[9] = "nanx"  # d1_l of the third row, on line 5
+        lines[4] = "\t".join(fields)
+        path.write_text("".join(lines), encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            rounds = read_clean_rounds(handle)
+        assert rounds.target.shape == (5, 3)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:5: d1_l: could not convert string to float")):
+            rounds.distractor1
+        with pytest.raises(ValueError, match=re.escape(f"{path}:5: d1_l")):
+            rounds.take([4, 2]).distractor1
+        assert rounds.take([4, 1]).distractor1.shape == (2, 3)
+
+    @pytest.mark.parametrize("column, value, message", [
+        (5, "nanx", "ease: could not convert string to float"),
+        (1, "1.5", "round_index: invalid literal for int()"),
+        (4, "1:2", "target_key: expected h:s:l"),
+        (4, "1:x:2", "target_key: invalid literal for int()"),
+    ])
+    def test_malformed_field_named_on_read(self, tmp_path, fixture_clean,
+                                           column, value, message):
+        path = tmp_path / "clean_rounds.tsv"
+        lines = _written(fixture_clean[:5]).splitlines(keepends=True)
+        fields = lines[5].split("\t")
+        fields[column] = value
+        lines[5] = "\t".join(fields)
+        path.write_text("".join(lines), encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            with pytest.raises(ValueError,
+                               match=re.escape(f"{path}:6: {message}")):
+                read_clean_rounds(handle)
+
+
+class TestInfiniteHue:
+    @pytest.mark.parametrize("hue", ["inf", "-inf", "nan"])
+    def test_reject_names_the_hue(self, tmp_path, hue):
+        path = tmp_path / "hue.csv"
+        _write_csv(path, _MINI_HEADER, [_mini_row(h=hue)])
+        raw, rejects = ingest(path)
+        assert not raw
+        assert [r.reason for r in rejects] == [
+            f"hue {float(hue)!r} outside [0, 360)"]

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colorlex.colorspace import LabColor
 from colorlex.informativeness import (
     SCALE,
     DegenerateDenotationError,
@@ -26,7 +25,7 @@ from colorlex.informativeness import (
 
 
 def _lab(*triples):
-    return [LabColor(*t) for t in triples]
+    return np.array(triples, dtype=np.float64)
 
 
 class TestSpread:
@@ -216,7 +215,7 @@ class TestSerialization:
 class TestFixtureCorpusInfos:
     def test_threshold_applied(self, fixture_denotations, fixture_corpus):
         for den in fixture_denotations.values():
-            assert den.count >= fixture_corpus.min_count
+            assert len(den.chips) >= fixture_corpus.min_count
 
     def test_every_word_scored(self, fixture_denotations, fixture_infos):
         assert set(fixture_infos) == set(fixture_denotations)

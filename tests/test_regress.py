@@ -1,9 +1,10 @@
-"""Least squares, the random-intercept model, and correlation."""
+"""Least squares and the random-intercept model."""
 
 import json
 import math
 import random
 from dataclasses import asdict
+from operator import mul
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colorlex import regress
-from colorlex.colorspace import lab_distance
 from colorlex.regress import (
     FitError,
     FitResult,
@@ -22,7 +22,6 @@ from colorlex.regress import (
     fit_ols,
     fit_random_intercept,
     format_fit,
-    pearson_r,
     rows_from_rounds,
 )
 
@@ -345,6 +344,61 @@ def _grouped_rows(draw):
     return [RegressionRow(draw(value), draw(value), g) for g in labels]
 
 
+def reference_group_stats(rows):
+    """The grouping that `regress._group_stats` replaces: a dict of two
+    lists per label, then one fsum per statistic and group, groups in
+    first-appearance order. Returns one tuple per group."""
+    by_group = {}
+    for r in rows:
+        xs, ys = by_group.setdefault(r.group, ([], []))
+        xs.append(r.ease)
+        ys.append(r.i_w)
+    return [
+        (float(len(xs)), math.fsum(xs), math.fsum(ys),
+         math.fsum(map(mul, xs, xs)), math.fsum(map(mul, xs, ys)),
+         math.fsum(map(mul, ys, ys)))
+        for xs, ys in by_group.values()
+    ]
+
+
+def group_stats_tuples(stats):
+    """`_group_stats` output in the shape of reference_group_stats."""
+    return list(zip(*(a.tolist() for a in (stats.n, stats.sx, stats.sy,
+                                           stats.sxx, stats.sxy, stats.syy))))
+
+
+_SIGNED_ZERO_OR_FINITE = st.one_of(
+    st.just(-0.0), st.just(0.0),
+    st.floats(-1e100, 1e100, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _interleaved_rows(draw):
+    """Rows of int and str labels in random order, with signed zeros."""
+    labels = draw(st.lists(st.one_of(st.integers(0, 5),
+                                     st.sampled_from(["a", "b", "c"])),
+                           min_size=1, max_size=30))
+    return [RegressionRow(draw(_SIGNED_ZERO_OR_FINITE),
+                          draw(_SIGNED_ZERO_OR_FINITE), g) for g in labels]
+
+
+class TestGroupStatsOracle:
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=300)
+    @given(rows=_interleaved_rows())
+    def test_equals_dict_and_fsum_grouping(self, rows):
+        # repr tells -0.0 from 0.0, which == does not.
+        assert repr(group_stats_tuples(_group_stats(rows))) == repr(
+            reference_group_stats(rows))
+
+    def test_single_negative_zero_sums_to_positive_zero(self):
+        stats = _group_stats([RegressionRow(-0.0, -0.0, "a"),
+                              RegressionRow(1.0, 2.0, "b"),
+                              RegressionRow(3.0, 4.0, "b")])
+        assert repr(stats.sx.tolist()) == "[0.0, 6.0]"
+        assert repr(stats.sy.tolist()) == "[0.0, 4.0]"
+
+
 class TestProfileOracle:
     """_profile against the scalar loop: all seven values bit for bit."""
 
@@ -404,14 +458,16 @@ class TestProfileOracle:
 
 
 class TestRowsFromRounds:
-    def test_groups_by_target_chip(self, fixture_rounds, fixture_infos):
+    def test_groups_by_target_chip(self, fixture_rounds, fixture_clean,
+                                   fixture_infos):
         rows = rows_from_rounds(fixture_rounds, fixture_infos)
-        with_info = [r for r in fixture_rounds if r.word in fixture_infos]
+        with_info = [r for r in fixture_clean if r.word in fixture_infos]
         assert len(rows) == len(with_info)
         for row, r in zip(rows, with_info):
             assert row.i_w == fixture_infos[r.word].i_w
             assert row.ease == r.context_ease
-            assert row.group == r.target_key
+            assert tuple(fixture_rounds.chip_keys[row.group].tolist()) == \
+                r.target_key
 
     def test_skips_words_below_threshold(self, fixture_rounds, fixture_infos):
         rows = rows_from_rounds(fixture_rounds, fixture_infos)
@@ -447,42 +503,14 @@ class TestFixtureCorpusRegression:
         assert fit.t_slope < -2.0
 
 
-class TestPearson:
-    def test_perfect_correlation(self):
-        x = [1.0, 2.0, 3.0, 4.0]
-        assert pearson_r(x, x) == pytest.approx(1.0, abs=1e-15)
-        assert pearson_r(x, [-v for v in x]) == pytest.approx(-1.0, abs=1e-15)
-
-    def test_matches_numpy(self):
-        rng = random.Random(77)
-        x = [rng.uniform(0, 10) for _ in range(200)]
-        y = [xi * 0.5 + rng.gauss(0, 2) for xi in x]
-        assert pearson_r(x, y) == pytest.approx(np.corrcoef(x, y)[0, 1],
-                                                rel=1e-12)
-
-    def test_affine_invariance(self):
-        rng = random.Random(78)
-        x = [rng.uniform(0, 10) for _ in range(50)]
-        y = [rng.uniform(0, 10) for _ in range(50)]
-        scaled = [3.0 * v + 11.0 for v in y]
-        assert pearson_r(x, scaled) == pytest.approx(pearson_r(x, y),
-                                                     abs=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="at least 3"):
-            pearson_r([1.0, 2.0], [1.0, 2.0])
-        with pytest.raises(ValueError, match="mismatch"):
-            pearson_r([1.0, 2.0, 3.0], [1.0, 2.0])
-        with pytest.raises(ValueError, match="variance"):
-            pearson_r([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
-
+class TestPublishedCorpus:
     def test_distractor_distance_correlation(self, english_corpus):
-        closest, other = [], []
-        for r in english_corpus.rounds:
-            d = sorted(lab_distance(r.target, c) for c in r.distractors)
-            closest.append(d[0])
-            other.append(d[1])
-        assert pearson_r(closest, other) == pytest.approx(0.58, abs=0.05)
+        rounds = english_corpus.rounds
+        d = np.sort(np.stack([
+            np.linalg.norm(rounds.target - rounds.distractor1, axis=1),
+            np.linalg.norm(rounds.target - rounds.distractor2, axis=1),
+        ]), axis=0)
+        assert np.corrcoef(d[0], d[1])[0, 1] == pytest.approx(0.58, abs=0.05)
 
 
 class TestReporting:

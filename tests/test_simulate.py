@@ -12,7 +12,7 @@ import pytest
 from conftest import TOY_I_W, TOY_NAMES
 
 from colorlex.colorspace import LabColor
-from colorlex.corpus import CleanRound
+from colorlex.corpus import CleanRound, Rounds
 from colorlex.informativeness import WordInfo
 from colorlex.simulate import (
     SimulationError,
@@ -84,7 +84,7 @@ class TestBuildEntries:
             _round("b", (1, 0, 0), idx=2),
             _round("a", (2, 0, 0), idx=3),
         ]
-        entries, report = build_entries(rounds, infos)
+        entries, report = build_entries(Rounds.from_clean(rounds), infos)
         assert [e.key for e in entries] == [(1, 0, 0)]
         assert report["skipped_few_names"] == 1
 
@@ -95,7 +95,7 @@ class TestBuildEntries:
             _round("b", (1, 0, 0), idx=2),
             _round("rare", (1, 0, 0), idx=3),
         ]
-        entries, report = build_entries(rounds, infos)
+        entries, report = build_entries(Rounds.from_clean(rounds), infos)
         assert [w for w, _ in entries[0].names] == ["a", "b"]
         assert report["dropped_names"] == 1
 
@@ -106,7 +106,7 @@ class TestBuildEntries:
                   for i, w in enumerate(infos)]
         rounds.append(_round("low", (2, 0, 0), idx=9))
         rounds.append(_round("mid", (2, 0, 0), idx=10))
-        entries, _ = build_entries(rounds, infos)
+        entries, _ = build_entries(Rounds.from_clean(rounds), infos)
         assert [w for w, _ in entries[0].names] == ["low", "mid", "high"]
         assert entries[0].general == "low"
         assert entries[0].specific == "high"
@@ -117,7 +117,7 @@ class TestBuildEntries:
             _round("zeta", (1, 0, 0), idx=1),
             _round("alpha", (1, 0, 0), idx=2),
         ]
-        entries, report = build_entries(rounds, infos)
+        entries, report = build_entries(Rounds.from_clean(rounds), infos)
         assert [w for w, _ in entries[0].names] == ["alpha", "zeta"]
         assert report["tie_entries"] == 1
 
@@ -125,7 +125,7 @@ class TestBuildEntries:
         infos = {"a": _info("a", 2.0), "b": _info("b", 3.0)}
         rounds = [_round("a", (1, 0, 0), idx=i) for i in range(5)]
         rounds.append(_round("b", (1, 0, 0), idx=9))
-        entries, _ = build_entries(rounds, infos)
+        entries, _ = build_entries(Rounds.from_clean(rounds), infos)
         assert len(entries) == 1
         assert len(entries[0].names) == 2
 
@@ -261,7 +261,7 @@ def _stimulus_fixture_pieces(n_chips=12):
         key = (i, 0, 0)
         rounds.append(_round("broad", key, ease=0.5 + i, game="a", idx=i))
         rounds.append(_round(word, key, ease=0.5 + i, game="b", idx=i))
-    entries, _ = build_entries(rounds, infos)
+    entries, _ = build_entries(Rounds.from_clean(rounds), infos)
     return rounds, entries, infos
 
 
@@ -269,7 +269,7 @@ class TestGenerateStimuli:
     def test_uniform_ease_fills_each_bin(self):
         rounds, entries, infos = _stimulus_fixture_pieces(10)
         picked = [r for r in rounds if r.game_id == "a"]
-        stimuli, report = generate_stimuli(picked, entries, infos,
+        stimuli, report = generate_stimuli(Rounds.from_clean(picked), entries, infos,
                                            n=10, bins=10, seed=0)
         assert [s.bin_index for s in stimuli] == list(range(10))
         assert report["bin_counts"] == [1] * 10
@@ -279,14 +279,14 @@ class TestGenerateStimuli:
     def test_divisibility_enforced(self):
         rounds, entries, infos = _stimulus_fixture_pieces(10)
         with pytest.raises(ValueError, match="divide"):
-            generate_stimuli(rounds, entries, infos, n=10, bins=3)
+            generate_stimuli(Rounds.from_clean(rounds), entries, infos, n=10, bins=3)
         with pytest.raises(ValueError, match="positive"):
-            generate_stimuli(rounds, entries, infos, n=0, bins=1)
+            generate_stimuli(Rounds.from_clean(rounds), entries, infos, n=0, bins=1)
 
     def test_too_few_eligible_rounds(self):
         rounds, entries, infos = _stimulus_fixture_pieces(4)
         with pytest.raises(SimulationError, match="eligible"):
-            generate_stimuli(rounds, entries, infos, n=20, bins=4)
+            generate_stimuli(Rounds.from_clean(rounds), entries, infos, n=20, bins=4)
 
     def test_deficits_move_to_nearest_bins(self):
         infos = {"broad": _info("broad", 1.5), "w": _info("w", 3.0)}
@@ -295,9 +295,9 @@ class TestGenerateStimuli:
         for i, ease in enumerate(eases):
             rounds.append(_round("broad", (i, 0, 0), ease=ease, idx=i))
             rounds.append(_round("w", (i, 0, 0), ease=ease, idx=i + 100))
-        entries, _ = build_entries(rounds, infos)
+        entries, _ = build_entries(Rounds.from_clean(rounds), infos)
         picked = [r for r in rounds if r.round_index < 100]
-        stimuli, report = generate_stimuli(picked, entries, infos,
+        stimuli, report = generate_stimuli(Rounds.from_clean(picked), entries, infos,
                                            n=8, bins=4, seed=1)
         assert report["bin_counts"] == [6, 0, 0, 2]
         assert report["underpopulated_bins"] == [1, 2]
@@ -344,7 +344,7 @@ class TestGenerateStimuli:
     def test_single_name_chip_gets_no_alternatives(self):
         rounds, entries, infos = _stimulus_fixture_pieces(10)
         lone = _round("broad", (99, 0, 0), ease=5.0, game="c", idx=999)
-        stimuli, _ = generate_stimuli([lone] + list(rounds), entries, infos,
+        stimuli, _ = generate_stimuli(Rounds.from_clean([lone] + rounds), entries, infos,
                                       n=21, bins=1, seed=0)
         solo = [s for s in stimuli if s.target_key == (99, 0, 0)]
         assert len(solo) == 1
@@ -352,12 +352,12 @@ class TestGenerateStimuli:
         assert solo[0].simulated_specific is None
 
     def test_bins_partition_the_ease_range(self, fixture_rounds,
-                                           fixture_infos):
+                                           fixture_clean, fixture_infos):
         entries, _ = build_entries(fixture_rounds, fixture_infos)
         stimuli, report = generate_stimuli(fixture_rounds, entries,
                                            fixture_infos, n=100, bins=10,
                                            seed=0)
-        eligible = [r.context_ease for r in fixture_rounds
+        eligible = [r.context_ease for r in fixture_clean
                     if r.word in fixture_infos]
         lo, hi = min(eligible), max(eligible)
         width = (hi - lo) / 10

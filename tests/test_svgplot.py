@@ -2,14 +2,15 @@
 
 from xml.dom import minidom
 
-from colorlex.colorspace import LabColor
+import numpy as np
+
 from colorlex.corpus import Denotation
 from colorlex.svgplot import denotation_plot
 
 
 def _denotation(word):
-    chips = (LabColor(50.0, 20.0, -10.0), LabColor(60.0, 25.0, -5.0))
-    return Denotation(word, chips, len(chips))
+    return Denotation(word, np.array([[50.0, 20.0, -10.0],
+                                      [60.0, 25.0, -5.0]]))
 
 
 def _legend(svg):
