@@ -9,6 +9,9 @@ normalized token, converts chips to CIELAB and computes context ease
 (distance from the target to its closest distractor: the smaller, the
 harder the round).
 
+The stages after ingestion read the clean rounds back as one columnar
+`Rounds` table rather than one object per round.
+
 Chip identity: source corpora draw chips on an integer HSL grid
 (hue in degrees, saturation/lightness in percent), so a chip's key is
 its grid triple, quantized before any color conversion. This makes
@@ -356,19 +359,20 @@ class _LabText:
         return _LabText(self.columns, self.where, rows)
 
     def block(self, k: int) -> np.ndarray:
+        """Block k (target, d1, d2) as an (n, 3) float64 array."""
+        columns = self.columns[3 * k:3 * k + 3]
         where = self.where
-        picked = None if self.rows is None else self.rows.tolist()
-        if picked is not None:
+        if self.rows is not None:
+            rows = self.rows.tolist()
+            columns = [[text[i] for i in rows] for text in columns]
+
             def where(i: int) -> str:
-                return self.where(picked[i])
-        out = []
-        for j in range(3 * k, 3 * k + 3):
-            text = self.columns[j]
-            if picked is not None:
-                text = [text[i] for i in picked]
-            out.append(_parse_column(float, text, LAB_COLUMNS[j], where,
-                                     np.float64))
-        return np.column_stack(out)
+                return self.where(rows[i])
+
+        return np.column_stack([
+            _parse_column(float, text, name, where, np.float64)
+            for text, name in zip(columns, LAB_COLUMNS[3 * k:3 * k + 3])
+        ])
 
 
 class Rounds:
