@@ -97,7 +97,8 @@ def _clean_table(n_rows: int, seed: int) -> str:
     rng = np.random.default_rng(seed)
     weights = 1.0 / np.arange(1, 607)
     words = rng.choice(606, size=n_rows, p=weights / weights.sum())
-    keys = np.stack([rng.integers(0, 360, n_rows), rng.integers(0, 101, n_rows),
+    keys = np.stack([rng.integers(0, 360, n_rows),
+                     rng.integers(0, 101, n_rows),
                      rng.integers(0, 101, n_rows)], axis=1).tolist()
     lab = rng.uniform(-100.0, 100.0, size=(n_rows, 9)).tolist()
     ease = rng.uniform(0.0, 100.0, size=n_rows).tolist()
@@ -123,7 +124,7 @@ def _best(fn, repeat: int, number: int = 1) -> float:
 
 def _line(label: str, t_kernel: float, t_oracle: float,
           kernel: str = "numpy") -> None:
-    print(f"{label:<34} {kernel} {t_kernel * 1e3:10.3f} ms"
+    print(f"{label:<34} {kernel:<7} {t_kernel * 1e3:10.3f} ms"
           f"   oracle {t_oracle * 1e3:10.1f} ms"
           f"   {t_oracle / t_kernel:8.1f}x")
 

@@ -38,7 +38,7 @@ def _hex_color(c: LabColor) -> str:
     )
 
 
-def _mean_lab(chips: Sequence[tuple[float, float, float]]) -> LabColor:
+def _mean_lab(chips: Sequence[Sequence[float]]) -> LabColor:
     n = len(chips)
     return LabColor(
         fsum(c[0] for c in chips) / n,

@@ -24,8 +24,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -117,9 +119,6 @@ def test_workload_outputs_are_golden(case, tmp_path, monkeypatch):
 
 def record() -> None:
     """Recompute every case and rewrite golden_digests.json."""
-    import os
-    import tempfile
-
     sys.path.insert(0, str(HERE))
     import conftest
 

@@ -53,6 +53,10 @@ def _info(word, i_w):
     return WordInfo(word, 100.0 / i_w, i_w, 10, False)
 
 
+def _table(rows):
+    return Rounds.from_clean(rows)
+
+
 def _round(word, key, ease=1.0, game="g", idx=0):
     gray = LabColor(50.0, 0.0, 0.0)
     return CleanRound(
@@ -84,7 +88,7 @@ class TestBuildEntries:
             _round("b", (1, 0, 0), idx=2),
             _round("a", (2, 0, 0), idx=3),
         ]
-        entries, report = build_entries(Rounds.from_clean(rounds), infos)
+        entries, report = build_entries(_table(rounds), infos)
         assert [e.key for e in entries] == [(1, 0, 0)]
         assert report["skipped_few_names"] == 1
 
@@ -95,7 +99,7 @@ class TestBuildEntries:
             _round("b", (1, 0, 0), idx=2),
             _round("rare", (1, 0, 0), idx=3),
         ]
-        entries, report = build_entries(Rounds.from_clean(rounds), infos)
+        entries, report = build_entries(_table(rounds), infos)
         assert [w for w, _ in entries[0].names] == ["a", "b"]
         assert report["dropped_names"] == 1
 
@@ -106,7 +110,7 @@ class TestBuildEntries:
                   for i, w in enumerate(infos)]
         rounds.append(_round("low", (2, 0, 0), idx=9))
         rounds.append(_round("mid", (2, 0, 0), idx=10))
-        entries, _ = build_entries(Rounds.from_clean(rounds), infos)
+        entries, _ = build_entries(_table(rounds), infos)
         assert [w for w, _ in entries[0].names] == ["low", "mid", "high"]
         assert entries[0].general == "low"
         assert entries[0].specific == "high"
@@ -117,7 +121,7 @@ class TestBuildEntries:
             _round("zeta", (1, 0, 0), idx=1),
             _round("alpha", (1, 0, 0), idx=2),
         ]
-        entries, report = build_entries(Rounds.from_clean(rounds), infos)
+        entries, report = build_entries(_table(rounds), infos)
         assert [w for w, _ in entries[0].names] == ["alpha", "zeta"]
         assert report["tie_entries"] == 1
 
@@ -125,7 +129,7 @@ class TestBuildEntries:
         infos = {"a": _info("a", 2.0), "b": _info("b", 3.0)}
         rounds = [_round("a", (1, 0, 0), idx=i) for i in range(5)]
         rounds.append(_round("b", (1, 0, 0), idx=9))
-        entries, _ = build_entries(Rounds.from_clean(rounds), infos)
+        entries, _ = build_entries(_table(rounds), infos)
         assert len(entries) == 1
         assert len(entries[0].names) == 2
 
@@ -261,7 +265,7 @@ def _stimulus_fixture_pieces(n_chips=12):
         key = (i, 0, 0)
         rounds.append(_round("broad", key, ease=0.5 + i, game="a", idx=i))
         rounds.append(_round(word, key, ease=0.5 + i, game="b", idx=i))
-    entries, _ = build_entries(Rounds.from_clean(rounds), infos)
+    entries, _ = build_entries(_table(rounds), infos)
     return rounds, entries, infos
 
 
@@ -269,7 +273,7 @@ class TestGenerateStimuli:
     def test_uniform_ease_fills_each_bin(self):
         rounds, entries, infos = _stimulus_fixture_pieces(10)
         picked = [r for r in rounds if r.game_id == "a"]
-        stimuli, report = generate_stimuli(Rounds.from_clean(picked), entries, infos,
+        stimuli, report = generate_stimuli(_table(picked), entries, infos,
                                            n=10, bins=10, seed=0)
         assert [s.bin_index for s in stimuli] == list(range(10))
         assert report["bin_counts"] == [1] * 10
@@ -279,14 +283,14 @@ class TestGenerateStimuli:
     def test_divisibility_enforced(self):
         rounds, entries, infos = _stimulus_fixture_pieces(10)
         with pytest.raises(ValueError, match="divide"):
-            generate_stimuli(Rounds.from_clean(rounds), entries, infos, n=10, bins=3)
+            generate_stimuli(_table(rounds), entries, infos, n=10, bins=3)
         with pytest.raises(ValueError, match="positive"):
-            generate_stimuli(Rounds.from_clean(rounds), entries, infos, n=0, bins=1)
+            generate_stimuli(_table(rounds), entries, infos, n=0, bins=1)
 
     def test_too_few_eligible_rounds(self):
         rounds, entries, infos = _stimulus_fixture_pieces(4)
         with pytest.raises(SimulationError, match="eligible"):
-            generate_stimuli(Rounds.from_clean(rounds), entries, infos, n=20, bins=4)
+            generate_stimuli(_table(rounds), entries, infos, n=20, bins=4)
 
     def test_deficits_move_to_nearest_bins(self):
         infos = {"broad": _info("broad", 1.5), "w": _info("w", 3.0)}
@@ -295,9 +299,9 @@ class TestGenerateStimuli:
         for i, ease in enumerate(eases):
             rounds.append(_round("broad", (i, 0, 0), ease=ease, idx=i))
             rounds.append(_round("w", (i, 0, 0), ease=ease, idx=i + 100))
-        entries, _ = build_entries(Rounds.from_clean(rounds), infos)
+        entries, _ = build_entries(_table(rounds), infos)
         picked = [r for r in rounds if r.round_index < 100]
-        stimuli, report = generate_stimuli(Rounds.from_clean(picked), entries, infos,
+        stimuli, report = generate_stimuli(_table(picked), entries, infos,
                                            n=8, bins=4, seed=1)
         assert report["bin_counts"] == [6, 0, 0, 2]
         assert report["underpopulated_bins"] == [1, 2]
@@ -344,7 +348,7 @@ class TestGenerateStimuli:
     def test_single_name_chip_gets_no_alternatives(self):
         rounds, entries, infos = _stimulus_fixture_pieces(10)
         lone = _round("broad", (99, 0, 0), ease=5.0, game="c", idx=999)
-        stimuli, _ = generate_stimuli(Rounds.from_clean([lone] + rounds), entries, infos,
+        stimuli, _ = generate_stimuli(_table([lone] + rounds), entries, infos,
                                       n=21, bins=1, seed=0)
         solo = [s for s in stimuli if s.target_key == (99, 0, 0)]
         assert len(solo) == 1
