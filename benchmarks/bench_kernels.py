@@ -5,14 +5,17 @@ that they agree exactly, and prints the best-of-repeat time of each.
 The spread and simulation kernels are checked against
 tests/test_kernels.py; the random-intercept profile likelihood and the
 per-group statistics against `reference_profile` and
-`reference_group_stats` in tests/test_regress.py; the columnar
-clean-rounds reader against the per-row reader in
-tests/_rounds_oracle.py. Usage, from the root of a checkout:
+`reference_group_stats` in tests/test_regress.py; the batch colour
+conversion against hsl_to_srgb + srgb_to_lab over the whole integer
+HSL grid; the columnar `clean` and clean-rounds reader against the
+per-row code in tests/_rounds_oracle.py. Usage, from the root of a
+checkout:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py
 
 The simulation oracle is a Python double loop over all ordered pairs
-(about a minute at 6,000 referents).
+(about a minute at 6,000 referents), and the scalar conversion of the
+3,672,360 grid chips takes about half a minute.
 """
 
 import io
@@ -26,7 +29,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from _rounds_oracle import (  # noqa: E402
     clean_rows,
+    oracle_clean,
     oracle_read_clean_rounds,
+    oracle_write_clean_rounds,
     rounds_rows,
 )
 from test_kernels import oracle_mean_pairwise, reference_simulate  # noqa: E402
@@ -37,7 +42,13 @@ from test_regress import (  # noqa: E402
 )
 
 from colorlex import corpus, kernels, regress  # noqa: E402
-from colorlex.colorspace import LabColor  # noqa: E402
+from colorlex.colorspace import (  # noqa: E402
+    HslColor,
+    LabColor,
+    hsl_to_lab_array,
+    hsl_to_srgb,
+    srgb_to_lab,
+)
 
 
 def _spread_case(n: int, seed: int):
@@ -111,8 +122,38 @@ def _clean_table(n_rows: int, seed: int) -> str:
         for i, (w, k, v, e) in enumerate(zip(words.tolist(), keys, lab, ease))
     ]
     buffer = io.StringIO()
-    corpus.write_clean_rounds(buffer, rows, "# colorlex bench")
+    corpus.write_clean_rounds(buffer, corpus.Rounds.from_clean(rows),
+                              "# colorlex bench")
     return buffer.getvalue()
+
+
+def _raw_rounds(n_rows: int, seed: int) -> list:
+    """n_rows raw rounds on the integer HSL grid: 606 Zipf-weighted
+    words, one utterance in ten of two words, one round in ten failed."""
+    rng = np.random.default_rng(seed)
+    weights = 1.0 / np.arange(1, 607)
+    words = rng.choice(606, size=n_rows, p=weights / weights.sum()).tolist()
+    two_words = (rng.random(n_rows) < 0.1).tolist()
+    correct = (rng.random(n_rows) >= 0.1).tolist()
+    hsl = np.stack([rng.integers(0, 360, (n_rows, 3)),
+                    rng.integers(0, 101, (n_rows, 3)),
+                    rng.integers(0, 101, (n_rows, 3))], axis=2).tolist()
+    return [
+        corpus.RawRound(
+            game_id=f"g{i // 50}", round_index=i % 50 + 1,
+            utterance=f"light w{w}" if two else f"W{w}!",
+            target=HslColor(*_fraction(chips[0])),
+            distractor1=HslColor(*_fraction(chips[1])),
+            distractor2=HslColor(*_fraction(chips[2])),
+            listener_correct=ok, speaker_id=f"s{i // 50}")
+        for i, (w, two, ok, chips) in enumerate(
+            zip(words, two_words, correct, hsl))
+    ]
+
+
+def _fraction(chip: list[int]) -> tuple[float, float, float]:
+    h, s, l = chip
+    return float(h), s / 100.0, l / 100.0
 
 
 def _best(fn, repeat: int, number: int = 1) -> float:
@@ -189,6 +230,46 @@ def bench_read_clean_rounds(n_rows: int, seed: int) -> None:
     _line("  and its target Lab block", t_lab, t_oracle, "columns")
 
 
+def bench_hsl_grid() -> None:
+    """Every integer-grid chip, converted 36 hues at a time."""
+    t_batch = t_scalar = 0.0
+    for h0 in range(0, 360, 36):
+        h, s, l = (a.ravel() for a in np.meshgrid(
+            np.arange(h0, h0 + 36, dtype=np.float64),
+            np.arange(101) / 100.0, np.arange(101) / 100.0, indexing="ij"))
+        got, seconds = _best(lambda: hsl_to_lab_array(h, s, l), repeat=1)
+        t_batch += seconds
+        chips = [HslColor(*c) for c in zip(h.tolist(), s.tolist(),
+                                           l.tolist())]
+        want, seconds = _best(lambda: [srgb_to_lab(hsl_to_srgb(c))
+                                       for c in chips], repeat=1)
+        t_scalar += seconds
+        want = np.array([(c.l_star, c.a_star, c.b_star) for c in want])
+        assert (got.view(np.uint64) == want.view(np.uint64)).all(), (
+            f"hsl_to_lab_array disagrees at hues {h0}-{h0 + 35}")
+    _line("hsl_to_lab_array grid n=3,672,360", t_batch, t_scalar, "batch")
+
+
+def bench_clean(n_rows: int, seed: int) -> None:
+    raw = _raw_rounds(n_rows, seed)
+    got, t_clean = _best(lambda: corpus.clean(raw), repeat=3)
+    want, t_oracle = _best(lambda: oracle_clean(raw), repeat=1)
+    assert repr(list(got)) == repr(want), "clean disagrees with oracle_clean"
+    written, t_write = _best(lambda: _write(corpus.write_clean_rounds, got),
+                             repeat=3)
+    oracle_written, t_oracle_write = _best(
+        lambda: _write(oracle_write_clean_rounds, want), repeat=3)
+    assert written == oracle_written, "written clean rounds differ"
+    _line(f"clean n={n_rows}", t_clean, t_oracle, "columns")
+    _line("  write_clean_rounds", t_write, t_oracle_write, "columns")
+
+
+def _write(writer, rounds) -> str:
+    buffer = io.StringIO()
+    writer(buffer, rounds, "# colorlex bench")
+    return buffer.getvalue()
+
+
 def main() -> None:
     print(f"backend {kernels.backend_name()}, numpy {np.__version__}")
     bench_spread(100, 1)
@@ -201,6 +282,8 @@ def main() -> None:
     # The vocab47k shape: 40k regression rows, nearly all singletons.
     bench_group_stats(39_000, 40_000, 9)
     bench_read_clean_rounds(47_000, 10)
+    bench_clean(47_000, 11)
+    bench_hsl_grid()
 
 
 if __name__ == "__main__":

@@ -102,7 +102,7 @@ def cmd_ingest(cfg: RunConfig, args) -> None:
         "n_raw": len(raw),
         "n_rejected": len(rejects),
         "n_clean": len(rounds),
-        "n_chips": len({r.target_key for r in rounds}),
+        "n_chips": len(rounds.chip_keys),
     })
     print(f"ingested {len(raw)} rounds ({len(rejects)} rejected), "
           f"{len(rounds)} clean")

@@ -14,6 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+
+import numpy as np
 
 __all__ = [
     "HslColor",
@@ -21,13 +24,14 @@ __all__ = [
     "LabColor",
     "hsl_to_srgb",
     "srgb_to_lab",
+    "hsl_to_lab_array",
     "lab_to_srgb",
     "lab_distance",
     "normalize_hue",
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HslColor:
     """Hue in degrees [0, 360), saturation and lightness as fractions."""
 
@@ -44,7 +48,7 @@ class HslColor:
             raise ValueError(f"lightness {self.l!r} outside [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SrgbColor:
     """Gamma-encoded sRGB channels as fractions in [0, 1]."""
 
@@ -59,7 +63,7 @@ class SrgbColor:
                 raise ValueError(f"channel {name}={v!r} outside [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabColor:
     """CIELAB coordinates: L* lightness, a*/b* opponent channels."""
 
@@ -149,6 +153,55 @@ def srgb_to_lab(c: SrgbColor) -> LabColor:
         for m, w in zip(_SRGB_TO_XYZ, _WHITE)
     )
     return LabColor(116.0 * fy - 16.0, 500.0 * (fx - fy), 200.0 * (fy - fz))
+
+
+def _pow(base: np.ndarray, exponent: float) -> np.ndarray:
+    """base ** exponent per element, through the libm pow that float **
+    calls: np.power and np.cbrt may round some results differently."""
+    return np.array(list(map(pow, base.tolist(), repeat(exponent))),
+                    dtype=np.float64)
+
+
+def hsl_to_lab_array(h, s, l) -> np.ndarray:
+    """The CIELAB rows, as an (n, 3) float64 array, of n HSL chips given
+    as three arrays of valid HslColor fields.
+
+    Row i is bit for bit srgb_to_lab(hsl_to_srgb(HslColor(h[i], s[i],
+    l[i]))): the same operations run in the same order on whole arrays,
+    and only the two powers go element by element (see _pow).
+    """
+    h, s, l = (np.asarray(v, dtype=np.float64) for v in (h, s, l))
+    # hsl_to_srgb
+    chroma = (1.0 - np.abs(2.0 * l - 1.0)) * s
+    hp = h / 60.0
+    x = chroma * (1.0 - np.abs(np.fmod(hp, 2.0) - 1.0))
+    zero = np.zeros_like(x)
+    sector = np.digitize(hp, (1.0, 2.0, 3.0, 4.0, 5.0))
+    m = l - chroma / 2.0
+    rgb = np.stack([
+        np.choose(sector, (chroma, x, zero, zero, x, chroma)) + m,
+        np.choose(sector, (x, chroma, chroma, x, zero, zero)) + m,
+        np.choose(sector, (zero, zero, x, chroma, chroma, x)) + m,
+    ])
+    off = ~((0.0 <= rgb) & (rgb <= 1.0)).all(axis=0)
+    if off.any():
+        # min(1.0, max(0.0, v)), -0.0 included
+        v = rgb[:, off]
+        v = np.where(v > 0.0, v, 0.0)
+        rgb[:, off] = np.where(v < 1.0, v, 1.0)
+    # srgb_to_lab
+    lin = rgb / 12.92
+    high = rgb > 0.04045
+    lin[high] = _pow((rgb[high] + 0.055) / 1.055, 2.4)
+    rl, gl, bl = lin
+    t = np.stack([(row[0] * rl + row[1] * gl + row[2] * bl) / w
+                  for row, w in zip(_SRGB_TO_XYZ, _WHITE)])
+    f = _F_SLOPE * t + 4.0 / 29.0
+    high = t > _DELTA_CUBED
+    f[high] = _pow(t[high], 1.0 / 3.0)
+    fx, fy, fz = f
+    return np.column_stack(
+        [116.0 * fy - 16.0, 500.0 * (fx - fy), 200.0 * (fy - fz)])
 
 
 def lab_to_srgb(c: LabColor) -> SrgbColor:

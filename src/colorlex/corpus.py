@@ -9,8 +9,10 @@ normalized token, converts chips to CIELAB and computes context ease
 (distance from the target to its closest distractor: the smaller, the
 harder the round).
 
-The stages after ingestion read the clean rounds back as one columnar
-`Rounds` table rather than one object per round.
+Cleaning returns, and the stages after ingestion read back, one
+columnar `Rounds` table rather than one object per round. Its rows
+iterate as `CleanRound` objects for inspection; the pipeline reads the
+columns.
 
 Chip identity: source corpora draw chips on an integer HSL grid
 (hue in degrees, saturation/lightness in percent), so a chip's key is
@@ -21,21 +23,15 @@ its grid triple, quantized before any color conversion. This makes
 from __future__ import annotations
 
 import csv
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .colorspace import (
-    HslColor,
-    LabColor,
-    hsl_to_srgb,
-    lab_distance,
-    normalize_hue,
-    srgb_to_lab,
-)
+from .colorspace import HslColor, LabColor, hsl_to_lab_array, normalize_hue
 from .errors import ColorlexError
 
 __all__ = [
@@ -51,7 +47,6 @@ __all__ = [
     "ingest",
     "normalize_utterance",
     "clean",
-    "context_ease",
     "build_denotations",
     "repeated_chip_subset",
     "format_chip_key",
@@ -75,7 +70,7 @@ class SchemaError(ColorlexError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RawRound:
     """One reference-game round as found in the corpus."""
 
@@ -89,7 +84,7 @@ class RawRound:
     speaker_id: str | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CleanRound:
     """A successfully solved round whose utterance was a single token."""
 
@@ -112,7 +107,7 @@ class Denotation:
     chips: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RejectedRow:
     """A row that failed schema validation, with the file line it ends on."""
 
@@ -251,11 +246,6 @@ def normalize_utterance(
     return tokens
 
 
-def context_ease(target: LabColor, d1: LabColor, d2: LabColor) -> float:
-    """Distance from the target to its closest (hardest) distractor."""
-    return min(lab_distance(target, d1), lab_distance(target, d2))
-
-
 def chip_key(c: HslColor) -> ChipKey:
     """Quantize a chip to the corpus's native integer HSL grid."""
     return (
@@ -265,37 +255,60 @@ def chip_key(c: HslColor) -> ChipKey:
     )
 
 
-def _to_lab(c: HslColor) -> LabColor:
-    return srgb_to_lab(hsl_to_srgb(c))
+def _lab_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """colorspace.lab_distance of each row pair of two (n, 3) arrays."""
+    d = a - b
+    dl, da, db = d[:, 0], d[:, 1], d[:, 2]
+    return np.sqrt(dl * dl + da * da + db * db)
 
 
 def clean(
     rounds: Iterable[RawRound], spellmap: Mapping[str, str] | None = None
-) -> list[CleanRound]:
-    """Keep rounds solved with exactly one token; convert colors to Lab."""
-    out: list[CleanRound] = []
+) -> Rounds:
+    """Keep rounds solved with exactly one token; convert colors to Lab.
+
+    Context ease is the distance from the target to its closest
+    (hardest) distractor. All kept chips are converted in one
+    hsl_to_lab_array call, and each distinct utterance is normalized
+    once.
+    """
+    words: dict[str, str | None] = {}  # utterance -> its one token
+    kept: list[RawRound] = []
+    kept_words: list[str] = []
     for r in rounds:
         if not r.listener_correct:
             continue
-        tokens = normalize_utterance(r.utterance, spellmap)
-        if len(tokens) != 1:
-            continue
-        target = _to_lab(r.target)
-        d1 = _to_lab(r.distractor1)
-        d2 = _to_lab(r.distractor2)
-        out.append(
-            CleanRound(
-                word=tokens[0],
-                target=target,
-                distractors=(d1, d2),
-                context_ease=context_ease(target, d1, d2),
-                target_key=chip_key(r.target),
-                speaker_id=r.speaker_id,
-                game_id=r.game_id,
-                round_index=r.round_index,
-            )
-        )
-    return out
+        if r.utterance not in words:
+            tokens = normalize_utterance(r.utterance, spellmap)
+            words[r.utterance] = tokens[0] if len(tokens) == 1 else None
+        word = words[r.utterance]
+        if word is not None:
+            kept.append(r)
+            kept_words.append(word)
+    n = len(kept)
+    chips = ([r.target for r in kept] + [r.distractor1 for r in kept]
+             + [r.distractor2 for r in kept])
+    h, s, l = (np.fromiter(map(operator.attrgetter(f), chips), np.float64,
+                           3 * n) for f in "hsl")
+    target, d1, d2 = hsl_to_lab_array(h, s, l).reshape(3, n, 3)
+    e1, e2 = _lab_distance(target, d1), _lab_distance(target, d2)
+    # chip_key of each target; rint rounds half to even, as round does
+    keys = np.column_stack([np.rint(h[:n]).astype(np.int64) % 360,
+                            np.rint(s[:n] * 100.0).astype(np.int64),
+                            np.rint(l[:n] * 100.0).astype(np.int64)])
+    chip_keys, chip_ids = _chip_table(keys)
+    word_ids, vocab = _dense_ids(kept_words)
+    return Rounds(
+        vocab=tuple(vocab),
+        word_ids=word_ids,
+        chip_keys=chip_keys,
+        chip_ids=chip_ids,
+        ease=np.where(e2 < e1, e2, e1),  # min(e1, e2)
+        game_ids=[r.game_id for r in kept],
+        speaker_ids=[r.speaker_id or "" for r in kept],
+        round_indices=[r.round_index for r in kept],
+        lab=(target, d1, d2),
+    )
 
 
 def _dense_ids(values: Sequence) -> tuple[np.ndarray, list]:
@@ -390,14 +403,16 @@ class Rounds:
       keeps them as text and converts a block on its first access, so
       a stage that reads no Lab converts none.
 
-    Rounds.from_clean builds the table from the rows `clean` returns.
+    `clean` returns this table, and Rounds.from_clean builds it from
+    CleanRound rows. Iterating over it, or indexing it with an int,
+    yields its rounds as CleanRound rows.
     """
 
     def __init__(self, *, vocab: tuple[str, ...], word_ids: np.ndarray,
                  chip_keys: np.ndarray, chip_ids: np.ndarray,
                  ease: np.ndarray, game_ids: list[str],
                  speaker_ids: list[str], round_indices: list[int],
-                 lab: _LabText | None):
+                 lab: _LabText | Sequence[np.ndarray]):
         self.vocab = vocab
         self.word_ids = word_ids
         self.chip_keys = chip_keys
@@ -406,7 +421,11 @@ class Rounds:
         self.game_ids = game_ids
         self.speaker_ids = speaker_ids
         self.round_indices = round_indices
-        self._lab = lab
+        if isinstance(lab, _LabText):
+            self._lab = lab
+        else:  # the three blocks as arrays: fill the cached properties
+            self._lab = None
+            self.target, self.distractor1, self.distractor2 = lab
 
     @classmethod
     def from_clean(cls, rows: Sequence[CleanRound]) -> Rounds:
@@ -415,7 +434,7 @@ class Rounds:
         key_ids, keys = _dense_ids([r.target_key for r in rows])
         chip_keys, chip_ids = _chip_table(
             np.array(keys, dtype=np.int64).reshape(-1, 3))
-        rounds = cls(
+        return cls(
             vocab=tuple(vocab),
             word_ids=word_ids,
             chip_keys=chip_keys,
@@ -424,18 +443,40 @@ class Rounds:
             game_ids=[r.game_id for r in rows],
             speaker_ids=[r.speaker_id or "" for r in rows],
             round_indices=[r.round_index for r in rows],
-            lab=None,
+            lab=[np.array([(c.l_star, c.a_star, c.b_star) for c in colors],
+                          dtype=np.float64).reshape(-1, 3)
+                 for colors in ([r.target for r in rows],
+                                [r.distractors[0] for r in rows],
+                                [r.distractors[1] for r in rows])],
         )
-        # The Lab blocks are known already: fill the cached properties.
-        for k, name in enumerate(_LAB_BLOCKS):
-            colors = [(r.target, *r.distractors)[k] for r in rows]
-            rounds.__dict__[name] = np.array(
-                [(c.l_star, c.a_star, c.b_star) for c in colors],
-                dtype=np.float64).reshape(-1, 3)
-        return rounds
 
     def __len__(self) -> int:
         return len(self.word_ids)
+
+    def __iter__(self) -> Iterator[CleanRound]:
+        keys = [tuple(k) for k in self.chip_keys.tolist()]
+        targets, d1s, d2s = (
+            [LabColor(*v) for v in block.tolist()]
+            for block in (self.target, self.distractor1, self.distractor2))
+        for (word, chip, ease, target, d1, d2, speaker, game,
+             index) in zip(self.word_ids.tolist(), self.chip_ids.tolist(),
+                           self.ease.tolist(), targets, d1s, d2s,
+                           self.speaker_ids, self.game_ids,
+                           self.round_indices):
+            yield CleanRound(
+                word=self.vocab[word],
+                target=target,
+                distractors=(d1, d2),
+                context_ease=ease,
+                target_key=keys[chip],
+                speaker_id=speaker or None,
+                game_id=game,
+                round_index=index,
+            )
+
+    def __getitem__(self, i: int) -> CleanRound:
+        i = range(len(self))[operator.index(i)]  # a list's IndexError and sign rule
+        return next(iter(self.take([i])))
 
     @cached_property
     def target(self) -> np.ndarray:
@@ -454,6 +495,7 @@ class Rounds:
         text not yet converted stays text."""
         index = np.asarray(index, dtype=np.intp)
         rows = index.tolist()
+        lab = self._lab
         out = Rounds(
             vocab=self.vocab,
             word_ids=self.word_ids[index],
@@ -463,11 +505,13 @@ class Rounds:
             game_ids=[self.game_ids[i] for i in rows],
             speaker_ids=[self.speaker_ids[i] for i in rows],
             round_indices=[self.round_indices[i] for i in rows],
-            lab=None if self._lab is None else self._lab.take(index),
+            lab=([getattr(self, name)[index] for name in _LAB_BLOCKS]
+                 if lab is None else lab.take(index)),
         )
-        for name in _LAB_BLOCKS:
-            if name in self.__dict__:
-                out.__dict__[name] = self.__dict__[name][index]
+        if lab is not None:
+            for name in _LAB_BLOCKS:
+                if name in self.__dict__:
+                    out.__dict__[name] = self.__dict__[name][index]
         return out
 
 
@@ -582,14 +626,20 @@ def format_chip_key(key: ChipKey) -> str:
 
 
 def write_clean_rounds(
-    handle: TextIO, rounds: Iterable[CleanRound], header_comment: str
+    handle: TextIO, rounds: Rounds, header_comment: str
 ) -> None:
     """Write clean rounds as a stage table, repr-precision floats."""
-    write_table(handle, header_comment, _CLEAN_COLUMNS, (
-        [r.game_id, str(r.round_index), r.speaker_id or "", r.word,
-         format_chip_key(r.target_key), repr(r.context_ease),
-         *lab_fields(r.target, *r.distractors)]
-        for r in rounds
+    keys = [format_chip_key(k) for k in rounds.chip_keys.tolist()]
+    write_table(handle, header_comment, _CLEAN_COLUMNS, zip(
+        rounds.game_ids,
+        map(str, rounds.round_indices),
+        rounds.speaker_ids,
+        [rounds.vocab[w] for w in rounds.word_ids.tolist()],
+        [keys[c] for c in rounds.chip_ids.tolist()],
+        map(repr, rounds.ease.tolist()),
+        *(map(repr, column)
+          for block in (rounds.target, rounds.distractor1, rounds.distractor2)
+          for column in block.T.tolist()),
     ))
 
 

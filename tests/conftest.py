@@ -242,17 +242,17 @@ def fixture_corpus(tmp_path_factory) -> SimpleNamespace:
 
 
 @pytest.fixture(scope="session")
-def fixture_clean(fixture_corpus) -> list[CleanRound]:
-    """The fixture corpus's clean rounds, as `clean` returns them."""
+def fixture_rounds(fixture_corpus) -> Rounds:
+    """The fixture corpus's clean rounds, as the table `clean` returns."""
     raw, rejects = ingest(fixture_corpus.csv)
     assert len(rejects) == fixture_corpus.n_rejects
     return clean(raw)
 
 
 @pytest.fixture(scope="session")
-def fixture_rounds(fixture_clean) -> Rounds:
-    """The same rounds as the table the analysis stages take."""
-    return Rounds.from_clean(fixture_clean)
+def fixture_clean(fixture_rounds) -> list[CleanRound]:
+    """The same rounds as CleanRound rows."""
+    return list(fixture_rounds)
 
 
 @pytest.fixture(scope="session")
@@ -375,7 +375,7 @@ def _load_real(lang: str, min_count: int, tmp_path_factory) -> SimpleNamespace:
     dst = tmp_path_factory.mktemp(f"corpus_{lang}") / "canonical.csv"
     to_canonical(src, dst)
     raw, _ = ingest(dst)
-    rounds = Rounds.from_clean(clean(raw))
+    rounds = clean(raw)
     denotations = build_denotations(rounds, min_count)
     infos = compute_word_infos(denotations, SamplingConfig(seed=0))
     return SimpleNamespace(

@@ -1,9 +1,11 @@
 """Color conversions against independent oracles and basic geometry."""
 
 import colorsys
+import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 from _labref import srgb_to_lab_decimal
 from hypothesis import example, given, settings
@@ -13,6 +15,7 @@ from colorlex.colorspace import (
     HslColor,
     LabColor,
     SrgbColor,
+    hsl_to_lab_array,
     hsl_to_srgb,
     lab_distance,
     lab_to_srgb,
@@ -141,6 +144,75 @@ class TestSrgbToLab:
         rgb = lab_to_srgb(LabColor(50.0, 200.0, -200.0))
         for v in (rgb.r, rgb.g, rgb.b):
             assert 0.0 <= v <= 1.0
+
+
+def _assert_batch_bits(chips):
+    """hsl_to_lab_array equals the scalar path bit for bit on chips."""
+    got = hsl_to_lab_array([c.h for c in chips], [c.s for c in chips],
+                           [c.l for c in chips])
+    want = np.array([
+        (lab.l_star, lab.a_star, lab.b_star)
+        for lab in (srgb_to_lab(hsl_to_srgb(c)) for c in chips)
+    ], dtype=np.float64).reshape(-1, 3)
+    assert got.shape == want.shape
+    bad = np.flatnonzero(
+        (got.view(np.uint64) != want.view(np.uint64)).any(axis=1))
+    assert bad.size == 0, [(chips[i], got[i], want[i]) for i in bad[:3]]
+
+
+class TestHslToLabArray:
+    def test_clamped_grid_chips(self):
+        # the 2,520 integer-grid chips whose channels hsl_to_srgb clamps
+        _assert_batch_bits([HslColor(float(h), 1.0, l_pct / 100.0)
+                            for l_pct in (1, 2, 3, 8, 15, 16, 17)
+                            for h in range(360)])
+
+    def test_sector_boundaries(self):
+        hues = [v for k in range(7)
+                for v in (math.nextafter(60.0 * k, -1.0), 60.0 * k,
+                          math.nextafter(60.0 * k, 361.0))
+                if 0.0 <= v < 360.0]
+        fractions = (0.0, 0.01, 0.37, 0.5, 0.93, 1.0)
+        _assert_batch_bits([HslColor(h, s, l) for h in hues
+                            for s in fractions for l in fractions])
+
+    def test_hue_just_below_360(self):
+        # the largest valid hue; h / 60 is the largest double below 6.0
+        h = 359.99999999999994
+        assert h == math.nextafter(360.0, 0.0)
+        assert h / 60.0 == math.nextafter(6.0, 0.0)
+        _assert_batch_bits([HslColor(h, s, l) for s in (0.2, 1.0)
+                            for l in (0.05, 0.5, 0.95)])
+
+    def test_signed_zeros_and_subnormals(self):
+        values = (0.0, -0.0, 5e-324, 1e-310)
+        chips = [HslColor(h, s, l) for h in values for s in values
+                 for l in values + (0.5, 1.0)]
+        _assert_batch_bits(chips)
+
+    def test_seeded_sample(self):
+        rng = np.random.default_rng(405)
+        h, s, l = (rng.uniform(0.0, 360.0, 10_000) % 360.0,
+                   rng.random(10_000), rng.random(10_000))
+        _assert_batch_bits([HslColor(*c) for c in zip(
+            h.tolist(), s.tolist(), l.tolist())])
+
+    def test_empty(self):
+        assert hsl_to_lab_array([], [], []).shape == (0, 3)
+
+
+class TestSlots:
+    @pytest.mark.parametrize("color", [
+        HslColor(10.0, 0.5, 0.5), SrgbColor(0.1, 0.2, 0.3),
+        LabColor(50.0, -1.0, 2.0)])
+    def test_frozen_and_hashed_by_value(self, color):
+        copy = dataclasses.replace(color)
+        assert copy == color and copy is not color
+        assert hash(copy) == hash(color)
+        assert len({color, copy}) == 1
+        assert not hasattr(color, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(color, dataclasses.fields(color)[0].name, 0.0)
 
 
 class TestLabDistance:

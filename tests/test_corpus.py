@@ -1,26 +1,40 @@
 """Ingestion, normalization, cleaning and denotation building."""
 
 import csv
+import dataclasses
 import io
+import math
 import re
 
 import numpy as np
 import pytest
-from _rounds_oracle import clean_rows, oracle_read_clean_rounds, rounds_rows
-from hypothesis import HealthCheck, given, settings
+from _rounds_oracle import (
+    clean_rows,
+    oracle_clean,
+    oracle_read_clean_rounds,
+    oracle_write_clean_rounds,
+    rounds_rows,
+)
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from colorlex.colorspace import HslColor, LabColor, lab_distance
+from colorlex.colorspace import (
+    HslColor,
+    LabColor,
+    hsl_to_srgb,
+    lab_distance,
+    srgb_to_lab,
+)
 from colorlex.corpus import (
     DEFAULT_SCHEMA,
     CleanRound,
     RawRound,
+    RejectedRow,
     Rounds,
     SchemaError,
     build_denotations,
     chip_key,
     clean,
-    context_ease,
     ingest,
     normalize_utterance,
     read_clean_rounds,
@@ -277,13 +291,23 @@ class TestChipKey:
         assert chip_key(HslColor(359.7, 1.0, 0.5)) == (0, 100, 50)
 
 
+def _raw_round(target, d1, d2, utterance="blue", correct=True,
+               speaker="s1", game="g1", idx=1):
+    return RawRound(game_id=game, round_index=idx, utterance=utterance,
+                    target=target, distractor1=d1, distractor2=d2,
+                    listener_correct=correct, speaker_id=speaker)
+
+
 class TestContextEase:
     def test_takes_minimum(self):
-        t = LabColor(0.0, 0.0, 0.0)
-        near = LabColor(3.0, 4.0, 0.0)
-        far = LabColor(30.0, 40.0, 0.0)
-        assert context_ease(t, near, far) == 5.0
-        assert context_ease(t, far, near) == 5.0
+        t = HslColor(0.0, 0.5, 0.5)
+        near = HslColor(10.0, 0.5, 0.5)
+        far = HslColor(200.0, 0.5, 0.5)
+        lab = {c: srgb_to_lab(hsl_to_srgb(c)) for c in (t, near, far)}
+        want = lab_distance(lab[t], lab[near])
+        assert want < lab_distance(lab[t], lab[far])
+        rounds = clean([_raw_round(t, near, far), _raw_round(t, far, near)])
+        assert rounds.ease.tolist() == [want, want]
 
 
 def _round_with(word, key, game="g1", idx=1):
@@ -386,9 +410,9 @@ class TestPublishedCorpus:
 
 
 class TestSerialization:
-    def test_clean_rounds_round_trip(self, fixture_clean):
+    def test_clean_rounds_round_trip(self, fixture_rounds, fixture_clean):
         buffer = io.StringIO()
-        write_clean_rounds(buffer, fixture_clean, "# header line")
+        write_clean_rounds(buffer, fixture_rounds, "# header line")
         buffer.seek(0)
         assert repr(rounds_rows(read_clean_rounds(buffer))) == repr(
             clean_rows(fixture_clean))
@@ -398,7 +422,7 @@ class TestSerialization:
         rounds = [_round_with("blue", (1, 2, 3), game="#g1"),
                   _round_with("teal", (4, 5, 6), game="g#2", idx=2)]
         buffer = io.StringIO()
-        write_clean_rounds(buffer, rounds, "# header line")
+        write_clean_rounds(buffer, _rounds(*rounds), "# header line")
         buffer.seek(0)
         assert rounds_rows(read_clean_rounds(buffer)) == clean_rows(rounds)
 
@@ -406,17 +430,16 @@ class TestSerialization:
         with pytest.raises(ValueError, match="column header"):
             read_clean_rounds(io.StringIO("# header line\n"))
 
-    def test_wrong_width_is_an_error(self, fixture_clean):
+    def test_wrong_width_is_an_error(self, fixture_rounds):
         buffer = io.StringIO()
-        write_clean_rounds(buffer, fixture_clean[:2], "# header line")
+        write_clean_rounds(buffer, fixture_rounds.take([0, 1]),
+                           "# header line")
         lines = buffer.getvalue().splitlines(keepends=True)
         lines[-1] = lines[-1].rsplit("\t", 1)[0] + "\n"
         with pytest.raises(ValueError, match="14 fields, expected 15"):
             read_clean_rounds(io.StringIO("".join(lines)))
 
     def test_rejects_sanitized(self):
-        from colorlex.corpus import RejectedRow
-
         buffer = io.StringIO()
         write_rejects(buffer, [RejectedRow(5, "bad\tvalue\nhere")], "# h")
         text = buffer.getvalue()
@@ -552,7 +575,7 @@ _CLEAN_ROUNDS = st.builds(
 
 def _written(rows) -> str:
     buffer = io.StringIO()
-    write_clean_rounds(buffer, rows, "# header line")
+    write_clean_rounds(buffer, Rounds.from_clean(rows), "# header line")
     return buffer.getvalue()
 
 
@@ -641,6 +664,117 @@ class TestColumnarRead:
             with pytest.raises(ValueError,
                                match=re.escape(f"{path}:6: {message}")):
                 read_clean_rounds(handle)
+
+
+# ------------------------------------------------------ columnar clean
+
+# Hues on and one ulp either side of the sector bounds 60·k, including
+# the largest hue below 360, whose h / 60 rounds to 6.0.
+_EDGE_HUES = sorted({0.0, -0.0, 5e-324, 1e-310} | {
+    v for k in range(7)
+    for v in (math.nextafter(60.0 * k, -1.0), 60.0 * k,
+              math.nextafter(60.0 * k, 361.0))
+    if 0.0 <= v < 360.0})
+_EDGE_FRACTIONS = [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308,
+                   0.5, math.nextafter(1.0, 0.0), 1.0]
+_HSL = st.builds(
+    HslColor,
+    st.one_of(st.sampled_from(_EDGE_HUES),
+              st.floats(0.0, 360.0, exclude_max=True)),
+    st.one_of(st.sampled_from(_EDGE_FRACTIONS), st.floats(0.0, 1.0)),
+    st.one_of(st.sampled_from(_EDGE_FRACTIONS), st.floats(0.0, 1.0)),
+)
+_UTTERANCES = ["blue", "BLUE!", "bleu", "gren", "teal", "very blue",
+               "blue-green", "", " ?"]
+_RAW_ROUNDS = st.builds(
+    _raw_round, _HSL, _HSL, _HSL,
+    utterance=st.sampled_from(_UTTERANCES),
+    correct=st.booleans(),
+    speaker=st.sampled_from([None, "s1", "s#2"]),
+    game=st.sampled_from(["g1", "#g2", "g 3"]),
+    idx=st.integers(0, 50),
+)
+_SPELLMAPS = st.one_of(st.none(), st.dictionaries(
+    st.sampled_from(["bleu", "gren", "very", "blue"]),
+    st.sampled_from(["blue", "green", "teal"])))
+
+
+def _oracle_written(rows) -> str:
+    buffer = io.StringIO()
+    oracle_write_clean_rounds(buffer, rows, "# header line")
+    return buffer.getvalue()
+
+
+def _rounds_written(rounds) -> str:
+    buffer = io.StringIO()
+    write_clean_rounds(buffer, rounds, "# header line")
+    return buffer.getvalue()
+
+
+class TestCleanOracle:
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=300)
+    @given(raw=st.lists(_RAW_ROUNDS, max_size=8), spellmap=_SPELLMAPS)
+    @example(raw=[], spellmap=None)
+    def test_equals_per_row_oracle(self, raw, spellmap):
+        rounds = clean(raw, spellmap)
+        want = oracle_clean(raw, spellmap)
+        # repr tells -0.0 from 0.0, which == does not
+        assert repr(list(rounds)) == repr(want)
+        assert _rounds_written(rounds) == _oracle_written(want)
+        again = Rounds.from_clean(list(rounds))
+        assert repr(rounds_rows(again)) == repr(rounds_rows(rounds))
+        assert again.chip_keys.tolist() == rounds.chip_keys.tolist()
+        assert again.chip_ids.tolist() == rounds.chip_ids.tolist()
+
+    def test_fixture_corpus(self, fixture_corpus, fixture_rounds):
+        raw, _ = ingest(fixture_corpus.csv)
+        spellmap = read_spellmap(fixture_corpus.spellmap)
+        for rounds, want in ((fixture_rounds, oracle_clean(raw)),
+                             (clean(raw, spellmap),
+                              oracle_clean(raw, spellmap))):
+            assert repr(list(rounds)) == repr(want)
+            assert _rounds_written(rounds) == _oracle_written(want)
+
+    def test_all_dropped(self):
+        chip = HslColor(10.0, 0.5, 0.5)
+        raw = [_raw_round(chip, chip, chip, correct=False),
+               _raw_round(chip, chip, chip, utterance="very blue"),
+               _raw_round(chip, chip, chip, utterance="!")]
+        rounds = clean(raw)
+        assert len(rounds) == 0 and list(rounds) == []
+        assert rounds.vocab == ()
+        assert rounds.chip_keys.shape == (0, 3)
+        assert rounds.target.shape == rounds.distractor2.shape == (0, 3)
+        assert _rounds_written(rounds) == _oracle_written([])
+
+    def test_rows_by_index(self, fixture_rounds, fixture_clean):
+        assert fixture_rounds[0] == fixture_clean[0]
+        assert fixture_rounds[-1] == fixture_clean[-1]
+        with pytest.raises(IndexError):
+            fixture_rounds[len(fixture_clean)]
+        with pytest.raises(TypeError):
+            fixture_rounds[0:2]
+
+
+class TestSlots:
+    def test_frozen_and_hashed_by_value(self):
+        chip = HslColor(10.0, 0.5, 0.5)
+        lab = LabColor(1.0, 2.0, 3.0)
+        rows = [
+            RawRound("g1", 1, "blue", chip, chip, chip, True, None),
+            CleanRound("blue", lab, (lab, lab), 1.0, (10, 50, 50), None,
+                       "g1", 1),
+            RejectedRow(3, "bad"),
+        ]
+        for row in rows:
+            copy = dataclasses.replace(row)
+            assert copy == row and copy is not row
+            assert hash(copy) == hash(row)
+            assert not hasattr(row, "__dict__")
+            field = dataclasses.fields(row)[0].name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(row, field, None)
 
 
 class TestInfiniteHue:
