@@ -155,11 +155,17 @@ def srgb_to_lab(c: SrgbColor) -> LabColor:
     return LabColor(116.0 * fy - 16.0, 500.0 * (fx - fy), 200.0 * (fy - fz))
 
 
+_POW_BLOCK = 8192  # elements held as Python floats at a time
+
+
 def _pow(base: np.ndarray, exponent: float) -> np.ndarray:
     """base ** exponent per element, through the libm pow that float **
     calls: np.power and np.cbrt may round some results differently."""
-    return np.array(list(map(pow, base.tolist(), repeat(exponent))),
-                    dtype=np.float64)
+    out = np.empty_like(base)
+    for i in range(0, len(base), _POW_BLOCK):
+        block = base[i:i + _POW_BLOCK].tolist()
+        out[i:i + _POW_BLOCK] = list(map(pow, block, repeat(exponent)))
+    return out
 
 
 def hsl_to_lab_array(h, s, l) -> np.ndarray:

@@ -669,14 +669,14 @@ class TestColumnarRead:
 # ------------------------------------------------------ columnar clean
 
 # Hues on and one ulp either side of the sector bounds 60·k, including
-# the largest hue below 360, whose h / 60 rounds to 6.0.
-_EDGE_HUES = sorted({0.0, -0.0, 5e-324, 1e-310} | {
+# the largest hue below 360; halves, which chip keys round to even.
+_EDGE_HUES = sorted({0.0, -0.0, 5e-324, 1e-310, 0.5, 2.5, 359.5} | {
     v for k in range(7)
     for v in (math.nextafter(60.0 * k, -1.0), 60.0 * k,
               math.nextafter(60.0 * k, 361.0))
     if 0.0 <= v < 360.0})
 _EDGE_FRACTIONS = [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308,
-                   0.5, math.nextafter(1.0, 0.0), 1.0]
+                   0.125, 0.5, math.nextafter(1.0, 0.0), 1.0]
 _HSL = st.builds(
     HslColor,
     st.one_of(st.sampled_from(_EDGE_HUES),
