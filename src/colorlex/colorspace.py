@@ -191,7 +191,7 @@ def hsl_to_lab_array(h, s, l) -> np.ndarray:
     ])
     off = ~((0.0 <= rgb) & (rgb <= 1.0)).all(axis=0)
     if off.any():
-        # min(1.0, max(0.0, v)), -0.0 included
+        # hsl_to_srgb's min(1.0, max(0.0, v)), which turns -0.0 into 0.0
         v = rgb[:, off]
         v = np.where(v > 0.0, v, 0.0)
         rgb[:, off] = np.where(v < 1.0, v, 1.0)

@@ -475,7 +475,8 @@ class Rounds:
             )
 
     def __getitem__(self, i: int) -> CleanRound:
-        i = range(len(self))[operator.index(i)]  # a list's IndexError and sign rule
+        # an int only, with a list's negative indices and IndexError
+        i = range(len(self))[operator.index(i)]
         return next(iter(self.take([i])))
 
     @cached_property

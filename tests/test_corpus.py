@@ -573,10 +573,14 @@ _CLEAN_ROUNDS = st.builds(
 )
 
 
-def _written(rows) -> str:
+def _rounds_written(rounds) -> str:
     buffer = io.StringIO()
-    write_clean_rounds(buffer, Rounds.from_clean(rows), "# header line")
+    write_clean_rounds(buffer, rounds, "# header line")
     return buffer.getvalue()
+
+
+def _written(rows) -> str:
+    return _rounds_written(Rounds.from_clean(rows))
 
 
 class TestColumnarRead:
@@ -670,11 +674,11 @@ class TestColumnarRead:
 
 # Hues on and one ulp either side of the sector bounds 60·k, including
 # the largest hue below 360; halves, which chip keys round to even.
-_EDGE_HUES = sorted({0.0, -0.0, 5e-324, 1e-310, 0.5, 2.5, 359.5} | {
-    v for k in range(7)
+_EDGE_HUES = [0.0, -0.0, 5e-324, 1e-310, 0.5, 2.5, 359.5] + [
+    v for k in range(1, 7)
     for v in (math.nextafter(60.0 * k, -1.0), 60.0 * k,
               math.nextafter(60.0 * k, 361.0))
-    if 0.0 <= v < 360.0})
+    if v < 360.0]
 _EDGE_FRACTIONS = [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308,
                    0.125, 0.5, math.nextafter(1.0, 0.0), 1.0]
 _HSL = st.builds(
@@ -702,12 +706,6 @@ _SPELLMAPS = st.one_of(st.none(), st.dictionaries(
 def _oracle_written(rows) -> str:
     buffer = io.StringIO()
     oracle_write_clean_rounds(buffer, rows, "# header line")
-    return buffer.getvalue()
-
-
-def _rounds_written(rounds) -> str:
-    buffer = io.StringIO()
-    write_clean_rounds(buffer, rounds, "# header line")
     return buffer.getvalue()
 
 
