@@ -33,7 +33,6 @@ from .config import (
 )
 from .errors import ColorlexError
 from .informativeness import (
-    SamplingConfig,
     WordInfo,
     compute_word_infos,
     derive_seed,
@@ -111,13 +110,7 @@ def cmd_ingest(cfg: RunConfig, args) -> None:
 def cmd_info(cfg: RunConfig, args) -> None:
     rounds = _read_rounds(cfg)
     denotations = corpus.build_denotations(rounds, cfg.min_count)
-    sampling = SamplingConfig(
-        max_exact=cfg.max_exact,
-        sample_size=cfg.sample_size,
-        iterations=cfg.iterations,
-        seed=cfg.seed,
-    )
-    infos = compute_word_infos(denotations, sampling)
+    infos = compute_word_infos(denotations, cfg.sampling)
     ordered = sorted(infos.values(), key=lambda w: (-w.i_w, w.word))
     _write(cfg, "word_info.tsv",
            lambda h: write_word_infos(h, ordered, header_line(cfg)))

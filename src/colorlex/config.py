@@ -6,17 +6,22 @@ sections). Every output file starts with a header line carrying a
 traced back to the exact settings that produced them. The digest
 covers everything except the output directory: the same analysis
 written to two different places must produce identical bytes.
+
+Each setting is stated once, as a `RunConfig` field; `_SECTION` names
+the INI section of every field outside [run]. The accepted keys, their
+parsing and the digest are all derived from those two.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Mapping
 
 from .corpus import CANONICAL_FIELDS, DEFAULT_SCHEMA, LANGUAGE_MIN_COUNT
 from .errors import ColorlexError
+from .informativeness import SamplingConfig
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "with_overrides",
            "config_hash", "header_line"]
@@ -43,132 +48,108 @@ class RunConfig:
     seed: int = 0
     out: str = "out"
 
+    @property
+    def sampling(self) -> SamplingConfig:
+        return SamplingConfig(self.max_exact, self.sample_size,
+                              self.iterations, self.seed)
 
-_RUN_KEYS = {"input", "language", "delimiter", "hsl_scale", "spellmap",
-             "min_count", "seed", "out"}
-_SAMPLING_KEYS = {"max_exact", "sample_size", "iterations"}
+
+# The INI section of each field outside [run]. [schema] holds one key
+# per canonical corpus field, naming its column.
+_SECTION = {"schema": "schema", "max_exact": "sampling",
+            "sample_size": "sampling", "iterations": "sampling"}
+_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
-def _get_int(section, key: str, default: int) -> int:
-    if key not in section:
-        return default
+def _checked(cfg: RunConfig) -> RunConfig:
+    """Reject any setting a stage could not run with."""
+    if len(cfg.delimiter) != 1:
+        raise ConfigError(f"delimiter must be one character (or 'tab'), "
+                          f"got {cfg.delimiter!r}")
+    if cfg.hsl_scale not in ("percent", "fraction"):
+        raise ConfigError(f"hsl_scale must be percent or fraction, "
+                          f"got {cfg.hsl_scale!r}")
+    if cfg.min_count < 1:
+        raise ConfigError("min_count must be at least 1")
+    for fname, column in cfg.schema.items():
+        if column is None and fname != "speaker_id":
+            raise ConfigError(f"schema field {fname!r} cannot be empty")
     try:
-        return int(section[key])
+        cfg.sampling  # SamplingConfig checks its own fields
     except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from None
+        raise ConfigError(str(exc)) from None
+    return cfg
 
 
 def load_config(path) -> RunConfig:
     """Read and validate a run configuration file."""
     parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path, encoding="utf-8")
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except configparser.Error as exc:
+        raise ConfigError(f"{path}: {' '.join(str(exc).split())}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
-    unknown_sections = set(parser.sections()) - {"run", "schema", "sampling"}
-    if unknown_sections:
-        raise ConfigError(
-            f"unknown config sections: {sorted(unknown_sections)}"
-        )
-    if "run" not in parser or "input" not in parser["run"]:
-        raise ConfigError("config must set input in the [run] section")
-    run = parser["run"]
-    unknown = set(run) - _RUN_KEYS
+    unknown = set(parser.sections()) - {"run", *_SECTION.values()}
     if unknown:
-        raise ConfigError(f"unknown [run] keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+    if not parser.has_option("run", "input"):
+        raise ConfigError("config must set input in the [run] section")
 
-    language = run.get("language", "english").strip().lower()
-    delimiter = run.get("delimiter", ",")
-    if delimiter == "tab":
-        delimiter = "\t"
-    if len(delimiter) != 1:
-        raise ConfigError(
-            f"delimiter must be one character (or 'tab'), got {delimiter!r}"
-        )
-    hsl_scale = run.get("hsl_scale", "percent")
-    if hsl_scale not in ("percent", "fraction"):
-        raise ConfigError(f"hsl_scale must be percent or fraction, "
-                          f"got {hsl_scale!r}")
-    if "min_count" in run:
-        min_count = _get_int(run, "min_count", 0)
-    elif language in LANGUAGE_MIN_COUNT:
-        min_count = LANGUAGE_MIN_COUNT[language]
-    else:
-        raise ConfigError(
-            f"no default word-frequency threshold for language "
-            f"{language!r}; set min_count explicitly"
-        )
-    if min_count < 1:
-        raise ConfigError("min_count must be at least 1")
-
-    schema: dict[str, str | None] = dict(DEFAULT_SCHEMA)
-    if "schema" in parser:
-        for fname, column in parser["schema"].items():
-            if fname not in CANONICAL_FIELDS:
-                raise ConfigError(f"unknown schema field {fname!r}")
-            schema[fname] = column.strip() or None
-        for fname, column in schema.items():
-            if column is None and fname != "speaker_id":
-                raise ConfigError(f"schema field {fname!r} cannot be empty")
-
-    max_exact, sample_size, iterations = 100, 100, 30
-    if "sampling" in parser:
-        sampling = parser["sampling"]
-        unknown = set(sampling) - _SAMPLING_KEYS
+    values: dict = {"schema": dict(DEFAULT_SCHEMA)}
+    for section in parser.sections():
+        if section == "schema":
+            keys = set(CANONICAL_FIELDS)
+        else:
+            keys = {name for name in _TYPES
+                    if _SECTION.get(name, "run") == section}
+        unknown = set(parser[section]) - keys
         if unknown:
-            raise ConfigError(f"unknown [sampling] keys: {sorted(unknown)}")
-        max_exact = _get_int(sampling, "max_exact", max_exact)
-        sample_size = _get_int(sampling, "sample_size", sample_size)
-        iterations = _get_int(sampling, "iterations", iterations)
+            raise ConfigError(f"unknown [{section}] keys: {sorted(unknown)}")
+        for key, text in parser[section].items():
+            if section == "schema":
+                values["schema"][key] = text or None
+            elif _TYPES[key] == "int":
+                try:
+                    values[key] = int(text)
+                except ValueError as exc:
+                    raise ConfigError(f"{key}: {exc}") from None
+            else:
+                values[key] = text
 
-    seed = _get_int(run, "seed", 0)
-    if seed < 0:
-        raise ConfigError("seed must be nonnegative")
-    return RunConfig(
-        input=run["input"],
-        language=language,
-        delimiter=delimiter,
-        hsl_scale=hsl_scale,
-        spellmap=run.get("spellmap") or None,
-        min_count=min_count,
-        schema=schema,
-        max_exact=max_exact,
-        sample_size=sample_size,
-        iterations=iterations,
-        seed=seed,
-        out=run.get("out", "out"),
-    )
+    language = values.get("language", RunConfig.language).lower()
+    values["language"] = language
+    if values.get("delimiter") == "tab":
+        values["delimiter"] = "\t"
+    values["spellmap"] = values.get("spellmap") or None
+    if "min_count" not in values:
+        if language not in LANGUAGE_MIN_COUNT:
+            raise ConfigError(
+                f"no default word-frequency threshold for language "
+                f"{language!r}; set min_count explicitly"
+            )
+        values["min_count"] = LANGUAGE_MIN_COUNT[language]
+    return _checked(RunConfig(**values))
 
 
 def with_overrides(cfg: RunConfig, seed: int | None = None,
                    out: str | None = None) -> RunConfig:
     """Apply command-line overrides on top of a loaded configuration."""
-    if seed is not None:
-        if seed < 0:
-            raise ConfigError("seed must be nonnegative")
-        cfg = replace(cfg, seed=seed)
-    if out is not None:
-        cfg = replace(cfg, out=out)
-    return cfg
+    return _checked(replace(cfg, seed=cfg.seed if seed is None else seed,
+                            out=cfg.out if out is None else out))
 
 
 def config_hash(cfg: RunConfig) -> str:
     """Digest of every setting except the output directory."""
-    lines = [
-        f"run.input={cfg.input}",
-        f"run.language={cfg.language}",
-        f"run.delimiter={cfg.delimiter}",
-        f"run.hsl_scale={cfg.hsl_scale}",
-        f"run.spellmap={cfg.spellmap or ''}",
-        f"run.min_count={cfg.min_count}",
-        f"run.seed={cfg.seed}",
-        f"sampling.max_exact={cfg.max_exact}",
-        f"sampling.sample_size={cfg.sample_size}",
-        f"sampling.iterations={cfg.iterations}",
-    ]
-    lines.extend(
-        f"schema.{fname}={cfg.schema.get(fname) or ''}"
-        for fname in CANONICAL_FIELDS
-    )
+    lines = []
+    for name in _TYPES:
+        value = getattr(cfg, name)
+        if name == "schema":
+            lines.extend(f"schema.{fname}={value.get(fname) or ''}"
+                         for fname in CANONICAL_FIELDS)
+        elif name != "out":
+            lines.append(f"{_SECTION.get(name, 'run')}.{name}="
+                         f"{'' if value is None else value}")
     digest = hashlib.sha256("\n".join(sorted(lines)).encode("utf-8"))
     return digest.hexdigest()[:12]
 

@@ -155,6 +155,14 @@ def _parse_hsl(row: Sequence[str], cols: Mapping[str, int],
     return HslColor(normalize_hue(h), s, l)
 
 
+def _framed(reader, path) -> Iterator[list[str]]:
+    """The reader's rows; a CSV framing error names the file line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise SchemaError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def ingest(
     path,
     schema: Mapping[str, str] | None = None,
@@ -169,7 +177,8 @@ def ingest(
     hold a tab or line break) are returned in the rejects list with the
     file line they end on, never silently dropped. A mapped column
     missing from the header is a SchemaError: that is corpus drift, not
-    row noise. A column named twice resolves to its last occurrence.
+    row noise, and so is a field the csv module cannot frame (one over
+    its field limit). A column named twice resolves to its last occurrence.
     """
     schema = dict(DEFAULT_SCHEMA if schema is None else schema)
     if hsl_scale not in ("percent", "fraction"):
@@ -178,7 +187,8 @@ def ingest(
     rejects: list[RejectedRow] = []
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
-        header = next(reader, None)
+        rows = _framed(reader, path)
+        header = next(rows, None)
         if header is None:
             raise SchemaError(f"{path}: empty file, no header row")
         index = {column: i for i, column in enumerate(header)}
@@ -193,7 +203,7 @@ def ingest(
                 )
             cols[field] = index[column]
         speaker_col = cols.get("speaker_id")
-        for row in reader:
+        for row in rows:
             if not row:
                 continue
             line_no = reader.line_num

@@ -7,7 +7,6 @@ when the data is not available.
 """
 
 import filecmp
-import math
 import random
 
 import numpy as np
@@ -15,6 +14,7 @@ import pytest
 from _labref import srgb_to_lab_decimal
 from conftest import _locate_corpus, make_grouped_rows
 from test_cli import run_pipeline
+from test_kernels import oracle_mean_pairwise
 
 from colorlex.colorspace import SrgbColor, srgb_to_lab
 from colorlex.corpus import repeated_chip_subset
@@ -182,18 +182,6 @@ def test_06_english_word_scores(request):
     _report(6, desc, failures)
 
 
-def _oracle_spread(pts) -> float:
-    n = len(pts)
-    acc = 0.0
-    for i in range(n):
-        for j in range(n):
-            dl = pts[i][0] - pts[j][0]
-            da = pts[i][1] - pts[j][1]
-            db = pts[i][2] - pts[j][2]
-            acc += math.sqrt(dl * dl + da * da + db * db)
-    return acc / (n * (n - 1))
-
-
 def test_07_spread_equivalence():
     desc = "exact spread matches O(n^2) oracle bitwise; sampled within 5%"
     failures = []
@@ -208,7 +196,7 @@ def test_07_spread_equivalence():
         arr = np.array(pts)
         first = informativeness(arr, cfg)
         again = informativeness(arr, cfg)
-        expected = _oracle_spread(pts)
+        expected = oracle_mean_pairwise(pts)
         if first.sampled:
             failures.append(f"case {case}: unexpectedly sampled")
         if first.spread != expected:

@@ -4,6 +4,7 @@ import csv
 import json
 import re
 import shutil
+from dataclasses import fields, replace
 from pathlib import Path
 from types import ModuleType, SimpleNamespace
 
@@ -13,6 +14,7 @@ from colorlex import simulate
 from colorlex.cli import main
 from colorlex.config import (
     ConfigError,
+    RunConfig,
     config_hash,
     header_line,
     load_config,
@@ -288,6 +290,27 @@ class TestErrorHandling:
         assert code == 2
         assert "plotting" in capsys.readouterr().err
 
+    def test_overlong_csv_field_names_the_line(self, fixture_corpus,
+                                                tmp_path, capsys):
+        # A field past the csv module's limit is a framing error, not a
+        # reject row; the limit itself is not raised.
+        lines = fixture_corpus.csv.read_text().splitlines(keepends=True)
+        fields = next(csv.reader(lines[1:2]))
+        fields[2] = "a" * 200_000
+        src = tmp_path / "long.csv"
+        with open(src, "w", newline="") as handle:
+            handle.writelines(lines[:2])
+            csv.writer(handle, quoting=csv.QUOTE_ALL).writerow(fields)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[run]\ninput = {src}\n")
+        out = tmp_path / "o"
+        code = main(["--config", str(cfg), "--out", str(out), "ingest"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{src}:3: field larger than field limit" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_column_names_it(self, tmp_path, capsys):
         src = tmp_path / "narrow.csv"
         src.write_text("game_id,round_index,utterance\n")
@@ -426,6 +449,107 @@ class TestConfigParsing:
         a = load_config(cfg)
         assert config_hash(a) == config_hash(with_overrides(a, None, "else"))
         assert config_hash(a) != config_hash(with_overrides(a, 123, None))
+
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(text.split("```ini\n")[1].split("```")[0])
+        loaded = load_config(cfg)
+        assert (loaded.language, loaded.min_count) == ("english", 10)
+        assert loaded.schema["utterance"] == "contents"
+        assert loaded.schema["speaker_id"] is None
+
+    @pytest.mark.parametrize("text", [
+        "[run]\ninput = a.csv\ninput = b.csv\n",
+        "[run]\ninput = a.csv\n[run]\nseed = 1\n",
+        "input = a.csv\n[run]\n",
+    ], ids=["repeated_key", "repeated_section", "no_section_header"])
+    def test_ini_syntax_errors_name_the_file(self, tmp_path, capsys, text):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(f"{cfg}: ")):
+            load_config(cfg)
+        assert main(["--config", str(cfg), "ingest"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("sampling,message", [
+        ("max_exact = 50\nsample_size = 80", "sample_size"),
+        ("iterations = 0", "iterations"),
+        ("max_exact = 1", "max_exact"),
+    ], ids=["sample_size_over_max_exact", "zero_iterations", "max_exact_1"])
+    def test_sampling_bounds_fail_before_any_stage(
+            self, fixture_corpus, tmp_path, capsys, sampling, message):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[run]\ninput = {fixture_corpus.csv}\n"
+                       f"[sampling]\n{sampling}\n")
+        with pytest.raises(ConfigError, match=message):
+            load_config(cfg)
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out", str(out), "ingest"]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_pinned_digests(self, tmp_path):
+        # A config that sets every key; its digests must never move.
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(FULL_CONFIG)
+        loaded = load_config(cfg)
+        assert config_hash(loaded) == "d5ff15303335"
+        assert header_line(with_overrides(loaded, 7, "x")) == \
+            "# colorlex config=ae6a1c6fbbe1 seed=7"
+
+    def test_every_setting_but_out_changes_the_digest(self, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(FULL_CONFIG)
+        base = load_config(cfg)
+        for f in fields(RunConfig):
+            value = getattr(base, f.name)
+            if f.name == "schema":
+                changed = {**value, "utterance": "other"}
+            elif isinstance(value, int):
+                changed = value + 1
+            else:
+                changed = value + "x"
+            other = config_hash(replace(base, **{f.name: changed}))
+            assert (other == config_hash(base)) == (f.name == "out"), f.name
+
+
+FULL_CONFIG = """\
+[run]
+input = corpus.tsv
+language = Chinese
+delimiter = tab
+hsl_scale = fraction
+spellmap = fixes.txt
+min_count = 3
+seed = 42
+out = elsewhere
+
+[schema]
+game_id = gameid
+round_index = roundNum
+utterance = contents
+listener_correct = outcome
+speaker_id =
+target_h = clickColH
+target_s = clickColS
+target_l = clickColL
+distractor1_h = alt1ColH
+distractor1_s = alt1ColS
+distractor1_l = alt1ColL
+distractor2_h = alt2ColH
+distractor2_s = alt2ColS
+distractor2_l = alt2ColL
+
+[sampling]
+max_exact = 150
+sample_size = 60
+iterations = 12
+"""
 
 
 class TestReadmeLibraryExample:
