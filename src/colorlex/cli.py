@@ -23,6 +23,13 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+# Before numpy is imported: its bundled OpenBLAS starts a worker thread
+# pool at import, and that idle pool costs every stage process CPU.
+# The CLI owns its process and makes no BLAS call, so one thread is
+# all it needs; a value the caller set still wins. A library user who
+# imports colorlex directly keeps their own BLAS threading.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import corpus, regress, simulate, svgplot
 from .config import (
     RunConfig,
@@ -31,7 +38,7 @@ from .config import (
     load_config,
     with_overrides,
 )
-from .errors import ColorlexError
+from .errors import ColorlexError, not_utf8
 from .informativeness import (
     WordInfo,
     compute_word_infos,
@@ -71,7 +78,10 @@ def _read(cfg: RunConfig, name: str, stage: str, reader):
     if not path.exists():
         raise ColorlexError(f"{path} not found; run `colorlex {stage}` first")
     with open(path, "r", encoding="utf-8") as handle:
-        return reader(handle)
+        try:
+            return reader(handle)
+        except UnicodeDecodeError:
+            raise ValueError(not_utf8(path)) from None
 
 
 def _read_rounds(cfg: RunConfig) -> corpus.Rounds:
@@ -190,8 +200,11 @@ def cmd_plot(cfg: RunConfig, args) -> None:
     header = header_line(cfg).lstrip("# ")
     if args.kind == "denotations":
         denotations = corpus.build_denotations(rounds, cfg.min_count)
-        if args.words:
+        if args.words is not None:
             words = [w for w in args.words.split(",") if w]
+            if not words:
+                raise ColorlexError(
+                    f"--words names no word: {args.words!r}")
             missing = [w for w in words if w not in denotations]
             if missing:
                 raise ColorlexError(

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Mapping
 
 from .corpus import CANONICAL_FIELDS, DEFAULT_SCHEMA, LANGUAGE_MIN_COUNT
-from .errors import ColorlexError
+from .errors import ColorlexError, not_utf8
 from .informativeness import SamplingConfig
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "with_overrides",
@@ -88,6 +88,8 @@ def load_config(path) -> RunConfig:
         read = parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {' '.join(str(exc).split())}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(not_utf8(path)) from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     unknown = set(parser.sections()) - {"run", *_SECTION.values()}

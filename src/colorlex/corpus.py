@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 import numpy as np
 
 from .colorspace import HslColor, LabColor, hsl_to_lab_array, normalize_hue
-from .errors import ColorlexError
+from .errors import ColorlexError, not_utf8
 
 __all__ = [
     "CANONICAL_FIELDS",
@@ -156,11 +156,14 @@ def _parse_hsl(row: Sequence[str], cols: Mapping[str, int],
 
 
 def _framed(reader, path) -> Iterator[list[str]]:
-    """The reader's rows; a CSV framing error names the file line."""
+    """The reader's rows; a CSV framing error or a byte that is not
+    UTF-8 names the file line."""
     try:
         yield from reader
     except csv.Error as exc:
         raise SchemaError(f"{path}:{reader.line_num}: {exc}") from None
+    except UnicodeDecodeError:
+        raise SchemaError(not_utf8(path)) from None
 
 
 def ingest(
@@ -561,16 +564,20 @@ def read_spellmap(path) -> dict[str, str]:
     """Read token corrections: one "wrong right" pair per line, # comments."""
     spellmap: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(
-                    f"{path}:{line_no}: expected 'wrong right', got {line!r}"
-                )
-            spellmap[parts[0]] = parts[1]
+        try:
+            lines = list(handle)
+        except UnicodeDecodeError:
+            raise ValueError(not_utf8(path)) from None
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(
+                f"{path}:{line_no}: expected 'wrong right', got {line!r}"
+            )
+        spellmap[parts[0]] = parts[1]
     return spellmap
 
 

@@ -255,7 +255,9 @@ def generate_stimuli(
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if bins < 1 or n % bins != 0:
+    if bins < 1:
+        raise ValueError(f"bins must be positive, got {bins}")
+    if n % bins != 0:
         raise ValueError(f"bins must divide n evenly, got n={n} bins={bins}")
     by_key = {e.key: e for e in entries}
     known = np.array([w in infos for w in rounds.vocab], dtype=bool)

@@ -346,6 +346,67 @@ class TestErrorHandling:
         assert code == 2
         assert "divide" in capsys.readouterr().err
 
+    def test_nonpositive_bins_say_so(self, pipeline, capsys):
+        code = main(["--config", str(pipeline.corpus.config),
+                     "--out", str(pipeline.out),
+                     "stimuli", "--bins", "-1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: bins must be positive, got -1\n"
+
+    def test_empty_word_list(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline.out, out)
+        (out / "plot_denotations.svg").unlink()
+        code = main(["--config", str(pipeline.corpus.config),
+                     "--out", str(out),
+                     "plot", "--kind", "denotations", "--words", ","])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --words names no word")
+        assert not (out / "plot_denotations.svg").exists()
+
+    @pytest.mark.parametrize("bad", ["corpus", "config", "spellmap"])
+    def test_non_utf8_input_names_the_line(self, fixture_corpus, tmp_path,
+                                           capsys, bad):
+        paths = {"corpus": tmp_path / "rounds.csv",
+                 "config": tmp_path / "run.ini",
+                 "spellmap": tmp_path / "spellmap.txt"}
+        texts = {
+            "corpus": fixture_corpus.csv.read_bytes(),
+            "config": (f"[run]\ninput = {paths['corpus']}\n"
+                       f"language = english\n"
+                       f"spellmap = {paths['spellmap']}\n").encode(),
+            "spellmap": b"# fixes\nblu blue\nrd red\n",
+        }
+        for name, text in texts.items():
+            lines = text.splitlines(keepends=True)
+            if name == bad:  # end line 3 with a byte UTF-8 never starts
+                lines[2] = lines[2].rstrip(b"\r\n") + b"\xff\n"
+            paths[name].write_bytes(b"".join(lines))
+        out = tmp_path / "o"
+        code = main(["--config", str(paths["config"]), "--out", str(out),
+                     "ingest"])
+        assert code == 2
+        assert capsys.readouterr().err == (f"error: {paths[bad]}:3: not "
+                                           f"UTF-8: byte 0xff (invalid "
+                                           f"start byte)\n")
+        assert not out.exists()
+
+    def test_non_utf8_stage_table_names_the_file(self, pipeline, tmp_path,
+                                                 capsys):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline.out, out)
+        table = out / "clean_rounds.tsv"
+        table.write_bytes(table.read_bytes().replace(b"\t", b"\t\xff", 1))
+        before = (out / "word_info.tsv").read_bytes()
+        code = main(["--config", str(pipeline.corpus.config),
+                     "--out", str(out), "info"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {table}:2: not UTF-8: byte 0xff")
+        assert (out / "word_info.tsv").read_bytes() == before
+
 
 class TestAtomicWrites:
     def test_failed_write_keeps_previous_file(self, fixture_corpus, tmp_path,
