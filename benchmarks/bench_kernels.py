@@ -7,9 +7,9 @@ tests/test_kernels.py; the random-intercept profile likelihood and the
 per-group statistics against `reference_profile` and
 `reference_group_stats` in tests/test_regress.py; the batch colour
 conversion against hsl_to_srgb + srgb_to_lab over the whole integer
-HSL grid; the columnar `clean` and clean-rounds reader against the
-per-row code in tests/_rounds_oracle.py. Usage, from the root of a
-checkout:
+HSL grid; the columnar `ingest`, `clean` and clean-rounds reader
+against the per-row code in tests/_rounds_oracle.py. Usage, from the
+root of a checkout:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py
 
@@ -18,8 +18,10 @@ The simulation oracle is a Python double loop over all ordered pairs
 3,672,360 grid chips takes about half a minute.
 """
 
+import csv
 import io
 import sys
+import tempfile
 import timeit
 from pathlib import Path
 
@@ -30,6 +32,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from _rounds_oracle import (  # noqa: E402
     clean_rows,
     oracle_clean,
+    oracle_ingest,
     oracle_read_clean_rounds,
     oracle_write_clean_rounds,
     rounds_rows,
@@ -127,7 +130,7 @@ def _clean_table(n_rows: int, seed: int) -> str:
     return buffer.getvalue()
 
 
-def _raw_rounds(n_rows: int, seed: int) -> list:
+def _raw_rounds(n_rows: int, seed: int) -> corpus.RawRounds:
     """n_rows raw rounds on the integer HSL grid: 606 Zipf-weighted
     words, one utterance in ten of two words, one round in ten failed."""
     rng = np.random.default_rng(seed)
@@ -138,7 +141,7 @@ def _raw_rounds(n_rows: int, seed: int) -> list:
     hsl = np.stack([rng.integers(0, 360, (n_rows, 3)),
                     rng.integers(0, 101, (n_rows, 3)),
                     rng.integers(0, 101, (n_rows, 3))], axis=2).tolist()
-    return [
+    return corpus.RawRounds.from_rows([
         corpus.RawRound(
             game_id=f"g{i // 50}", round_index=i % 50 + 1,
             utterance=f"light w{w}" if two else f"W{w}!",
@@ -148,7 +151,36 @@ def _raw_rounds(n_rows: int, seed: int) -> list:
             listener_correct=ok, speaker_id=f"s{i // 50}")
         for i, (w, two, ok, chips) in enumerate(
             zip(words, two_words, correct, hsl))
-    ]
+    ])
+
+
+# One malformed row of each kind, by replacing one row's fields.
+_MALFORMED = ({"target_s": "150"}, {"listener_correct": "maybe"},
+              {"distractor1_h": "abc"}, {"game_id": "g\t1"},
+              {"speaker_id": None})
+
+
+def _write_corpus(path: Path, n_rows: int, seed: int) -> None:
+    """The rounds of _raw_rounds as a percent-scale corpus CSV in which
+    one row in a thousand is malformed (_MALFORMED in turn; a None
+    field is dropped, which leaves the row too short)."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(corpus.CANONICAL_FIELDS)
+        for i, r in enumerate(_raw_rounds(n_rows, seed)):
+            row = {"game_id": r.game_id, "round_index": r.round_index,
+                   "utterance": r.utterance,
+                   "listener_correct": str(r.listener_correct).lower(),
+                   "speaker_id": r.speaker_id}
+            for name in ("target", "distractor1", "distractor2"):
+                chip = getattr(r, name)
+                row.update({f"{name}_h": int(chip.h),
+                            f"{name}_s": round(chip.s * 100.0),
+                            f"{name}_l": round(chip.l * 100.0)})
+            if i % 1000 == 999:
+                row.update(_MALFORMED[i // 1000 % len(_MALFORMED)])
+            writer.writerow([row[f] for f in corpus.CANONICAL_FIELDS
+                             if row[f] is not None])
 
 
 def _fraction(chip: list[int]) -> tuple[float, float, float]:
@@ -250,10 +282,25 @@ def bench_hsl_grid() -> None:
     _line("hsl_to_lab_array grid n=3,672,360", t_batch, t_scalar, "batch")
 
 
+def bench_ingest(n_rows: int, seed: int) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.csv"
+        _write_corpus(path, n_rows, seed)
+        (got, rejects), t_ingest = _best(lambda: corpus.ingest(path),
+                                         repeat=3)
+        (want, want_rejects), t_oracle = _best(lambda: oracle_ingest(path),
+                                               repeat=3)
+    assert rejects and repr(rejects) == repr(want_rejects), (
+        "ingest rejects differ from oracle_ingest")
+    assert repr(list(got)) == repr(want), "ingest disagrees with oracle_ingest"
+    _line(f"ingest n={n_rows}", t_ingest, t_oracle, "columns")
+
+
 def bench_clean(n_rows: int, seed: int) -> None:
     raw = _raw_rounds(n_rows, seed)
+    rows = list(raw)
     got, t_clean = _best(lambda: corpus.clean(raw), repeat=3)
-    want, t_oracle = _best(lambda: oracle_clean(raw), repeat=1)
+    want, t_oracle = _best(lambda: oracle_clean(rows), repeat=1)
     assert repr(list(got)) == repr(want), "clean disagrees with oracle_clean"
     written, t_write = _best(lambda: _write(corpus.write_clean_rounds, got),
                              repeat=3)
@@ -282,6 +329,7 @@ def main() -> None:
     # The vocab47k shape: 40k regression rows, nearly all singletons.
     bench_group_stats(39_000, 40_000, 9)
     bench_read_clean_rounds(47_000, 10)
+    bench_ingest(47_000, 12)
     bench_clean(47_000, 11)
     bench_hsl_grid()
 

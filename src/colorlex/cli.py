@@ -26,9 +26,11 @@ from pathlib import Path
 # Before numpy is imported: its bundled OpenBLAS starts a worker thread
 # pool at import, and that idle pool costs every stage process CPU.
 # The CLI owns its process and makes no BLAS call, so one thread is
-# all it needs; a value the caller set still wins. A library user who
-# imports colorlex directly keeps their own BLAS threading.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# all it needs; a value the caller set still wins. OpenBLAS reads an
+# empty value as unset. A library user who imports colorlex directly
+# keeps their own BLAS threading.
+if not os.environ.get("OPENBLAS_NUM_THREADS"):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from . import corpus, regress, simulate, svgplot
 from .config import (

@@ -9,10 +9,11 @@ normalized token, converts chips to CIELAB and computes context ease
 (distance from the target to its closest distractor: the smaller, the
 harder the round).
 
-Cleaning returns, and the stages after ingestion read back, one
-columnar `Rounds` table rather than one object per round. Its rows
-iterate as `CleanRound` objects for inspection; the pipeline reads the
-columns.
+Ingestion returns one columnar `RawRounds` table, and cleaning
+returns, and the stages after ingestion read back, one columnar
+`Rounds` table, rather than one object per round. Their rows iterate
+as `RawRound` and `CleanRound` objects for inspection; the pipeline
+reads the columns.
 
 Chip identity: source corpora draw chips on an integer HSL grid
 (hue in degrees, saturation/lightness in percent), so a chip's key is
@@ -27,6 +28,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, compress
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
@@ -39,6 +41,7 @@ __all__ = [
     "DEFAULT_SCHEMA",
     "LANGUAGE_MIN_COUNT",
     "RawRound",
+    "RawRounds",
     "CleanRound",
     "Rounds",
     "Denotation",
@@ -155,6 +158,87 @@ def _parse_hsl(row: Sequence[str], cols: Mapping[str, int],
     return HslColor(normalize_hue(h), s, l)
 
 
+def _parse_row(row: Sequence[str], cols: Mapping[str, int],
+               hsl_scale: str) -> RawRound:
+    """One full-width row as a RawRound; a ValueError says why not."""
+    speaker_col = cols.get("speaker_id")
+    speaker = "" if speaker_col is None else row[speaker_col].strip()
+    game_id = row[cols["game_id"]].strip()
+    for field, value in (("game_id", game_id), ("speaker_id", speaker)):
+        if _ROW_BREAKS.search(value):
+            raise ValueError(f"{field} {value!r} holds a tab or line break")
+    return RawRound(
+        game_id=game_id,
+        round_index=int(row[cols["round_index"]]),
+        utterance=row[cols["utterance"]],
+        target=_parse_hsl(row, cols, "target", hsl_scale),
+        distractor1=_parse_hsl(row, cols, "distractor1", hsl_scale),
+        distractor2=_parse_hsl(row, cols, "distractor2", hsl_scale),
+        listener_correct=_parse_bool(row[cols["listener_correct"]]),
+        speaker_id=speaker or None,
+    )
+
+
+class RawRounds:
+    """Raw rounds as columns: entry i of every column is round i.
+
+    - `game_ids`, `round_indices`, `utterances` and `speaker_ids` ("" when
+      the corpus has none) are lists;
+    - `listener_correct` is a bool array;
+    - `target`, `distractor1` and `distractor2` are (n, 3) float64
+      arrays of valid HslColor fields (h, s, l).
+
+    `ingest` returns this table, and RawRounds.from_rows builds it from
+    RawRound rows. Iterating over it yields its rounds as RawRound rows.
+    """
+
+    def __init__(self, *, game_ids: list[str], round_indices: list[int],
+                 utterances: list[str], speaker_ids: list[str],
+                 listener_correct: np.ndarray, target: np.ndarray,
+                 distractor1: np.ndarray, distractor2: np.ndarray):
+        self.game_ids = game_ids
+        self.round_indices = round_indices
+        self.utterances = utterances
+        self.speaker_ids = speaker_ids
+        self.listener_correct = listener_correct
+        self.target = target
+        self.distractor1 = distractor1
+        self.distractor2 = distractor2
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[RawRound]) -> RawRounds:
+        """The table of the given raw rounds, in their order."""
+        return cls(
+            game_ids=[r.game_id for r in rows],
+            round_indices=[r.round_index for r in rows],
+            utterances=[r.utterance for r in rows],
+            speaker_ids=[r.speaker_id or "" for r in rows],
+            listener_correct=np.array(
+                [r.listener_correct for r in rows], dtype=bool),
+            **{field: np.array([(c.h, c.s, c.l) for c in chips],
+                               dtype=np.float64).reshape(-1, 3)
+               for field, chips in zip(_COLOR_FIELDS, (
+                   [r.target for r in rows],
+                   [r.distractor1 for r in rows],
+                   [r.distractor2 for r in rows]))},
+        )
+
+    def __len__(self) -> int:
+        return len(self.game_ids)
+
+    def __iter__(self) -> Iterator[RawRound]:
+        targets, d1s, d2s = (
+            [HslColor(*c) for c in block.tolist()]
+            for block in (self.target, self.distractor1, self.distractor2))
+        for (game, index, utterance, target, d1, d2, correct,
+             speaker) in zip(self.game_ids, self.round_indices,
+                             self.utterances, targets, d1s, d2s,
+                             self.listener_correct.tolist(),
+                             self.speaker_ids):
+            yield RawRound(game, index, utterance, target, d1, d2, correct,
+                           speaker or None)
+
+
 def _framed(reader, path) -> Iterator[list[str]]:
     """The reader's rows; a CSV framing error or a byte that is not
     UTF-8 names the file line."""
@@ -166,29 +250,128 @@ def _framed(reader, path) -> Iterator[list[str]]:
         raise SchemaError(not_utf8(path)) from None
 
 
+_ROW_BLOCK = 8192  # data rows held as text at a time
+_BOOLS = dict.fromkeys(_TRUE_VALUES, True) | dict.fromkeys(_FALSE_VALUES,
+                                                            False)
+
+
+def _converted(convert, values: Sequence[str], bad: np.ndarray) -> list:
+    """convert() of each value; a value it refuses marks bad and gives 0."""
+    try:
+        return list(map(convert, values))
+    except ValueError:
+        pass
+    out = []
+    for i, value in enumerate(values):
+        try:
+            out.append(convert(value))
+        except ValueError:
+            bad[i] = True
+            out.append(0)
+    return out
+
+
+def _ids(values: Sequence[str], bad: np.ndarray) -> list[str]:
+    """The stripped ids; one that holds a tab or line break marks bad."""
+    ids = list(map(str.strip, values))
+    if _ROW_BREAKS.search("".join(ids)):
+        bad |= [_ROW_BREAKS.search(v) is not None for v in ids]
+    return ids
+
+
+def _parse_block(rows: list[list[str]], lines: list[int],
+                 cols: Mapping[str, int], hsl_scale: str,
+                 rejects: list[RejectedRow]) -> RawRounds:
+    """The rounds of full-width rows, parsed column by column with
+    _parse_row's checks in its operation order. The rows a check fails
+    go to rejects, with the reason _parse_row gives."""
+    columns = list(zip(*rows))
+    bad = np.zeros(len(rows), dtype=bool)
+    game_ids = _ids(columns[cols["game_id"]], bad)
+    speaker_col = cols.get("speaker_id")
+    speaker_ids = ([""] * len(rows) if speaker_col is None
+                   else _ids(columns[speaker_col], bad))
+    round_indices = _converted(int, columns[cols["round_index"]], bad)
+    correct = list(map(_BOOLS.get, map(str.lower, map(
+        str.strip, columns[cols["listener_correct"]]))))
+    if None in correct:
+        bad |= [v is None for v in correct]
+    chips = []
+    for field in _COLOR_FIELDS:
+        h, s, l = (np.array(_converted(float, columns[cols[f"{field}_{c}"]],
+                                       bad), dtype=np.float64)
+                   for c in "hsl")
+        if hsl_scale == "percent":
+            s /= 100.0
+            l /= 100.0
+        # normalize_hue; a hue that is not finite becomes NaN
+        with np.errstate(invalid="ignore"):
+            h = np.fmod(h, 360.0)
+        h[h < 0.0] += 360.0
+        h[h == 360.0] = 0.0
+        bad |= ~((0.0 <= h) & (h < 360.0) & (0.0 <= s) & (s <= 1.0)
+                 & (0.0 <= l) & (l <= 1.0))
+        chips.append(np.column_stack([h, s, l]))
+    utterances = list(columns[cols["utterance"]])
+    correct = np.array(correct, dtype=bool)
+    if bad.any():
+        for i in np.flatnonzero(bad).tolist():
+            try:
+                _parse_row(rows[i], cols, hsl_scale)
+            except ValueError as exc:
+                rejects.append(RejectedRow(lines[i], str(exc)))
+            else:
+                raise RuntimeError(
+                    f"line {lines[i]}: a column check failed a row that "
+                    f"_parse_row accepts")
+        good = ~bad
+        keep = good.tolist()
+        game_ids, round_indices, utterances, speaker_ids = (
+            list(compress(v, keep))
+            for v in (game_ids, round_indices, utterances, speaker_ids))
+        correct = correct[good]
+        chips = [block[good] for block in chips]
+    return RawRounds(game_ids=game_ids, round_indices=round_indices,
+                     utterances=utterances, speaker_ids=speaker_ids,
+                     listener_correct=correct, target=chips[0],
+                     distractor1=chips[1], distractor2=chips[2])
+
+
+def _joined(parts: Sequence[RawRounds]) -> RawRounds:
+    """The rounds of the tables in turn, as one table."""
+    lists = {name: list(chain.from_iterable(getattr(p, name) for p in parts))
+             for name in ("game_ids", "round_indices", "utterances",
+                          "speaker_ids")}
+    arrays = {name: np.concatenate([getattr(part, name) for part in parts])
+              for name in ("listener_correct",) + _COLOR_FIELDS}
+    return RawRounds(**lists, **arrays)
+
+
 def ingest(
     path,
     schema: Mapping[str, str] | None = None,
     *,
     delimiter: str = ",",
     hsl_scale: str = "percent",
-) -> tuple[list[RawRound], list[RejectedRow]]:
-    """Read raw rounds from a delimited file.
+) -> tuple[RawRounds, list[RejectedRow]]:
+    """Read raw rounds from a delimited file, with or without a UTF-8
+    byte order mark, one block of rows at a time.
 
     Rows that fail to parse (too few or too many fields, bad numbers,
     out-of-range saturation or lightness, malformed booleans, ids that
     hold a tab or line break) are returned in the rejects list with the
-    file line they end on, never silently dropped. A mapped column
-    missing from the header is a SchemaError: that is corpus drift, not
-    row noise, and so is a field the csv module cannot frame (one over
-    its field limit). A column named twice resolves to its last occurrence.
+    file line they end on, in file order, never silently dropped. A
+    field the schema leaves unmapped, or a mapped column missing from
+    the header, is a SchemaError: that is corpus drift, not row noise,
+    and so is a field the csv module cannot frame (one over its field
+    limit). A column named twice resolves to its last occurrence.
     """
-    schema = dict(DEFAULT_SCHEMA if schema is None else schema)
+    schema = DEFAULT_SCHEMA if schema is None else schema
     if hsl_scale not in ("percent", "fraction"):
         raise ValueError(f"unknown hsl_scale {hsl_scale!r}")
-    rounds: list[RawRound] = []
+    parts = [RawRounds.from_rows([])]  # a corpus may hold no round
     rejects: list[RejectedRow] = []
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
         rows = _framed(reader, path)
         header = next(rows, None)
@@ -196,7 +379,8 @@ def ingest(
             raise SchemaError(f"{path}: empty file, no header row")
         index = {column: i for i, column in enumerate(header)}
         cols: dict[str, int] = {}
-        for field, column in schema.items():
+        for field in CANONICAL_FIELDS:
+            column = schema.get(field)
             if field == "speaker_id" and column is None:
                 continue
             if column not in index:
@@ -205,43 +389,25 @@ def ingest(
                     f"not in header"
                 )
             cols[field] = index[column]
-        speaker_col = cols.get("speaker_id")
+        width = len(header)
+        block: list[list[str]] = []
+        lines: list[int] = []
         for row in rows:
-            if not row:
-                continue
-            line_no = reader.line_num
-            if len(row) != len(header):
+            if len(row) == width:
+                block.append(row)
+                lines.append(reader.line_num)
+                if len(block) == _ROW_BLOCK:
+                    parts.append(
+                        _parse_block(block, lines, cols, hsl_scale, rejects))
+                    block, lines = [], []
+            elif row:
                 rejects.append(RejectedRow(
-                    line_no,
-                    f"row has {len(row)} fields, header has {len(header)}"))
-                continue
-            try:
-                speaker = ("" if speaker_col is None
-                           else row[speaker_col].strip())
-                game_id = row[cols["game_id"]].strip()
-                for field, value in (("game_id", game_id),
-                                     ("speaker_id", speaker)):
-                    if _ROW_BREAKS.search(value):
-                        raise ValueError(
-                            f"{field} {value!r} holds a tab or line break")
-                rounds.append(
-                    RawRound(
-                        game_id=game_id,
-                        round_index=int(row[cols["round_index"]]),
-                        utterance=row[cols["utterance"]],
-                        target=_parse_hsl(row, cols, "target", hsl_scale),
-                        distractor1=_parse_hsl(
-                            row, cols, "distractor1", hsl_scale),
-                        distractor2=_parse_hsl(
-                            row, cols, "distractor2", hsl_scale),
-                        listener_correct=_parse_bool(
-                            row[cols["listener_correct"]]),
-                        speaker_id=speaker or None,
-                    )
-                )
-            except (ValueError, KeyError) as exc:
-                rejects.append(RejectedRow(line_no, str(exc)))
-    return rounds, rejects
+                    reader.line_num,
+                    f"row has {len(row)} fields, header has {width}"))
+        if block:
+            parts.append(_parse_block(block, lines, cols, hsl_scale, rejects))
+    rejects.sort(key=operator.attrgetter("line"))
+    return _joined(parts), rejects
 
 
 # Any non-word character, plus underscore, separates tokens; hyphens and
@@ -276,7 +442,7 @@ def _lab_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def clean(
-    rounds: Iterable[RawRound], spellmap: Mapping[str, str] | None = None
+    raw: RawRounds, spellmap: Mapping[str, str] | None = None
 ) -> Rounds:
     """Keep rounds solved with exactly one token; convert colors to Lab.
 
@@ -285,24 +451,17 @@ def clean(
     hsl_to_lab_array call, and each distinct utterance is normalized
     once.
     """
-    words: dict[str, str | None] = {}  # utterance -> its one token
-    kept: list[RawRound] = []
-    kept_words: list[str] = []
-    for r in rounds:
-        if not r.listener_correct:
-            continue
-        if r.utterance not in words:
-            tokens = normalize_utterance(r.utterance, spellmap)
-            words[r.utterance] = tokens[0] if len(tokens) == 1 else None
-        word = words[r.utterance]
-        if word is not None:
-            kept.append(r)
-            kept_words.append(word)
-    n = len(kept)
-    chips = ([r.target for r in kept] + [r.distractor1 for r in kept]
-             + [r.distractor2 for r in kept])
-    h, s, l = (np.fromiter(map(operator.attrgetter(f), chips), np.float64,
-                           3 * n) for f in "hsl")
+    utterance_ids, utterances = _dense_ids(raw.utterances)
+    words = []  # each distinct utterance's one token, or None
+    for utterance in utterances:
+        tokens = normalize_utterance(utterance, spellmap)
+        words.append(tokens[0] if len(tokens) == 1 else None)
+    one_token = np.array([w is not None for w in words], dtype=bool)
+    kept = np.flatnonzero(raw.listener_correct & one_token[utterance_ids])
+    rows = kept.tolist()
+    n = len(rows)
+    h, s, l = np.concatenate(
+        [raw.target[kept], raw.distractor1[kept], raw.distractor2[kept]]).T
     target, d1, d2 = hsl_to_lab_array(h, s, l).reshape(3, n, 3)
     e1, e2 = _lab_distance(target, d1), _lab_distance(target, d2)
     # chip_key of each target; rint rounds half to even, as round does
@@ -310,16 +469,17 @@ def clean(
                             np.rint(s[:n] * 100.0).astype(np.int64),
                             np.rint(l[:n] * 100.0).astype(np.int64)])
     chip_keys, chip_ids = _chip_table(keys)
-    word_ids, vocab = _dense_ids(kept_words)
+    word_ids, vocab = _dense_ids(
+        [words[u] for u in utterance_ids[kept].tolist()])
     return Rounds(
         vocab=tuple(vocab),
         word_ids=word_ids,
         chip_keys=chip_keys,
         chip_ids=chip_ids,
         ease=np.where(e2 < e1, e2, e1),  # min(e1, e2)
-        game_ids=[r.game_id for r in kept],
-        speaker_ids=[r.speaker_id or "" for r in kept],
-        round_indices=[r.round_index for r in kept],
+        game_ids=[raw.game_ids[i] for i in rows],
+        speaker_ids=[raw.speaker_ids[i] for i in rows],
+        round_indices=[raw.round_indices[i] for i in rows],
         lab=(target, d1, d2),
     )
 

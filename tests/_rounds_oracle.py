@@ -1,15 +1,20 @@
-"""The per-row clean-rounds code, kept as the oracle for the columnar one.
+"""The per-row corpus code, kept as the oracle for the columnar one.
 
-`oracle_clean` and `oracle_write_clean_rounds` clean raw rounds into
-CleanRound objects, converting each chip with the scalar colorspace
-functions, and write them line by line, as the package did before
-`clean` converted all chips in one batch and wrote a `Rounds` table.
+`oracle_ingest` reads a corpus row by row into RawRound objects, as
+the package did before `ingest` parsed blocks of rows column by column
+into a `RawRounds` table. `oracle_clean` and
+`oracle_write_clean_rounds` clean raw rounds into CleanRound objects,
+converting each chip with the scalar colorspace functions, and write
+them line by line, as the package did before `clean` converted all
+chips in one batch and wrote a `Rounds` table.
 `oracle_read_clean_rounds` parses a clean_rounds.tsv table line by line
 into CleanRound objects, as the package did before `read_clean_rounds`
 read it column by column. `rounds_rows` and `clean_rows` turn either
 result into the same list of plain tuples, so that tests can compare
 the two by repr, which tells -0.0 from 0.0.
 """
+
+import csv
 
 from colorlex.colorspace import (
     LabColor,
@@ -18,7 +23,15 @@ from colorlex.colorspace import (
     srgb_to_lab,
 )
 from colorlex.corpus import (
+    _ROW_BREAKS,
+    DEFAULT_SCHEMA,
     CleanRound,
+    RawRound,
+    RejectedRow,
+    SchemaError,
+    _framed,
+    _parse_bool,
+    _parse_hsl,
     chip_key,
     format_chip_key,
     lab_fields,
@@ -29,6 +42,68 @@ from colorlex.corpus import (
 _CLEAN_COLUMNS = ("game_id", "round_index", "speaker_id", "word",
                   "target_key", "ease") + tuple(
     f"{c}_{ch}" for c in ("target", "d1", "d2") for ch in "lab")
+
+
+def oracle_ingest(path, schema=None, *, delimiter=",", hsl_scale="percent"):
+    schema = dict(DEFAULT_SCHEMA if schema is None else schema)
+    if hsl_scale not in ("percent", "fraction"):
+        raise ValueError(f"unknown hsl_scale {hsl_scale!r}")
+    rounds = []
+    rejects = []
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+        reader = csv.reader(handle, delimiter=delimiter)
+        rows = _framed(reader, path)
+        header = next(rows, None)
+        if header is None:
+            raise SchemaError(f"{path}: empty file, no header row")
+        index = {column: i for i, column in enumerate(header)}
+        cols = {}
+        for field, column in schema.items():
+            if field == "speaker_id" and column is None:
+                continue
+            if column not in index:
+                raise SchemaError(
+                    f"{path}: mapped column {column!r} (field {field!r}) "
+                    f"not in header"
+                )
+            cols[field] = index[column]
+        speaker_col = cols.get("speaker_id")
+        for row in rows:
+            if not row:
+                continue
+            line_no = reader.line_num
+            if len(row) != len(header):
+                rejects.append(RejectedRow(
+                    line_no,
+                    f"row has {len(row)} fields, header has {len(header)}"))
+                continue
+            try:
+                speaker = ("" if speaker_col is None
+                           else row[speaker_col].strip())
+                game_id = row[cols["game_id"]].strip()
+                for field, value in (("game_id", game_id),
+                                     ("speaker_id", speaker)):
+                    if _ROW_BREAKS.search(value):
+                        raise ValueError(
+                            f"{field} {value!r} holds a tab or line break")
+                rounds.append(
+                    RawRound(
+                        game_id=game_id,
+                        round_index=int(row[cols["round_index"]]),
+                        utterance=row[cols["utterance"]],
+                        target=_parse_hsl(row, cols, "target", hsl_scale),
+                        distractor1=_parse_hsl(
+                            row, cols, "distractor1", hsl_scale),
+                        distractor2=_parse_hsl(
+                            row, cols, "distractor2", hsl_scale),
+                        listener_correct=_parse_bool(
+                            row[cols["listener_correct"]]),
+                        speaker_id=speaker or None,
+                    )
+                )
+            except (ValueError, KeyError) as exc:
+                rejects.append(RejectedRow(line_no, str(exc)))
+    return rounds, rejects
 
 
 def _to_lab(c):

@@ -3,8 +3,9 @@
 colorlex makes no BLAS call, so the worker pool that OpenBLAS starts
 when numpy is imported only burns CPU in every stage process.
 `colorlex/cli.py` therefore sets OPENBLAS_NUM_THREADS=1 before numpy
-is imported, unless the caller set it. Each check runs in a fresh
-interpreter, because this one imported colorlex.cli long ago.
+is imported, unless the caller set it to a value that is not empty.
+Each check runs in a fresh interpreter, because this one imported
+colorlex.cli long ago.
 """
 
 import ast
@@ -51,6 +52,15 @@ print(json.dumps({{
 def test_cli_import_pins_one_thread():
     seen = fresh(REPORT.format(module="colorlex.cli"))
     assert seen["numpy"]
+    assert seen["value"] == "1"
+    if seen["threads"] is None:
+        pytest.skip("no /proc/self/task to count threads in")
+    assert seen["threads"] == 1
+
+
+def test_empty_setting_counts_as_unset():
+    seen = fresh(REPORT.format(module="colorlex.cli"),
+                 OPENBLAS_NUM_THREADS="")
     assert seen["value"] == "1"
     if seen["threads"] is None:
         pytest.skip("no /proc/self/task to count threads in")

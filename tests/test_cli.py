@@ -2,8 +2,11 @@
 
 import csv
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 from types import ModuleType, SimpleNamespace
@@ -631,3 +634,31 @@ class TestReadmeLibraryExample:
         assert "informativeness ~ ease (random_intercept)" in out
         assert [line.split()[0] for line in out.splitlines()[-3:]] == \
             ["actual", "general_only", "specific_only"]
+
+
+class TestTraceContract:
+    def test_ingest_counts_match_ingest_json(self, fixture_corpus, tmp_path):
+        """perfbench/traced_stage.py wraps corpus.ingest and corpus.clean
+        from outside and counts what they return; the counts must be the
+        stage's own."""
+        root = Path(__file__).resolve().parents[1]
+        spans, out = tmp_path / "spans.json", tmp_path / "out"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(root / "src"), os.environ.get("PYTHONPATH"))
+            if p))
+        done = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "traced_stage.py"),
+             str(spans), "--config", str(fixture_corpus.config),
+             "--out", str(out), "ingest"],
+            env=env, cwd=root, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        counts = json.loads(spans.read_text("utf-8"))["counts"]
+        report = json.loads((out / "ingest.json").read_text("utf-8"))
+        assert {name: counts[name] for name in (
+            "corpus.raw_rows", "corpus.rejected_rows", "corpus.clean_rows",
+            "colorspace.conversions")} == {
+            "corpus.raw_rows": report["n_raw"],
+            "corpus.rejected_rows": report["n_rejected"],
+            "corpus.clean_rows": report["n_clean"],
+            "colorspace.conversions": 3 * report["n_clean"],
+        }

@@ -11,6 +11,7 @@ import pytest
 from _rounds_oracle import (
     clean_rows,
     oracle_clean,
+    oracle_ingest,
     oracle_read_clean_rounds,
     oracle_write_clean_rounds,
     rounds_rows,
@@ -18,6 +19,7 @@ from _rounds_oracle import (
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from colorlex import corpus
 from colorlex.colorspace import (
     HslColor,
     LabColor,
@@ -29,6 +31,7 @@ from colorlex.corpus import (
     DEFAULT_SCHEMA,
     CleanRound,
     RawRound,
+    RawRounds,
     RejectedRow,
     Rounds,
     SchemaError,
@@ -101,7 +104,7 @@ class TestIngest:
         schema = dict(DEFAULT_SCHEMA, utterance="msg")
         raw, rejects = ingest(path, schema)
         assert not rejects
-        assert raw[0].utterance == "blue"
+        assert raw.utterances == ["blue"]
 
     def test_speaker_column_optional(self, tmp_path):
         path = tmp_path / "nospeaker.csv"
@@ -109,7 +112,8 @@ class TestIngest:
         _write_csv(path, header, [_mini_row()[:-1]])
         schema = dict(DEFAULT_SCHEMA, speaker_id=None)
         raw, _ = ingest(path, schema)
-        assert raw[0].speaker_id is None
+        assert raw.speaker_ids == [""]
+        assert [r.speaker_id for r in raw] == [None]
 
     def test_fraction_scale(self, tmp_path):
         path = tmp_path / "frac.csv"
@@ -117,7 +121,7 @@ class TestIngest:
                "true", "s1")
         _write_csv(path, _MINI_HEADER, [row])
         raw, _ = ingest(path, hsl_scale="fraction")
-        assert raw[0].target == HslColor(230.0, 0.8, 0.5)
+        assert [r.target for r in raw] == [HslColor(230.0, 0.8, 0.5)]
 
     def test_hue_normalized(self, tmp_path):
         path = tmp_path / "hue.csv"
@@ -125,10 +129,11 @@ class TestIngest:
             _mini_row(h=365), _mini_row(h=-10), _mini_row(h="-1e-20")])
         raw, rejects = ingest(path)
         assert not rejects
-        assert raw[0].target.h == pytest.approx(5.0)
-        assert raw[1].target.h == pytest.approx(350.0)
+        hues = [r.target.h for r in raw]
+        assert hues[0] == pytest.approx(5.0)
+        assert hues[1] == pytest.approx(350.0)
         # wrapping a tiny negative hue rounds up to 360, which means 0
-        assert raw[2].target.h == 0.0
+        assert hues[2] == 0.0
         assert clean(raw)[2].target_key == (0, 80, 50)
 
     def test_repeated_column_uses_last_occurrence(self, tmp_path):
@@ -137,7 +142,7 @@ class TestIngest:
                    [("very teal",) + _mini_row()])
         raw, rejects = ingest(path)
         assert not rejects
-        assert raw[0].utterance == "blue"
+        assert raw.utterances == ["blue"]
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "blank.csv"
@@ -204,10 +209,19 @@ class TestIngest:
             ["game_id", "speaker_id", "game_id"]
         assert all("tab or line break" in r.reason for r in rejects)
 
+    def test_byte_order_mark_ignored(self, tmp_path, fixture_corpus):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + fixture_corpus.csv.read_bytes())
+        raw, rejects = ingest(path)
+        want, want_rejects = ingest(fixture_corpus.csv)
+        assert repr(list(raw)) == repr(list(want))
+        assert rejects == want_rejects
+
     def test_deterministic(self, fixture_corpus):
-        first = ingest(fixture_corpus.csv)
-        second = ingest(fixture_corpus.csv)
-        assert first == second
+        first, first_rejects = ingest(fixture_corpus.csv)
+        second, second_rejects = ingest(fixture_corpus.csv)
+        assert repr(list(first)) == repr(list(second))
+        assert first_rejects == second_rejects
 
     def test_unknown_scale_rejected(self, fixture_corpus):
         with pytest.raises(ValueError):
@@ -306,7 +320,8 @@ class TestContextEase:
         lab = {c: srgb_to_lab(hsl_to_srgb(c)) for c in (t, near, far)}
         want = lab_distance(lab[t], lab[near])
         assert want < lab_distance(lab[t], lab[far])
-        rounds = clean([_raw_round(t, near, far), _raw_round(t, far, near)])
+        rounds = clean(RawRounds.from_rows(
+            [_raw_round(t, near, far), _raw_round(t, far, near)]))
         assert rounds.ease.tolist() == [want, want]
 
 
@@ -452,18 +467,36 @@ class TestSerialization:
 # syntax of the clean-rounds file.
 _JUNK = st.text(alphabet='a1-. ,"#\t\r\n\x00é', max_size=6)
 
-# Rows with every field well formed except, possibly, the ids.
+# Spellings of numbers that int() or float() accepts or refuses, and
+# the edges of the hue, saturation and lightness ranges.
+_NUMBER_TEXT = st.sampled_from([
+    " 12 ", "1_0", "nan", "inf", "1e400", "-1e-20", "12.5", "\u0663",
+    "-0", "12345678901234567890", "-360", "360", "100", "1.0"])
+
+
+def _rarely(usual, rare):
+    """Draws of usual, and about one time in six of rare."""
+    return st.builds(lambda k, u, r: r if k == 5 else u,
+                     st.integers(0, 5), usual, rare)
+
+
+# Rows with every field well formed except, possibly, the ids and the
+# spelling of the numbers. Saturation and lightness are mostly
+# fractions, which are in range under either hsl_scale.
 _COLUMNS = {
     "game_id": _JUNK,
-    "round_index": st.integers(0, 60).map(str),
+    "round_index": _rarely(st.integers(0, 60).map(str), _NUMBER_TEXT),
     "utterance": st.sampled_from(["blue", "BLUE!", " teal", "very blue", ""]),
-    "listener_correct": st.sampled_from(["true", "1", "0"]),
+    "listener_correct": st.sampled_from(["true", "1", "0", " No", "T"]),
     "speaker_id": _JUNK,
 }
 for _c in ("target", "distractor1", "distractor2"):
-    _COLUMNS[f"{_c}_h"] = st.integers(-400, 400).map(str)
-    _COLUMNS[f"{_c}_s"] = st.integers(0, 100).map(str)
-    _COLUMNS[f"{_c}_l"] = st.integers(0, 100).map(str)
+    _COLUMNS[f"{_c}_h"] = _rarely(st.integers(-400, 400).map(str),
+                                  _NUMBER_TEXT)
+    for _ch in "sl":
+        _COLUMNS[f"{_c}_{_ch}"] = _rarely(
+            st.floats(0.0, 1.0).map(repr),
+            st.one_of(st.integers(0, 100).map(str), _NUMBER_TEXT))
 _WIDTH = len(_MINI_HEADER)
 _ID_ROWS = st.tuples(*(_COLUMNS[c] for c in _MINI_HEADER))
 
@@ -502,6 +535,10 @@ def _line_breaks(text):
     return len(re.findall(r"\r\n|\r|\n", text))
 
 
+# Hues that wrap to -0.0 and to 0.0, and full saturation and lightness.
+_EDGE_ROW = ("g1", "1", "blue") + ("-360", "100", "100") * 3 + ("1", "s1")
+
+
 class TestIngestProperties:
     @_PROPERTY
     @given(rows=st.lists(_ROWS, max_size=6))
@@ -519,6 +556,29 @@ class TestIngestProperties:
         lines = [r.line for r in rejects]
         assert set(lines) <= ends
         assert lines == sorted(set(lines))
+
+    # Blocks of 1 to 3 rows put block edges between every kind of row:
+    # rounds, rejects, quoted rows over several lines and blank lines.
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    @_PROPERTY
+    @given(rows=st.lists(st.one_of(_ID_ROWS, _ROWS, st.just(())),
+                         max_size=8),
+           scale=st.sampled_from(["percent", "fraction"]))
+    @example(rows=[_EDGE_ROW, _EDGE_ROW[:3] + ("361", "0", "0") * 3
+                   + _EDGE_ROW[-2:]], scale="percent")
+    @example(rows=[_EDGE_ROW[:3] + ("-0", "1", "1.0") * 3
+                   + _EDGE_ROW[-2:]], scale="fraction")
+    def test_equals_per_row_oracle(self, tmp_path, monkeypatch, block, rows,
+                                   scale):
+        monkeypatch.setattr(corpus, "_ROW_BLOCK", block)
+        path = tmp_path / "rows.csv"
+        _write_quoted_csv(path, rows)
+        raw, rejects = ingest(path, hsl_scale=scale)
+        want, want_rejects = oracle_ingest(path, hsl_scale=scale)
+        # repr tells -0.0 from 0.0, which == does not
+        assert repr(list(raw)) == repr(want)
+        assert repr(rejects) == repr(want_rejects)
+        assert repr(list(clean(raw))) == repr(oracle_clean(want))
 
     @_PROPERTY
     @given(text=st.text(alphabet='a1,"\t\r\n\x00', max_size=60))
@@ -715,7 +775,7 @@ class TestCleanOracle:
     @given(raw=st.lists(_RAW_ROUNDS, max_size=8), spellmap=_SPELLMAPS)
     @example(raw=[], spellmap=None)
     def test_equals_per_row_oracle(self, raw, spellmap):
-        rounds = clean(raw, spellmap)
+        rounds = clean(RawRounds.from_rows(raw), spellmap)
         want = oracle_clean(raw, spellmap)
         # repr tells -0.0 from 0.0, which == does not
         assert repr(list(rounds)) == repr(want)
@@ -739,7 +799,7 @@ class TestCleanOracle:
         raw = [_raw_round(chip, chip, chip, correct=False),
                _raw_round(chip, chip, chip, utterance="very blue"),
                _raw_round(chip, chip, chip, utterance="!")]
-        rounds = clean(raw)
+        rounds = clean(RawRounds.from_rows(raw))
         assert len(rounds) == 0 and list(rounds) == []
         assert rounds.vocab == ()
         assert rounds.chip_keys.shape == (0, 3)
@@ -753,6 +813,26 @@ class TestCleanOracle:
             fixture_rounds[len(fixture_clean)]
         with pytest.raises(TypeError):
             fixture_rounds[0:2]
+
+
+class TestRawRounds:
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=100)
+    @given(raw=st.lists(_RAW_ROUNDS, max_size=8))
+    def test_from_rows_iterates_as_the_rows(self, raw):
+        table = RawRounds.from_rows(raw)
+        assert len(table) == len(raw)
+        assert repr(list(table)) == repr(raw)
+
+    def test_zero_rows(self, tmp_path):
+        path = tmp_path / "header.csv"
+        _write_csv(path, _MINI_HEADER, [])
+        raw, rejects = ingest(path)
+        for table in (raw, RawRounds.from_rows([])):
+            assert len(table) == 0 and list(table) == [] and not rejects
+            assert table.listener_correct.shape == (0,)
+            assert table.target.shape == table.distractor2.shape == (0, 3)
+            assert len(clean(table)) == 0
 
 
 class TestSlots:
