@@ -134,17 +134,16 @@ DEFAULT_SCHEMA = {name: name for name in CANONICAL_FIELDS}
 # Characters that would split an id across clean_rounds.tsv fields or lines.
 _ROW_BREAKS = re.compile("[\t\r\n]")
 
-_TRUE_VALUES = {"true", "1", "yes", "t"}
-_FALSE_VALUES = {"false", "0", "no", "f"}
+# The stripped, lowercased spellings of a boolean.
+_BOOLS = {"true": True, "1": True, "yes": True, "t": True,
+          "false": False, "0": False, "no": False, "f": False}
 
 
 def _parse_bool(text: str) -> bool:
-    v = text.strip().lower()
-    if v in _TRUE_VALUES:
-        return True
-    if v in _FALSE_VALUES:
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
+    value = _BOOLS.get(text.strip().lower())
+    if value is None:
+        raise ValueError(f"not a boolean: {text!r}")
+    return value
 
 
 def _parse_hsl(row: Sequence[str], cols: Mapping[str, int],
@@ -251,8 +250,6 @@ def _framed(reader, path) -> Iterator[list[str]]:
 
 
 _ROW_BLOCK = 8192  # data rows held as text at a time
-_BOOLS = dict.fromkeys(_TRUE_VALUES, True) | dict.fromkeys(_FALSE_VALUES,
-                                                            False)
 
 
 def _converted(convert, values: Sequence[str], bad: np.ndarray) -> list:
@@ -304,7 +301,8 @@ def _parse_block(rows: list[list[str]], lines: list[int],
         if hsl_scale == "percent":
             s /= 100.0
             l /= 100.0
-        # normalize_hue; a hue that is not finite becomes NaN
+        # normalize_hue; a hue that is not finite becomes NaN, which
+        # fails the range test as HslColor fails the unwrapped hue
         with np.errstate(invalid="ignore"):
             h = np.fmod(h, 360.0)
         h[h < 0.0] += 360.0

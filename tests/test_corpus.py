@@ -97,6 +97,13 @@ class TestIngest:
         with pytest.raises(SchemaError, match="distractor2_l"):
             ingest(path)
 
+    def test_unmapped_field_is_schema_error(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        _write_csv(path, _MINI_HEADER, [_mini_row()])
+        schema = {k: v for k, v in DEFAULT_SCHEMA.items() if k != "target_h"}
+        with pytest.raises(SchemaError, match="'target_h'"):
+            ingest(path, schema)
+
     def test_schema_renames_columns(self, tmp_path):
         path = tmp_path / "renamed.csv"
         header = ["msg" if c == "utterance" else c for c in _MINI_HEADER]
@@ -208,6 +215,14 @@ class TestIngest:
         assert [r.reason.split()[0] for r in rejects] == \
             ["game_id", "speaker_id", "game_id"]
         assert all("tab or line break" in r.reason for r in rejects)
+
+    def test_flagged_row_the_row_parse_accepts_raises(self, tmp_path,
+                                                      monkeypatch):
+        path = tmp_path / "rows.csv"
+        _write_csv(path, _MINI_HEADER, [_mini_row(), _mini_row(ok="maybe")])
+        monkeypatch.setattr(corpus, "_parse_row", lambda *args: None)
+        with pytest.raises(RuntimeError, match="line 3"):
+            ingest(path)
 
     def test_byte_order_mark_ignored(self, tmp_path, fixture_corpus):
         path = tmp_path / "bom.csv"
@@ -535,7 +550,8 @@ def _line_breaks(text):
     return len(re.findall(r"\r\n|\r|\n", text))
 
 
-# Hues that wrap to -0.0 and to 0.0, and full saturation and lightness.
+# A row on the edges of the ranges: hues of -360, which wrap to -0.0,
+# and full saturation and lightness.
 _EDGE_ROW = ("g1", "1", "blue") + ("-360", "100", "100") * 3 + ("1", "s1")
 
 
