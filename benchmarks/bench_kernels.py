@@ -8,8 +8,12 @@ per-group statistics against `reference_profile` and
 `reference_group_stats` in tests/test_regress.py; the batch colour
 conversion against hsl_to_srgb + srgb_to_lab over the whole integer
 HSL grid; the columnar `ingest`, `clean` and clean-rounds reader
-against the per-row code in tests/_rounds_oracle.py. Usage, from the
-root of a checkout:
+against the per-row code in tests/_rounds_oracle.py; the SVG plots
+against the per-point renderings in tests/_svg_oracle.py (equal
+bytes); and the cached random-intercept fit against `every_step_fit`
+in tests/test_regress.py, whose search profiles every step (equal
+fields), with the number of profile evaluations of each. Usage, from
+the root of a checkout:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py
 
@@ -23,6 +27,7 @@ import io
 import sys
 import tempfile
 import timeit
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -37,14 +42,16 @@ from _rounds_oracle import (  # noqa: E402
     oracle_write_clean_rounds,
     rounds_rows,
 )
+from _svg_oracle import oracle_denotation_plot, oracle_ease_plot  # noqa: E402
 from test_kernels import oracle_mean_pairwise, reference_simulate  # noqa: E402
 from test_regress import (  # noqa: E402
+    every_step_fit,
     group_stats_tuples,
     reference_group_stats,
     reference_profile,
 )
 
-from colorlex import corpus, kernels, regress  # noqa: E402
+from colorlex import corpus, kernels, regress, svgplot  # noqa: E402
 from colorlex.colorspace import (  # noqa: E402
     HslColor,
     LabColor,
@@ -77,18 +84,25 @@ def _simulate_case(n_referents: int, vocab: int, seed: int):
     return offsets, words, app
 
 
-def _profile_case(n_groups: int, sizes: tuple[int, ...],
+def _profile_rows(n_groups: int, sizes: tuple[int, ...],
                   singleton_share: float, seed: int):
     """Rows in groups of 1 (at the given share) or a size drawn from
-    `sizes`, interleaved; returns the row count and group statistics."""
+    `sizes`, interleaved, each group with its own intercept, so that
+    the variance ratio's maximum is inside the search bracket."""
     rng = np.random.default_rng(seed)
     n_rows = np.where(rng.random(n_groups) < singleton_share, 1,
                       rng.choice(sizes, size=n_groups))
     labels = rng.permutation(np.repeat(np.arange(n_groups), n_rows))
     ease = rng.uniform(0.0, 100.0, size=len(labels))
-    i_w = rng.normal(4.0, 0.5, size=len(labels)) - 0.02 * ease
-    rows = [regress.RegressionRow(y, x, g) for y, x, g in
+    i_w = (rng.normal(4.0, 0.5, size=len(labels)) - 0.02 * ease
+           + rng.normal(0.0, 0.3, size=n_groups)[labels])
+    return [regress.RegressionRow(y, x, g) for y, x, g in
             zip(i_w.tolist(), ease.tolist(), labels.tolist())]
+
+
+def _profile_case(*shape):
+    """The row count and group statistics of _profile_rows(*shape)."""
+    rows = _profile_rows(*shape)
     return len(rows), regress._group_stats(rows)
 
 
@@ -240,6 +254,72 @@ def bench_profile(label: str, n_groups: int, sizes: tuple[int, ...],
     _line(f"_profile {label} g={n_groups}", t_kernel, t_oracle)
 
 
+def _profile_calls(fn) -> int:
+    """The number of `regress._profile` calls that fn() makes."""
+    calls = 0
+    profile = regress._profile
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return profile(*args)
+
+    regress._profile = counting
+    try:
+        fn()
+    finally:
+        regress._profile = profile
+    return calls
+
+
+def bench_fit(label: str, *shape) -> None:
+    rows = _profile_rows(*shape)
+    got, t_fit = _best(lambda: regress.fit_random_intercept(rows), repeat=3)
+    want, t_oracle = _best(lambda: every_step_fit(rows), repeat=3)
+    assert repr(asdict(got)) == repr(asdict(want)), (
+        f"fit {label} disagrees with the every-step search")
+    _line(f"fit_random_intercept {label}", t_fit, t_oracle, "cached")
+    print(f"  _profile evaluations: "
+          f"{_profile_calls(lambda: regress.fit_random_intercept(rows))}"
+          f", every step "
+          f"{_profile_calls(lambda: every_step_fit(rows))}")
+
+
+def bench_ease_plot(n: int, seed: int) -> None:
+    rng = np.random.default_rng(seed)
+    ease = rng.uniform(0.0, 100.0, size=n).tolist()
+    i_w = rng.normal(4.0, 0.5, size=n).tolist()
+    points = list(zip(ease, i_w))
+    line = (4.0, -0.02)
+    got, t_plot = _best(lambda: svgplot.ease_plot(ease, i_w, "h", line),
+                        repeat=5)
+    want, t_oracle = _best(lambda: oracle_ease_plot(points, "h", line),
+                           repeat=3)
+    assert got == want, "ease_plot disagrees with the per-point oracle"
+    _line(f"ease_plot n={n}", t_plot, t_oracle, "arrays")
+
+
+def bench_denotation_plot(n: int, seed: int) -> None:
+    """n chips over six words of Zipf-weighted sizes."""
+    rng = np.random.default_rng(seed)
+    chips = np.column_stack([rng.uniform(0.0, 100.0, size=n),
+                             rng.uniform(-80.0, 80.0, size=(n, 2))])
+    weights = 1.0 / np.arange(1, 7)
+    ends = np.cumsum(np.round(n * weights / weights.sum()).astype(int))
+    ends[-1] = n
+    denotations = {
+        f"w{i}": corpus.Denotation(f"w{i}", chips[end - size:end])
+        for i, (end, size) in enumerate(zip(ends, np.diff(ends, prepend=0)))
+    }
+    words = list(denotations)
+    got, t_plot = _best(
+        lambda: svgplot.denotation_plot(denotations, words, "h"), repeat=5)
+    want, t_oracle = _best(
+        lambda: oracle_denotation_plot(denotations, words, "h"), repeat=3)
+    assert got == want, "denotation_plot disagrees with the per-point oracle"
+    _line(f"denotation_plot n={n}", t_plot, t_oracle, "arrays")
+
+
 def bench_group_stats(n_groups: int, n_rows: int, seed: int) -> None:
     rows = _group_rows(n_groups, n_rows, seed)
     got, t_kernel = _best(lambda: regress._group_stats(rows), repeat=5)
@@ -326,6 +406,10 @@ def main() -> None:
     # groups of ~13 rows, as over a pooled chip set (pool47k).
     bench_profile("singletons", 36_000, (2, 3, 4, 5, 6), 0.9, 7)
     bench_profile("pooled", 3_000, tuple(range(7, 20)), 0.0, 8)
+    bench_fit("singletons", 36_000, (2, 3, 4, 5, 6), 0.9, 7)
+    bench_fit("pooled", 3_000, tuple(range(7, 20)), 0.0, 8)
+    bench_ease_plot(40_000, 13)
+    bench_denotation_plot(40_000, 14)
     # The vocab47k shape: 40k regression rows, nearly all singletons.
     bench_group_stats(39_000, 40_000, 9)
     bench_read_clean_rounds(47_000, 10)

@@ -17,6 +17,7 @@ header of every file records both.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -221,12 +222,14 @@ def cmd_plot(cfg: RunConfig, args) -> None:
         svg = svgplot.denotation_plot(denotations, words, header)
     else:
         rows = regress.rows_from_rounds(rounds, _read_infos(cfg))
-        points = [(row.ease, row.i_w) for row in rows]
+        ease = [row.ease for row in rows]
+        i_w = [row.i_w for row in rows]
         line = None
-        if len(rows) >= 3 and len({row.ease for row in rows}) > 1:
+        if len(rows) >= 3 and len(set(ease)) > 1:
             fit = regress.fit_ols(rows)
             line = (fit.intercept, fit.slope)
-        svg = svgplot.ease_plot(points, header, line)
+        del rows  # freed before the SVG text is built; the columns suffice
+        svg = svgplot.ease_plot(ease, i_w, header, line)
     path = _write(cfg, f"plot_{args.kind}.svg", lambda h: h.write(svg))
     print(f"wrote {path}")
 
@@ -280,6 +283,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # The cyclic collector would re-scan every list and tuple the stage
+    # builds and find next to nothing to free: a stage's bulk data are
+    # arrays and flat lists of str and float, which hold no reference
+    # cycles, so reference counting frees them. The collector is put
+    # back as the caller had it, so an in-process caller keeps its own.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         cfg = load_config(args.config)
         cfg = with_overrides(cfg, args.seed, args.out)
@@ -287,6 +297,9 @@ def main(argv=None) -> int:
     except (ColorlexError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
     return 0
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 from math import fsum
 from typing import Hashable, Mapping, NamedTuple, Sequence
 
@@ -257,8 +258,12 @@ def fit_random_intercept(rows: Sequence[RegressionRow]) -> FitResult:
             ),
         )
 
+    # After about 80 steps the bracket is an ulp or so wide and the
+    # search revisits points; each theta is profiled once.
+    profile = cache(lambda theta: _profile(stats, n, theta))
+
     def objective(u: float) -> float:
-        return _profile(stats, n, math.expm1(u))[0]
+        return profile(math.expm1(u))[0]
 
     # Golden-section search on u = log1p(theta). 120 iterations shrink
     # the bracket far below any meaningful resolution in theta.
@@ -281,7 +286,7 @@ def fit_random_intercept(rows: Sequence[RegressionRow]) -> FitResult:
     if objective(0.0) >= objective(u_hat):
         u_hat = 0.0
     theta = math.expm1(u_hat)
-    loglik, intercept, slope, sigma2, a11, a22, det = _profile(stats, n, theta)
+    loglik, intercept, slope, sigma2, a11, a22, det = profile(theta)
     se_intercept = math.sqrt(sigma2 * a22 / det)
     se_slope = math.sqrt(sigma2 * a11 / det)
     t = _t_stat(slope, se_slope)

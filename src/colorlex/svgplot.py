@@ -5,12 +5,19 @@ coordinates, so rendering the same data twice yields byte-identical
 files (a plotting library would not guarantee that). Two kinds are
 provided: chip clouds per word in the a*/b* plane with an L* strip,
 and an ease-versus-informativeness scatter with a least-squares line.
+
+Point coordinates are scaled a whole float64 column at a time. Each
+element goes through the operations of the scalar `_Scale.__call__` in
+the same order, so it is the double a per-point call gives, and it is
+formatted as `_fmt` formats it.
 """
 
 from __future__ import annotations
 
 from math import fsum
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .colorspace import LabColor, lab_to_srgb
 from .corpus import Denotation
@@ -18,6 +25,9 @@ from .corpus import Denotation
 __all__ = ["denotation_plot", "ease_plot"]
 
 _FONT = "font-family=\"sans-serif\" font-size=\"12\""
+# Points are formatted this many at a time, so that only one block of
+# pixel coordinates is held as Python floats.
+_BLOCK = 8192
 
 
 def _fmt(v: float) -> str:
@@ -38,13 +48,10 @@ def _hex_color(c: LabColor) -> str:
     )
 
 
-def _mean_lab(chips: Sequence[Sequence[float]]) -> LabColor:
-    n = len(chips)
-    return LabColor(
-        fsum(c[0] for c in chips) / n,
-        fsum(c[1] for c in chips) / n,
-        fsum(c[2] for c in chips) / n,
-    )
+def _mean_lab(l_star: Sequence[float], a_star: Sequence[float],
+              b_star: Sequence[float]) -> LabColor:
+    n = len(l_star)
+    return LabColor(fsum(l_star) / n, fsum(a_star) / n, fsum(b_star) / n)
 
 
 class _Scale:
@@ -64,6 +71,20 @@ class _Scale:
     def ticks(self, n: int = 5) -> list[float]:
         step = (self.hi - self.lo) / (n - 1)
         return [self.lo + i * step for i in range(n)]
+
+
+def _pixels(scale: _Scale, values) -> np.ndarray:
+    """scale(v) for every value, computed on one float64 array."""
+    # The scalar call gives inf and NaN without a word; so does this.
+    with np.errstate(all="ignore"):
+        return scale(np.asarray(values, dtype=np.float64))
+
+
+def _rows(*columns: np.ndarray) -> Iterator[tuple[float, ...]]:
+    """The columns' values row by row, as Python floats, converted a
+    block of rows at a time."""
+    for start in range(0, len(columns[0]), _BLOCK):
+        yield from zip(*(c[start:start + _BLOCK].tolist() for c in columns))
 
 
 def _tick_label(v: float) -> str:
@@ -141,12 +162,13 @@ def denotation_plot(
     mean chip color. Unknown words raise KeyError.
     """
     width, height = 800, 480
-    # Each chip as an (L*, a*, b*) tuple of floats.
-    chosen = [(w, denotations[w].chips.tolist()) for w in words]
+    chosen = [(w, denotations[w].chips) for w in words]
     if not chosen:
         return _no_data(width, height, header_comment)
-    all_a = [c[1] for _, chips in chosen for c in chips]
-    all_b = [c[2] for _, chips in chosen for c in chips]
+    # Each word's L*, a* and b* values, as three lists of floats.
+    columns = [chips.T.tolist() for _, chips in chosen]
+    all_a = [v for _, a_star, _ in columns for v in a_star]
+    all_b = [v for _, _, b_star in columns for v in b_star]
     main_x = _Scale(min(all_a), max(all_a), 60, 560)
     main_y = _Scale(min(all_b), max(all_b), 430, 40)
     strip_x0, strip_x1 = 620, 770
@@ -164,19 +186,20 @@ def denotation_plot(
         f'{_FONT} text-anchor="middle">L*</text>'
     )
     n_words = len(chosen)
-    for i, (word, chips) in enumerate(chosen):
-        color = _hex_color(_mean_lab(chips))
-        col_x = strip_x0 + (i + 0.5) / n_words * (strip_x1 - strip_x0)
-        for l_star, a_star, b_star in chips:
-            body.append(
-                f'<circle cx="{_fmt(main_x(a_star))}" '
-                f'cy="{_fmt(main_y(b_star))}" r="3" fill="{color}" '
-                f'fill-opacity="0.7"/>'
-            )
-            body.append(
-                f'<circle cx="{_fmt(col_x)}" cy="{_fmt(strip_y(l_star))}" '
-                f'r="3" fill="{color}" fill-opacity="0.7"/>'
-            )
+    for i, ((word, chips), lab) in enumerate(zip(chosen, columns)):
+        color = _hex_color(_mean_lab(*lab))
+        col_x = _fmt(strip_x0 + (i + 0.5) / n_words * (strip_x1 - strip_x0))
+        # A chip's two circles as one entry: _document joins the entries
+        # with the same newline that separates them here.
+        body.extend(
+            f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="{color}" '
+            f'fill-opacity="0.7"/>\n'
+            f'<circle cx="{col_x}" cy="{z:.2f}" r="3" fill="{color}" '
+            f'fill-opacity="0.7"/>'
+            for x, y, z in _rows(_pixels(main_x, chips[:, 1]),
+                                 _pixels(main_y, chips[:, 2]),
+                                 _pixels(strip_y, chips[:, 0]))
+        )
         ly = 40 + 18 * i
         body.append(
             f'<rect x="570" y="{ly - 9}" width="10" height="10" '
@@ -190,32 +213,32 @@ def denotation_plot(
 
 
 def ease_plot(
-    points: Sequence[tuple[float, float]],
+    ease: Sequence[float],
+    i_w: Sequence[float],
     header_comment: str,
     line: tuple[float, float] | None = None,
 ) -> str:
-    """Scatter of (context ease, uttered-word informativeness).
+    """Scatter of context ease against uttered-word informativeness,
+    one point per index of the two lists.
 
     line, when given, is an (intercept, slope) pair drawn across the
     ease range.
     """
     width, height = 640, 480
-    if not points:
+    if not ease:
         return _no_data(width, height, header_comment)
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    sx = _Scale(min(xs), max(xs), 60, 600)
-    sy = _Scale(min(ys), max(ys), 430, 40)
+    sx = _Scale(min(ease), max(ease), 60, 600)
+    sy = _Scale(min(i_w), max(i_w), 430, 40)
     body: list[str] = []
     _axes(body, sx, sy, "context ease", "informativeness of uttered word")
-    for px, py in points:
-        body.append(
-            f'<circle cx="{_fmt(sx(px))}" cy="{_fmt(sy(py))}" r="2.5" '
-            f'fill="#3366aa" fill-opacity="0.45"/>'
-        )
+    body.extend(
+        f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5" '
+        f'fill="#3366aa" fill-opacity="0.45"/>'
+        for x, y in _rows(_pixels(sx, ease), _pixels(sy, i_w))
+    )
     if line is not None:
         intercept, slope = line
-        x0, x1 = min(xs), max(xs)
+        x0, x1 = min(ease), max(ease)
         y0, y1 = intercept + slope * x0, intercept + slope * x1
         body.append(
             f'<line x1="{_fmt(sx(x0))}" y1="{_fmt(sy(y0))}" '

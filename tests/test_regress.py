@@ -77,6 +77,17 @@ def reference_profile(groups, n, theta):
     return loglik, intercept, slope, sigma2, a11, a22, det
 
 
+def every_step_fit(rows):
+    """fit_random_intercept with its profile cache off, so that the
+    search calls `_profile` at every step, revisited points included."""
+    saved = regress.cache
+    regress.cache = lambda fn: fn
+    try:
+        return fit_random_intercept(rows)
+    finally:
+        regress.cache = saved
+
+
 class TestOls:
     def test_exact_line(self):
         fit = fit_ols(_line_rows())
@@ -322,6 +333,10 @@ _ORACLE_PROBLEMS = {
 }
 
 
+_FIT_PROBLEMS = {**_ORACLE_PROBLEMS,
+                 **{f"dense_{k}": v for k, v in _DENSE_PROBLEMS.items()}}
+
+
 def _outcome(profile, groups, n, theta):
     """The seven values as reprs (exact, and NaN equals NaN), or the error."""
     try:
@@ -431,7 +446,7 @@ class TestProfileOracle:
     @pytest.mark.parametrize("problem", sorted(_ORACLE_PROBLEMS))
     def test_equals_reference_on_search_grid(self, problem, monkeypatch):
         # Every theta the golden-section search visits, then the final
-        # evaluation at its estimate.
+        # evaluation at its estimate; none is evaluated twice.
         rows = _ORACLE_PROBLEMS[problem]()
         seen = []
 
@@ -441,11 +456,17 @@ class TestProfileOracle:
 
         monkeypatch.setattr(regress, "_profile", recording)
         fit_random_intercept(rows)
-        assert len(seen) == 125
+        assert len(seen) == len(set(seen))
         groups = _group_stats(rows)
         for theta in seen:
             assert _profile(groups, len(rows), theta) == reference_profile(
                 groups, len(rows), theta), theta
+
+    @pytest.mark.parametrize("problem", sorted(_FIT_PROBLEMS))
+    def test_cached_fit_equals_every_step_search(self, problem):
+        rows = _FIT_PROBLEMS[problem]()
+        assert repr(asdict(fit_random_intercept(rows))) == repr(
+            asdict(every_step_fit(rows)))
 
     @settings(derandomize=True, database=None, deadline=None,
               max_examples=150)
