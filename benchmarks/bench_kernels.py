@@ -35,11 +35,12 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from _rounds_oracle import (  # noqa: E402
-    clean_rows,
+    CleanRow,
     oracle_clean,
     oracle_ingest,
     oracle_read_clean_rounds,
     oracle_write_clean_rounds,
+    rounds_from_rows,
     rounds_rows,
 )
 from _svg_oracle import oracle_denotation_plot, oracle_ease_plot  # noqa: E402
@@ -54,7 +55,6 @@ from test_regress import (  # noqa: E402
 from colorlex import corpus, kernels, regress, svgplot  # noqa: E402
 from colorlex.colorspace import (  # noqa: E402
     HslColor,
-    LabColor,
     hsl_to_lab_array,
     hsl_to_srgb,
     srgb_to_lab,
@@ -131,15 +131,12 @@ def _clean_table(n_rows: int, seed: int) -> str:
     lab = rng.uniform(-100.0, 100.0, size=(n_rows, 9)).tolist()
     ease = rng.uniform(0.0, 100.0, size=n_rows).tolist()
     rows = [
-        corpus.CleanRound(
-            word=f"w{w}", target=LabColor(*v[0:3]),
-            distractors=(LabColor(*v[3:6]), LabColor(*v[6:9])),
-            context_ease=e, target_key=tuple(k), speaker_id=f"s{i // 50}",
-            game_id=f"g{i // 50}", round_index=i % 50 + 1)
+        CleanRow(f"g{i // 50}", i % 50 + 1, f"s{i // 50}", f"w{w}", tuple(k),
+                 e, tuple(v[0:3]), tuple(v[3:6]), tuple(v[6:9]))
         for i, (w, k, v, e) in enumerate(zip(words.tolist(), keys, lab, ease))
     ]
     buffer = io.StringIO()
-    corpus.write_clean_rounds(buffer, corpus.Rounds.from_clean(rows),
+    corpus.write_clean_rounds(buffer, rounds_from_rows(rows),
                               "# colorlex bench")
     return buffer.getvalue()
 
@@ -308,7 +305,7 @@ def bench_denotation_plot(n: int, seed: int) -> None:
     ends = np.cumsum(np.round(n * weights / weights.sum()).astype(int))
     ends[-1] = n
     denotations = {
-        f"w{i}": corpus.Denotation(f"w{i}", chips[end - size:end])
+        f"w{i}": chips[end - size:end]
         for i, (end, size) in enumerate(zip(ends, np.diff(ends, prepend=0)))
     }
     words = list(denotations)
@@ -336,7 +333,7 @@ def bench_read_clean_rounds(n_rows: int, seed: int) -> None:
         lambda: corpus.read_clean_rounds(io.StringIO(text)).target, repeat=5)
     want, t_oracle = _best(
         lambda: oracle_read_clean_rounds(io.StringIO(text)), repeat=3)
-    assert repr(rounds_rows(got)) == repr(clean_rows(want)), (
+    assert repr(rounds_rows(got)) == repr(want), (
         "read_clean_rounds disagrees with the per-row reader")
     _line(f"read_clean_rounds n={n_rows}", t_read, t_oracle, "columns")
     _line("  and its target Lab block", t_lab, t_oracle, "columns")
@@ -381,7 +378,8 @@ def bench_clean(n_rows: int, seed: int) -> None:
     rows = list(raw)
     got, t_clean = _best(lambda: corpus.clean(raw), repeat=3)
     want, t_oracle = _best(lambda: oracle_clean(rows), repeat=1)
-    assert repr(list(got)) == repr(want), "clean disagrees with oracle_clean"
+    assert repr(rounds_rows(got)) == repr(want), (
+        "clean disagrees with oracle_clean")
     written, t_write = _best(lambda: _write(corpus.write_clean_rounds, got),
                              repeat=3)
     oracle_written, t_oracle_write = _best(

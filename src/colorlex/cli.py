@@ -215,10 +215,8 @@ def cmd_plot(cfg: RunConfig, args) -> None:
                     f"available: {sorted(denotations)}"
                 )
         else:
-            by_count = sorted(
-                denotations.values(), key=lambda d: (-len(d.chips), d.word)
-            )
-            words = [d.word for d in by_count[:6]]
+            words = sorted(
+                denotations, key=lambda w: (-len(denotations[w]), w))[:6]
         svg = svgplot.denotation_plot(denotations, words, header)
     else:
         rows = regress.rows_from_rounds(rounds, _read_infos(cfg))

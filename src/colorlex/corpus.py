@@ -11,9 +11,7 @@ harder the round).
 
 Ingestion returns one columnar `RawRounds` table, and cleaning
 returns, and the stages after ingestion read back, one columnar
-`Rounds` table, rather than one object per round. Their rows iterate
-as `RawRound` and `CleanRound` objects for inspection; the pipeline
-reads the columns.
+`Rounds` table, rather than one object per round.
 
 Chip identity: source corpora draw chips on an integer HSL grid
 (hue in degrees, saturation/lightness in percent), so a chip's key is
@@ -42,9 +40,7 @@ __all__ = [
     "LANGUAGE_MIN_COUNT",
     "RawRound",
     "RawRounds",
-    "CleanRound",
     "Rounds",
-    "Denotation",
     "RejectedRow",
     "SchemaError",
     "ingest",
@@ -85,29 +81,6 @@ class RawRound:
     distractor2: HslColor
     listener_correct: bool
     speaker_id: str | None
-
-
-@dataclass(frozen=True, slots=True)
-class CleanRound:
-    """A successfully solved round whose utterance was a single token."""
-
-    word: str
-    target: LabColor
-    distractors: tuple[LabColor, LabColor]
-    context_ease: float
-    target_key: ChipKey
-    speaker_id: str | None
-    game_id: str
-    round_index: int
-
-
-@dataclass(frozen=True, eq=False)
-class Denotation:
-    """All chips a word labeled, one entry per clean round (a multiset):
-    `chips` holds their CIELAB points as the rows of a (k, 3) array."""
-
-    word: str
-    chips: np.ndarray
 
 
 @dataclass(frozen=True, slots=True)
@@ -574,9 +547,7 @@ class Rounds:
       keeps them as text and converts a block on its first access, so
       a stage that reads no Lab converts none.
 
-    `clean` returns this table, and Rounds.from_clean builds it from
-    CleanRound rows. Iterating over it, or indexing it with an int,
-    yields its rounds as CleanRound rows.
+    `clean` returns this table, and read_clean_rounds reads it back.
     """
 
     def __init__(self, *, vocab: tuple[str, ...], word_ids: np.ndarray,
@@ -598,57 +569,8 @@ class Rounds:
             self._lab = None
             self.target, self.distractor1, self.distractor2 = lab
 
-    @classmethod
-    def from_clean(cls, rows: Sequence[CleanRound]) -> Rounds:
-        """The table of the given clean rounds, in their order."""
-        word_ids, vocab = _dense_ids([r.word for r in rows])
-        key_ids, keys = _dense_ids([r.target_key for r in rows])
-        chip_keys, chip_ids = _chip_table(
-            np.array(keys, dtype=np.int64).reshape(-1, 3))
-        return cls(
-            vocab=tuple(vocab),
-            word_ids=word_ids,
-            chip_keys=chip_keys,
-            chip_ids=chip_ids[key_ids],
-            ease=np.array([r.context_ease for r in rows], dtype=np.float64),
-            game_ids=[r.game_id for r in rows],
-            speaker_ids=[r.speaker_id or "" for r in rows],
-            round_indices=[r.round_index for r in rows],
-            lab=[np.array([(c.l_star, c.a_star, c.b_star) for c in colors],
-                          dtype=np.float64).reshape(-1, 3)
-                 for colors in ([r.target for r in rows],
-                                [r.distractors[0] for r in rows],
-                                [r.distractors[1] for r in rows])],
-        )
-
     def __len__(self) -> int:
         return len(self.word_ids)
-
-    def __iter__(self) -> Iterator[CleanRound]:
-        keys = [tuple(k) for k in self.chip_keys.tolist()]
-        targets, d1s, d2s = (
-            [LabColor(*v) for v in block.tolist()]
-            for block in (self.target, self.distractor1, self.distractor2))
-        for (word, chip, ease, target, d1, d2, speaker, game,
-             index) in zip(self.word_ids.tolist(), self.chip_ids.tolist(),
-                           self.ease.tolist(), targets, d1s, d2s,
-                           self.speaker_ids, self.game_ids,
-                           self.round_indices):
-            yield CleanRound(
-                word=self.vocab[word],
-                target=target,
-                distractors=(d1, d2),
-                context_ease=ease,
-                target_key=keys[chip],
-                speaker_id=speaker or None,
-                game_id=game,
-                round_index=index,
-            )
-
-    def __getitem__(self, i: int) -> CleanRound:
-        # an int only, with a list's negative indices and IndexError
-        i = range(len(self))[operator.index(i)]
-        return next(iter(self.take([i])))
 
     @cached_property
     def target(self) -> np.ndarray:
@@ -687,8 +609,10 @@ class Rounds:
         return out
 
 
-def build_denotations(rounds: Rounds, min_count: int) -> dict[str, Denotation]:
-    """Group chips by word, dropping words used fewer than min_count times.
+def build_denotations(rounds: Rounds,
+                      min_count: int) -> dict[str, np.ndarray]:
+    """Each word's chips as the CIELAB rows of a (k, 3) float64 array,
+    dropping words used fewer than min_count times.
 
     Words appear in first-occurrence order, and each word's chips in row
     order. Chips are a multiset: a chip named twice with the same word
@@ -706,8 +630,7 @@ def build_denotations(rounds: Rounds, min_count: int) -> dict[str, Denotation]:
     ends = np.cumsum(counts).tolist()
     counts = counts.tolist()
     return {
-        rounds.vocab[w]: Denotation(
-            rounds.vocab[w], chips[ends[w] - counts[w]:ends[w]])
+        rounds.vocab[w]: chips[ends[w] - counts[w]:ends[w]]
         for w in kept
     }
 

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, TextIO
 import numpy as np
 
 from . import kernels
-from .corpus import Denotation, read_table, write_table
+from .corpus import read_table, write_table
 from .errors import ColorlexError
 
 __all__ = [
@@ -124,37 +124,40 @@ def informativeness(
 
     Exact when the denotation has at most cfg.max_exact chips;
     otherwise the mean over cfg.iterations subsample estimates.
-    Deterministic given (cfg.seed, word).
+    Deterministic given (cfg.seed, word). An undefined spread raises
+    spread()'s error, naming the word, its chip count and the subsample.
     """
     pts = np.ascontiguousarray(chips, dtype=np.float64)
     n = pts.shape[0]
-    if n <= cfg.max_exact:
-        s = spread(pts)
-        return WordInfo(word, s, SCALE / s, n, sampled=False)
-    rng = np.random.default_rng(derive_seed(cfg.seed, word))
-    spreads = []
-    scores = []
-    for _ in range(cfg.iterations):
-        idx = rng.choice(n, size=cfg.sample_size, replace=False)
-        s = spread(pts[idx])
-        spreads.append(s)
-        scores.append(SCALE / s)
+    spreads = []  # one per subsample
+    try:
+        if n <= cfg.max_exact:
+            s = spread(pts)
+            return WordInfo(word, s, SCALE / s, n, sampled=False)
+        rng = np.random.default_rng(derive_seed(cfg.seed, word))
+        for _ in range(cfg.iterations):
+            idx = rng.choice(n, size=cfg.sample_size, replace=False)
+            spreads.append(spread(pts[idx]))
+    except (InsufficientDenotationError, DegenerateDenotationError) as exc:
+        of = (f", subsample {len(spreads) + 1} of {cfg.iterations}"
+              if n > cfg.max_exact else "")
+        raise type(exc)(f"word {word!r} ({n} chips{of}): {exc}") from None
     return WordInfo(
         word,
         fsum(spreads) / cfg.iterations,
-        fsum(scores) / cfg.iterations,
+        fsum(SCALE / s for s in spreads) / cfg.iterations,
         n,
         sampled=True,
     )
 
 
 def compute_word_infos(
-    denotations: Mapping[str, Denotation], cfg: SamplingConfig
+    denotations: Mapping[str, np.ndarray], cfg: SamplingConfig
 ) -> dict[str, WordInfo]:
-    """Informativeness for every denotation, keyed by word."""
+    """Informativeness of each word's (k, 3) chips, keyed by word."""
     return {
-        word: informativeness(den.chips, cfg, word=word)
-        for word, den in denotations.items()
+        word: informativeness(chips, cfg, word=word)
+        for word, chips in denotations.items()
     }
 
 

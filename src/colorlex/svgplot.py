@@ -20,7 +20,6 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .colorspace import LabColor, lab_to_srgb
-from .corpus import Denotation
 
 __all__ = ["denotation_plot", "ease_plot"]
 
@@ -152,17 +151,18 @@ def _no_data(width: int, height: int, header_comment: str) -> str:
 
 
 def denotation_plot(
-    denotations: Mapping[str, Denotation],
+    denotations: Mapping[str, np.ndarray],
     words: Sequence[str],
     header_comment: str,
 ) -> str:
     """Chip clouds for the given words: a*/b* plane plus an L* strip.
 
-    Each word's chips are drawn in the sRGB rendering of the word's
-    mean chip color. Unknown words raise KeyError.
+    Each word's chips (its (k, 3) CIELAB array in `denotations`) are
+    drawn in the sRGB rendering of the word's mean chip color. Unknown
+    words raise KeyError.
     """
     width, height = 800, 480
-    chosen = [(w, denotations[w].chips) for w in words]
+    chosen = [(w, denotations[w]) for w in words]
     if not chosen:
         return _no_data(width, height, header_comment)
     # Each word's L*, a* and b* values, as three lists of floats.

@@ -3,18 +3,22 @@
 `oracle_ingest` reads a corpus row by row into RawRound objects, as
 the package did before `ingest` parsed blocks of rows column by column
 into a `RawRounds` table. `oracle_clean` and
-`oracle_write_clean_rounds` clean raw rounds into CleanRound objects,
+`oracle_write_clean_rounds` clean raw rounds into `CleanRow` tuples,
 converting each chip with the scalar colorspace functions, and write
 them line by line, as the package did before `clean` converted all
 chips in one batch and wrote a `Rounds` table.
 `oracle_read_clean_rounds` parses a clean_rounds.tsv table line by line
-into CleanRound objects, as the package did before `read_clean_rounds`
-read it column by column. `rounds_rows` and `clean_rows` turn either
-result into the same list of plain tuples, so that tests can compare
-the two by repr, which tells -0.0 from 0.0.
+into `CleanRow` tuples, as the package did before `read_clean_rounds`
+read it column by column. `rounds_rows` gives a `Rounds` table's rows in
+the same form, and `rounds_from_rows` builds a table from such rows, so
+that tests can compare tables by repr, which tells -0.0 from 0.0 and
+shows NaN.
 """
 
 import csv
+from typing import NamedTuple
+
+import numpy as np
 
 from colorlex.colorspace import (
     LabColor,
@@ -25,16 +29,17 @@ from colorlex.colorspace import (
 from colorlex.corpus import (
     _ROW_BREAKS,
     DEFAULT_SCHEMA,
-    CleanRound,
     RawRound,
     RejectedRow,
+    Rounds,
     SchemaError,
+    _chip_table,
+    _dense_ids,
     _framed,
     _parse_bool,
     _parse_hsl,
     chip_key,
     format_chip_key,
-    lab_fields,
     normalize_utterance,
     write_table,
 )
@@ -42,6 +47,23 @@ from colorlex.corpus import (
 _CLEAN_COLUMNS = ("game_id", "round_index", "speaker_id", "word",
                   "target_key", "ease") + tuple(
     f"{c}_{ch}" for c in ("target", "d1", "d2") for ch in "lab")
+
+Lab = tuple[float, float, float]
+
+
+class CleanRow(NamedTuple):
+    """One clean round, as a clean_rounds.tsv line holds it: speaker_id
+    is "" when the corpus has none, and each Lab value is (L*, a*, b*)."""
+
+    game_id: str
+    round_index: int
+    speaker_id: str
+    word: str
+    target_key: tuple[int, int, int]
+    ease: float
+    target: Lab
+    d1: Lab
+    d2: Lab
 
 
 def oracle_ingest(path, schema=None, *, delimiter=",", hsl_scale="percent"):
@@ -115,7 +137,11 @@ def context_ease(target, d1, d2):
     return min(lab_distance(target, d1), lab_distance(target, d2))
 
 
-def oracle_clean(rounds, spellmap=None) -> list[CleanRound]:
+def _lab(c: LabColor) -> Lab:
+    return (c.l_star, c.a_star, c.b_star)
+
+
+def oracle_clean(rounds, spellmap=None) -> list[CleanRow]:
     out = []
     for r in rounds:
         if not r.listener_correct:
@@ -126,27 +152,19 @@ def oracle_clean(rounds, spellmap=None) -> list[CleanRound]:
         target = _to_lab(r.target)
         d1 = _to_lab(r.distractor1)
         d2 = _to_lab(r.distractor2)
-        out.append(
-            CleanRound(
-                word=tokens[0],
-                target=target,
-                distractors=(d1, d2),
-                context_ease=context_ease(target, d1, d2),
-                target_key=chip_key(r.target),
-                speaker_id=r.speaker_id,
-                game_id=r.game_id,
-                round_index=r.round_index,
-            )
-        )
+        out.append(CleanRow(
+            r.game_id, r.round_index, r.speaker_id or "", tokens[0],
+            chip_key(r.target), context_ease(target, d1, d2),
+            _lab(target), _lab(d1), _lab(d2)))
     return out
 
 
-def oracle_write_clean_rounds(handle, rounds, header_comment) -> None:
+def oracle_write_clean_rounds(handle, rows, header_comment) -> None:
     write_table(handle, header_comment, _CLEAN_COLUMNS, (
-        [r.game_id, str(r.round_index), r.speaker_id or "", r.word,
-         format_chip_key(r.target_key), repr(r.context_ease),
-         *lab_fields(r.target, *r.distractors)]
-        for r in rounds
+        [r.game_id, str(r.round_index), r.speaker_id, r.word,
+         format_chip_key(r.target_key), repr(r.ease),
+         *(repr(v) for lab in (r.target, r.d1, r.d2) for v in lab)]
+        for r in rows
     ))
 
 
@@ -164,48 +182,23 @@ def _table_rows(handle, columns):
         yield fields
 
 
-def oracle_read_clean_rounds(handle) -> list[CleanRound]:
-    rounds = []
+def oracle_read_clean_rounds(handle) -> list[CleanRow]:
+    rows = []
     for (game_id, round_index, speaker, word, key, ease,
-         tl, ta, tb, d1l, d1a, d1b, d2l, d2a, d2b) in _table_rows(
-            handle, _CLEAN_COLUMNS):
+         *lab) in _table_rows(handle, _CLEAN_COLUMNS):
+        tl, ta, tb, d1l, d1a, d1b, d2l, d2a, d2b = map(float, lab)
         kh, ks, kl = key.split(":")
-        rounds.append(
-            CleanRound(
-                word=word,
-                target=LabColor(float(tl), float(ta), float(tb)),
-                distractors=(
-                    LabColor(float(d1l), float(d1a), float(d1b)),
-                    LabColor(float(d2l), float(d2a), float(d2b)),
-                ),
-                context_ease=float(ease),
-                target_key=(int(kh), int(ks), int(kl)),
-                speaker_id=speaker or None,
-                game_id=game_id,
-                round_index=int(round_index),
-            )
-        )
-    return rounds
+        rows.append(CleanRow(
+            game_id, int(round_index), speaker, word,
+            (int(kh), int(ks), int(kl)), float(ease),
+            (tl, ta, tb), (d1l, d1a, d1b), (d2l, d2a, d2b)))
+    return rows
 
 
-def _lab(c: LabColor) -> tuple[float, float, float]:
-    return (c.l_star, c.a_star, c.b_star)
-
-
-def clean_rows(rows) -> list[tuple]:
-    """CleanRound objects as plain tuples, in Rounds column order."""
-    return [
-        (r.game_id, r.round_index, r.speaker_id or "", r.word, r.target_key,
-         r.context_ease, _lab(r.target), _lab(r.distractors[0]),
-         _lab(r.distractors[1]))
-        for r in rows
-    ]
-
-
-def rounds_rows(rounds) -> list[tuple]:
-    """A Rounds table as one plain tuple per round (converts all Lab)."""
+def rounds_rows(rounds: Rounds) -> list[CleanRow]:
+    """A Rounds table's rounds as CleanRow tuples (converts all Lab)."""
     keys = [tuple(k) for k in rounds.chip_keys.tolist()]
-    return list(zip(
+    return list(map(CleanRow._make, zip(
         rounds.game_ids,
         rounds.round_indices,
         rounds.speaker_ids,
@@ -215,4 +208,25 @@ def rounds_rows(rounds) -> list[tuple]:
         map(tuple, rounds.target.tolist()),
         map(tuple, rounds.distractor1.tolist()),
         map(tuple, rounds.distractor2.tolist()),
-    ))
+    )))
+
+
+def rounds_from_rows(rows) -> Rounds:
+    """The Rounds table of the given CleanRow tuples, in their order."""
+    word_ids, vocab = _dense_ids([r.word for r in rows])
+    key_ids, keys = _dense_ids([r.target_key for r in rows])
+    chip_keys, chip_ids = _chip_table(
+        np.array(keys, dtype=np.int64).reshape(-1, 3))
+    return Rounds(
+        vocab=tuple(vocab),
+        word_ids=word_ids,
+        chip_keys=chip_keys,
+        chip_ids=chip_ids[key_ids],
+        ease=np.array([r.ease for r in rows], dtype=np.float64),
+        game_ids=[r.game_id for r in rows],
+        speaker_ids=[r.speaker_id for r in rows],
+        round_indices=[r.round_index for r in rows],
+        lab=[np.array([getattr(r, block) for r in rows],
+                      dtype=np.float64).reshape(-1, 3)
+             for block in ("target", "d1", "d2")],
+    )

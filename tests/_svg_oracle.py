@@ -10,8 +10,9 @@ from __future__ import annotations
 from math import fsum
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from colorlex.colorspace import LabColor
-from colorlex.corpus import Denotation
 from colorlex.svgplot import (
     _FONT,
     _Scale,
@@ -34,13 +35,13 @@ def _mean_lab(chips: Sequence[Sequence[float]]) -> LabColor:
 
 
 def oracle_denotation_plot(
-    denotations: Mapping[str, Denotation],
+    denotations: Mapping[str, np.ndarray],
     words: Sequence[str],
     header_comment: str,
 ) -> str:
     width, height = 800, 480
     # Each chip as an (L*, a*, b*) tuple of floats.
-    chosen = [(w, denotations[w].chips.tolist()) for w in words]
+    chosen = [(w, denotations[w].tolist()) for w in words]
     if not chosen:
         return _no_data(width, height, header_comment)
     all_a = [c[1] for _, chips in chosen for c in chips]

@@ -23,17 +23,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from _rounds_oracle import CleanRow, rounds_from_rows, rounds_rows
 
-from colorlex.colorspace import LabColor
-from colorlex.corpus import (
-    CleanRound,
-    Denotation,
-    Rounds,
-    build_denotations,
-    clean,
-    ingest,
-)
+from colorlex.corpus import Rounds, build_denotations, clean, ingest
 from colorlex.informativeness import SamplingConfig, WordInfo, compute_word_infos
 from colorlex.simulate import build_entries
 
@@ -250,13 +244,13 @@ def fixture_rounds(fixture_corpus) -> Rounds:
 
 
 @pytest.fixture(scope="session")
-def fixture_clean(fixture_rounds) -> list[CleanRound]:
-    """The same rounds as CleanRound rows."""
-    return list(fixture_rounds)
+def fixture_clean(fixture_rounds) -> list[CleanRow]:
+    """The same rounds as CleanRow tuples."""
+    return rounds_rows(fixture_rounds)
 
 
 @pytest.fixture(scope="session")
-def fixture_denotations(fixture_rounds) -> dict[str, Denotation]:
+def fixture_denotations(fixture_rounds) -> dict[str, np.ndarray]:
     return build_denotations(fixture_rounds, FIXTURE_MIN_COUNT)
 
 
@@ -301,22 +295,13 @@ def toy_system() -> SimpleNamespace:
         w: WordInfo(w, 100.0 / i_w, i_w, 10, False)
         for w, i_w in TOY_I_W.items()
     }
-    gray = LabColor(50.0, 0.0, 0.0)
+    gray = (50.0, 0.0, 0.0)
     rounds = [
-        CleanRound(
-            word=w,
-            target=gray,
-            distractors=(gray, gray),
-            context_ease=1.0,
-            target_key=_toy_key(ref),
-            speaker_id=None,
-            game_id="toy",
-            round_index=ref,
-        )
+        CleanRow("toy", ref, "", w, _toy_key(ref), 1.0, gray, gray, gray)
         for ref, words in TOY_NAMES.items()
         for w in words
     ]
-    entries, report = build_entries(Rounds.from_clean(rounds), infos)
+    entries, report = build_entries(rounds_from_rows(rounds), infos)
     by_key = {e.key[0]: e for e in entries}
     return SimpleNamespace(
         entries=entries,

@@ -324,6 +324,26 @@ class TestErrorHandling:
         assert code == 2
         assert "listener_correct" in capsys.readouterr().err
 
+    def test_word_with_zero_spread_is_named(self, fixture_corpus, tmp_path,
+                                            capsys):
+        # Repeated ten times, a word said once on one chip reaches the
+        # threshold with ten identical chips.
+        lines = fixture_corpus.csv.read_text("utf-8").splitlines(
+            keepends=True)
+        big = tmp_path / "rounds_x10.csv"
+        big.write_text(lines[0] + "".join(lines[1:]) * 10, encoding="utf-8")
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[run]\ninput = {big}\nseed = {fixture_corpus.seed}\n"
+                       f"min_count = {fixture_corpus.min_count}\n")
+        args = ["--config", str(cfg), "--out", str(tmp_path / "o")]
+        assert main(args + ["ingest"]) == 0
+        capsys.readouterr()
+        code = main(args + ["info"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == ("error: word 'purpel' (10 chips): all chips "
+                       "identical; spread is zero\n")
+
     def test_stage_order_enforced(self, fixture_corpus, tmp_path, capsys):
         code = main(["--config", str(fixture_corpus.config),
                      "--out", str(tmp_path / "fresh"), "info"])

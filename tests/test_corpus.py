@@ -9,11 +9,12 @@ import re
 import numpy as np
 import pytest
 from _rounds_oracle import (
-    clean_rows,
+    CleanRow,
     oracle_clean,
     oracle_ingest,
     oracle_read_clean_rounds,
     oracle_write_clean_rounds,
+    rounds_from_rows,
     rounds_rows,
 )
 from hypothesis import HealthCheck, example, given, settings
@@ -29,11 +30,9 @@ from colorlex.colorspace import (
 )
 from colorlex.corpus import (
     DEFAULT_SCHEMA,
-    CleanRound,
     RawRound,
     RawRounds,
     RejectedRow,
-    Rounds,
     SchemaError,
     build_denotations,
     chip_key,
@@ -141,7 +140,7 @@ class TestIngest:
         assert hues[1] == pytest.approx(350.0)
         # wrapping a tiny negative hue rounds up to 360, which means 0
         assert hues[2] == 0.0
-        assert clean(raw)[2].target_key == (0, 80, 50)
+        assert rounds_rows(clean(raw))[2].target_key == (0, 80, 50)
 
     def test_repeated_column_uses_last_occurrence(self, tmp_path):
         path = tmp_path / "twice.csv"
@@ -296,19 +295,20 @@ class TestClean:
 
     def test_context_ease_is_closest_distractor(self, fixture_clean):
         for r in fixture_clean[:50]:
-            d1, d2 = r.distractors
-            expected = min(lab_distance(r.target, d1),
-                           lab_distance(r.target, d2))
-            assert r.context_ease == expected
+            target, d1, d2 = (LabColor(*c) for c in (r.target, r.d1, r.d2))
+            expected = min(lab_distance(target, d1),
+                           lab_distance(target, d2))
+            assert r.ease == expected
 
     def test_spellmap_rescues_typos(self, fixture_corpus):
         raw, _ = ingest(fixture_corpus.csv)
         plain = clean(raw)
         corrected = clean(raw, read_spellmap(fixture_corpus.spellmap))
-        n_blue_plain = sum(1 for r in plain if r.word == "blue")
-        n_blue_fixed = sum(1 for r in corrected if r.word == "blue")
+        n_blue_plain = sum(1 for r in rounds_rows(plain) if r.word == "blue")
+        n_blue_fixed = sum(1 for r in rounds_rows(corrected)
+                           if r.word == "blue")
         assert n_blue_fixed > n_blue_plain
-        assert not any(r.word == "bleu" for r in corrected)
+        assert "bleu" not in corrected.vocab
 
 
 class TestChipKey:
@@ -341,21 +341,12 @@ class TestContextEase:
 
 
 def _round_with(word, key, game="g1", idx=1):
-    lab = LabColor(float(key[0]), float(key[1]), float(key[2]))
-    return CleanRound(
-        word=word,
-        target=lab,
-        distractors=(LabColor(0, 0, 0), LabColor(1, 1, 1)),
-        context_ease=1.0,
-        target_key=key,
-        speaker_id="s1",
-        game_id=game,
-        round_index=idx,
-    )
+    return CleanRow(game, idx, "s1", word, key, 1.0,
+                    tuple(map(float, key)), (0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
 
 
 def _rounds(*rows):
-    return Rounds.from_clean(rows)
+    return rounds_from_rows(rows)
 
 
 class TestBuildDenotations:
@@ -373,16 +364,16 @@ class TestBuildDenotations:
             _round_with("blue", (1, 0, 0), idx=1),
             _round_with("blue", (1, 0, 0), idx=2),
         )
-        den = build_denotations(rounds, 1)["blue"]
-        assert den.chips.tolist() == [[1.0, 0.0, 0.0]] * 2
+        chips = build_denotations(rounds, 1)["blue"]
+        assert chips.dtype == np.float64
+        assert chips.tolist() == [[1.0, 0.0, 0.0]] * 2
 
     def test_counts_match_rounds(self, fixture_clean, fixture_denotations):
         for word, den in fixture_denotations.items():
-            chips = [(r.target.l_star, r.target.a_star, r.target.b_star)
-                     for r in fixture_clean if r.word == word]
+            chips = [r.target for r in fixture_clean if r.word == word]
             # the word's chips, in row order
-            assert den.chips.shape == (len(chips), 3)
-            assert list(map(tuple, den.chips.tolist())) == chips
+            assert den.shape == (len(chips), 3)
+            assert list(map(tuple, den.tolist())) == chips
 
     def test_words_in_first_occurrence_order(self, fixture_clean,
                                              fixture_denotations):
@@ -445,7 +436,7 @@ class TestSerialization:
         write_clean_rounds(buffer, fixture_rounds, "# header line")
         buffer.seek(0)
         assert repr(rounds_rows(read_clean_rounds(buffer))) == repr(
-            clean_rows(fixture_clean))
+            fixture_clean)
 
     def test_hash_game_id_survives(self):
         # only lines before the column header are comments
@@ -454,7 +445,7 @@ class TestSerialization:
         buffer = io.StringIO()
         write_clean_rounds(buffer, _rounds(*rounds), "# header line")
         buffer.seek(0)
-        assert rounds_rows(read_clean_rounds(buffer)) == clean_rows(rounds)
+        assert rounds_rows(read_clean_rounds(buffer)) == rounds
 
     def test_missing_column_header_is_an_error(self):
         with pytest.raises(ValueError, match="column header"):
@@ -594,7 +585,7 @@ class TestIngestProperties:
         # repr tells -0.0 from 0.0, which == does not
         assert repr(list(raw)) == repr(want)
         assert repr(rejects) == repr(want_rejects)
-        assert repr(list(clean(raw))) == repr(oracle_clean(want))
+        assert repr(rounds_rows(clean(raw))) == repr(oracle_clean(want))
 
     @_PROPERTY
     @given(text=st.text(alphabet='a1,"\t\r\n\x00', max_size=60))
@@ -614,7 +605,7 @@ class TestIngestProperties:
         buffer = io.StringIO()
         write_clean_rounds(buffer, rounds, "# header line")
         buffer.seek(0)
-        assert rounds_rows(read_clean_rounds(buffer)) == clean_rows(rounds)
+        assert rounds_rows(read_clean_rounds(buffer)) == rounds_rows(rounds)
 
 
 # ------------------------------------------------- columnar clean rounds
@@ -629,16 +620,9 @@ _LAB_VALUE = st.one_of(
 _ID_TEXT = st.text(alphabet="ab#é蓝 -", max_size=5)
 
 _CLEAN_ROUNDS = st.builds(
-    lambda game, idx, speaker, word, key, ease, lab: CleanRound(
-        word=word,
-        target=LabColor(*lab[0:3]),
-        distractors=(LabColor(*lab[3:6]), LabColor(*lab[6:9])),
-        context_ease=ease,
-        target_key=key,
-        speaker_id=speaker or None,
-        game_id=game,
-        round_index=idx,
-    ),
+    lambda game, idx, speaker, word, key, ease, lab: CleanRow(
+        game, idx, speaker, word, key, ease,
+        tuple(lab[0:3]), tuple(lab[3:6]), tuple(lab[6:9])),
     _ID_TEXT,
     st.integers(-10, 10**6),
     st.one_of(st.just(""), _ID_TEXT),
@@ -656,7 +640,7 @@ def _rounds_written(rounds) -> str:
 
 
 def _written(rows) -> str:
-    return _rounds_written(Rounds.from_clean(rows))
+    return _rounds_written(rounds_from_rows(rows))
 
 
 class TestColumnarRead:
@@ -666,10 +650,10 @@ class TestColumnarRead:
     def test_equals_per_row_oracle(self, rows):
         text = _written(rows)
         got = rounds_rows(read_clean_rounds(io.StringIO(text)))
-        want = clean_rows(oracle_read_clean_rounds(io.StringIO(text)))
+        want = oracle_read_clean_rounds(io.StringIO(text))
         # repr tells -0.0 from 0.0 and shows NaN, which == does not
         assert repr(got) == repr(want)
-        assert repr(got) == repr(clean_rows(rows))
+        assert repr(got) == repr(rows)
 
     def test_zero_rows(self):
         rounds = read_clean_rounds(io.StringIO(_written([])))
@@ -688,10 +672,10 @@ class TestColumnarRead:
             [9, 100, 100], [20, 50, 5], [100, 5, 5]]
         assert rounds.chip_ids.tolist() == [2, 1, 0, 1]
 
-    def test_from_clean_equals_read(self, fixture_clean):
-        read = read_clean_rounds(io.StringIO(_written(fixture_clean)))
-        built = Rounds.from_clean(fixture_clean)
-        assert rounds_rows(read) == rounds_rows(built)
+    def test_built_equals_read(self, fixture_clean):
+        built = rounds_from_rows(fixture_clean)
+        read = read_clean_rounds(io.StringIO(_rounds_written(built)))
+        assert repr(rounds_rows(read)) == repr(rounds_rows(built))
         assert read.vocab == built.vocab
         assert read.chip_keys.tolist() == built.chip_keys.tolist()
         assert read.chip_ids.tolist() == built.chip_ids.tolist()
@@ -703,9 +687,7 @@ class TestColumnarRead:
         rows_picked = rounds.take([3, 1])
         assert "target" not in vars(rounds)
         assert rows_picked.distractor2.tolist() == [
-            [c.l_star, c.a_star, c.b_star]
-            for c in (fixture_clean[3].distractors[1],
-                      fixture_clean[1].distractors[1])]
+            list(fixture_clean[3].d2), list(fixture_clean[1].d2)]
         assert "distractor2" not in vars(rounds)
 
     def test_malformed_lab_named_when_converted(self, tmp_path,
@@ -794,10 +776,12 @@ class TestCleanOracle:
         rounds = clean(RawRounds.from_rows(raw), spellmap)
         want = oracle_clean(raw, spellmap)
         # repr tells -0.0 from 0.0, which == does not
-        assert repr(list(rounds)) == repr(want)
+        assert repr(rounds_rows(rounds)) == repr(want)
         assert _rounds_written(rounds) == _oracle_written(want)
-        again = Rounds.from_clean(list(rounds))
+        # the rows rebuild the table column for column
+        again = rounds_from_rows(rounds_rows(rounds))
         assert repr(rounds_rows(again)) == repr(rounds_rows(rounds))
+        assert again.vocab == rounds.vocab
         assert again.chip_keys.tolist() == rounds.chip_keys.tolist()
         assert again.chip_ids.tolist() == rounds.chip_ids.tolist()
 
@@ -807,7 +791,7 @@ class TestCleanOracle:
         for rounds, want in ((fixture_rounds, oracle_clean(raw)),
                              (clean(raw, spellmap),
                               oracle_clean(raw, spellmap))):
-            assert repr(list(rounds)) == repr(want)
+            assert repr(rounds_rows(rounds)) == repr(want)
             assert _rounds_written(rounds) == _oracle_written(want)
 
     def test_all_dropped(self):
@@ -816,19 +800,11 @@ class TestCleanOracle:
                _raw_round(chip, chip, chip, utterance="very blue"),
                _raw_round(chip, chip, chip, utterance="!")]
         rounds = clean(RawRounds.from_rows(raw))
-        assert len(rounds) == 0 and list(rounds) == []
+        assert len(rounds) == 0 and rounds_rows(rounds) == []
         assert rounds.vocab == ()
         assert rounds.chip_keys.shape == (0, 3)
         assert rounds.target.shape == rounds.distractor2.shape == (0, 3)
         assert _rounds_written(rounds) == _oracle_written([])
-
-    def test_rows_by_index(self, fixture_rounds, fixture_clean):
-        assert fixture_rounds[0] == fixture_clean[0]
-        assert fixture_rounds[-1] == fixture_clean[-1]
-        with pytest.raises(IndexError):
-            fixture_rounds[len(fixture_clean)]
-        with pytest.raises(TypeError):
-            fixture_rounds[0:2]
 
 
 class TestRawRounds:
@@ -854,11 +830,8 @@ class TestRawRounds:
 class TestSlots:
     def test_frozen_and_hashed_by_value(self):
         chip = HslColor(10.0, 0.5, 0.5)
-        lab = LabColor(1.0, 2.0, 3.0)
         rows = [
             RawRound("g1", 1, "blue", chip, chip, chip, True, None),
-            CleanRound("blue", lab, (lab, lab), 1.0, (10, 50, 50), None,
-                       "g1", 1),
             RejectedRow(3, "bad"),
         ]
         for row in rows:

@@ -3,6 +3,7 @@
 import io
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -120,20 +121,36 @@ class TestInformativeness:
         rng = np.random.default_rng(608)
         chips_a = rng.uniform(0, 100, size=(120, 3))
         chips_b = rng.uniform(0, 100, size=(140, 3))
-
-        class _Den:
-            def __init__(self, chips):
-                self.chips = chips
-
         cfg = SamplingConfig(seed=4)
-        forward = compute_word_infos(
-            {"a": _Den(chips_a), "b": _Den(chips_b)}, cfg
-        )
-        backward = compute_word_infos(
-            {"b": _Den(chips_b), "a": _Den(chips_a)}, cfg
-        )
+        forward = compute_word_infos({"a": chips_a, "b": chips_b}, cfg)
+        backward = compute_word_infos({"b": chips_b, "a": chips_a}, cfg)
         assert forward["a"] == backward["a"]
         assert forward["b"] == backward["b"]
+
+    def test_one_chip_names_the_word(self):
+        with pytest.raises(InsufficientDenotationError, match=re.escape(
+                "word 'mauve' (1 chips): need at least 2 chips, got 1")):
+            informativeness(_lab((1, 2, 3)), SamplingConfig(), word="mauve")
+
+    def test_identical_chips_name_the_word(self):
+        chips = _lab(*[(1, 2, 3)] * 10)
+        with pytest.raises(DegenerateDenotationError, match=re.escape(
+                "word 'purpel' (10 chips): all chips identical")):
+            informativeness(chips, SamplingConfig(), word="purpel")
+
+    def test_identical_subsample_names_the_word_and_sample(self):
+        # one distinct chip among 150: a third of the subsamples miss it
+        chips = _lab(*[(1, 2, 3)] * 149, (4, 5, 6))
+        cfg = SamplingConfig(seed=3)
+        rng = np.random.default_rng(derive_seed(cfg.seed, "grey"))
+        first = next(
+            k for k in range(1, cfg.iterations + 1)
+            if 149 not in rng.choice(150, size=cfg.sample_size,
+                                     replace=False))
+        with pytest.raises(DegenerateDenotationError, match=re.escape(
+                f"word 'grey' (150 chips, subsample {first} of 30): "
+                f"all chips identical")):
+            informativeness(chips, cfg, word="grey")
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -214,8 +231,8 @@ class TestSerialization:
 
 class TestFixtureCorpusInfos:
     def test_threshold_applied(self, fixture_denotations, fixture_corpus):
-        for den in fixture_denotations.values():
-            assert len(den.chips) >= fixture_corpus.min_count
+        for chips in fixture_denotations.values():
+            assert len(chips) >= fixture_corpus.min_count
 
     def test_every_word_scored(self, fixture_denotations, fixture_infos):
         assert set(fixture_infos) == set(fixture_denotations)

@@ -291,13 +291,38 @@ def test_backend_name_consistent():
     assert kernels.backend_name() == "numpy"
 
 
-def test_bench_kernels_imports(monkeypatch):
-    # The kernel bench imports oracles from these tests by name; load it
-    # without running main() so that a renamed oracle fails here.
+def _load_bench(monkeypatch):
+    """benchmarks/bench_kernels.py as a module, without running main()."""
     monkeypatch.setattr(sys, "path", list(sys.path))
     path = Path(__file__).resolve().parents[1] / "benchmarks"
     spec = importlib.util.spec_from_file_location(
         "bench_kernels", path / "bench_kernels.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
-    assert callable(bench.main)
+    return bench
+
+
+def test_bench_kernels_imports(monkeypatch):
+    # The kernel bench imports oracles from these tests by name, so a
+    # renamed oracle fails here.
+    assert callable(_load_bench(monkeypatch).main)
+
+
+def test_bench_kernels_cases_run(monkeypatch):
+    # Every case of main() but the full-grid conversion, at tiny sizes,
+    # so that a name a case body uses cannot go stale. Ingest needs
+    # 1,000 rows: every 1,000th row is malformed and the case asserts
+    # that there are rejects.
+    bench = _load_bench(monkeypatch)
+    bench.bench_spread(20, 1)
+    bench.bench_simulate(30, 8, 3)
+    for shape in (("singletons", 50, (2, 3, 4, 5, 6), 0.9, 7),
+                  ("pooled", 50, tuple(range(7, 20)), 0.0, 8)):
+        bench.bench_profile(*shape)
+        bench.bench_fit(*shape)
+    bench.bench_ease_plot(100, 13)
+    bench.bench_denotation_plot(100, 14)
+    bench.bench_group_stats(40, 60, 9)
+    bench.bench_read_clean_rounds(60, 10)
+    bench.bench_clean(60, 11)
+    bench.bench_ingest(1_000, 12)

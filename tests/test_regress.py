@@ -486,7 +486,7 @@ class TestRowsFromRounds:
         assert len(rows) == len(with_info)
         for row, r in zip(rows, with_info):
             assert row.i_w == fixture_infos[r.word].i_w
-            assert row.ease == r.context_ease
+            assert row.ease == r.ease
             assert tuple(fixture_rounds.chip_keys[row.group].tolist()) == \
                 r.target_key
 

@@ -9,10 +9,9 @@ are asserted exactly where the arithmetic is exact.
 import random
 
 import pytest
+from _rounds_oracle import CleanRow, rounds_from_rows
 from conftest import TOY_I_W, TOY_NAMES
 
-from colorlex.colorspace import LabColor
-from colorlex.corpus import CleanRound, Rounds
 from colorlex.informativeness import WordInfo
 from colorlex.simulate import (
     SimulationError,
@@ -54,15 +53,12 @@ def _info(word, i_w):
 
 
 def _table(rows):
-    return Rounds.from_clean(rows)
+    return rounds_from_rows(rows)
 
 
 def _round(word, key, ease=1.0, game="g", idx=0):
-    gray = LabColor(50.0, 0.0, 0.0)
-    return CleanRound(
-        word=word, target=gray, distractors=(gray, gray), context_ease=ease,
-        target_key=key, speaker_id=None, game_id=game, round_index=idx,
-    )
+    gray = (50.0, 0.0, 0.0)
+    return CleanRow(game, idx, "", word, key, ease, gray, gray, gray)
 
 
 class TestBuildEntries:
@@ -361,7 +357,7 @@ class TestGenerateStimuli:
         stimuli, report = generate_stimuli(fixture_rounds, entries,
                                            fixture_infos, n=100, bins=10,
                                            seed=0)
-        eligible = [r.context_ease for r in fixture_clean
+        eligible = [r.ease for r in fixture_clean
                     if r.word in fixture_infos]
         lo, hi = min(eligible), max(eligible)
         width = (hi - lo) / 10

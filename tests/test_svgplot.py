@@ -9,13 +9,9 @@ from _svg_oracle import oracle_denotation_plot, oracle_ease_plot
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from colorlex.corpus import Denotation
 from colorlex.svgplot import denotation_plot, ease_plot
 
-
-def _denotation(word):
-    return Denotation(word, np.array([[50.0, 20.0, -10.0],
-                                      [60.0, 25.0, -5.0]]))
+_TWO_CHIPS = np.array([[50.0, 20.0, -10.0], [60.0, 25.0, -5.0]])
 
 
 def _legend(svg):
@@ -25,7 +21,7 @@ def _legend(svg):
 
 def test_denotation_labels_are_escaped():
     words = ["a&b", "<grey>", "blue"]
-    svg = denotation_plot({w: _denotation(w) for w in words}, words, "h")
+    svg = denotation_plot({w: _TWO_CHIPS for w in words}, words, "h")
     assert _legend(svg) == ["a&b (n=2)", "<grey> (n=2)", "blue (n=2)"]
     assert ">a&amp;b (n=2)</text>" in svg
     assert ">&lt;grey&gt; (n=2)</text>" in svg
@@ -83,13 +79,13 @@ def _denotations(draw):
     for word in words:
         n = draw(st.integers(1, 12))
         chips = draw(st.lists(_VALUE, min_size=3 * n, max_size=3 * n))
-        denotations[word] = Denotation(word, np.array(chips).reshape(n, 3))
+        denotations[word] = np.array(chips).reshape(n, 3)
     chosen = draw(st.lists(st.sampled_from(words), max_size=4))
     return denotations, chosen
 
 
 def _case(chips_by_word, words):
-    return ({w: Denotation(w, np.array(rows, dtype=np.float64))
+    return ({w: np.array(rows, dtype=np.float64)
              for w, rows in chips_by_word.items()}, words)
 
 
