@@ -40,7 +40,6 @@ from _rounds_oracle import (  # noqa: E402
     oracle_ingest,
     oracle_read_clean_rounds,
     oracle_write_clean_rounds,
-    rounds_from_rows,
     rounds_rows,
 )
 from _svg_oracle import oracle_denotation_plot, oracle_ease_plot  # noqa: E402
@@ -136,8 +135,7 @@ def _clean_table(n_rows: int, seed: int) -> str:
         for i, (w, k, v, e) in enumerate(zip(words.tolist(), keys, lab, ease))
     ]
     buffer = io.StringIO()
-    corpus.write_clean_rounds(buffer, rounds_from_rows(rows),
-                              "# colorlex bench")
+    oracle_write_clean_rounds(buffer, rows, "# colorlex bench")
     return buffer.getvalue()
 
 

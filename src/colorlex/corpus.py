@@ -40,6 +40,7 @@ __all__ = [
     "LANGUAGE_MIN_COUNT",
     "RawRound",
     "RawRounds",
+    "CleanRound",
     "Rounds",
     "RejectedRow",
     "SchemaError",
@@ -81,6 +82,20 @@ class RawRound:
     distractor2: HslColor
     listener_correct: bool
     speaker_id: str | None
+
+
+@dataclass(frozen=True, slots=True)
+class CleanRound:
+    """A successfully solved round whose utterance was a single token."""
+
+    word: str
+    target: LabColor
+    distractors: tuple[LabColor, LabColor]
+    context_ease: float
+    target_key: ChipKey
+    speaker_id: str | None
+    game_id: str
+    round_index: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -548,6 +563,8 @@ class Rounds:
       a stage that reads no Lab converts none.
 
     `clean` returns this table, and read_clean_rounds reads it back.
+    Iterating over it yields its rounds as CleanRound rows; no stage
+    does, but the benchmark's ground-truth test still does.
     """
 
     def __init__(self, *, vocab: tuple[str, ...], word_ids: np.ndarray,
@@ -571,6 +588,27 @@ class Rounds:
 
     def __len__(self) -> int:
         return len(self.word_ids)
+
+    def __iter__(self) -> Iterator[CleanRound]:
+        keys = [tuple(k) for k in self.chip_keys.tolist()]
+        targets, d1s, d2s = (
+            [LabColor(*v) for v in block.tolist()]
+            for block in (self.target, self.distractor1, self.distractor2))
+        for (word, chip, ease, target, d1, d2, speaker, game,
+             index) in zip(self.word_ids.tolist(), self.chip_ids.tolist(),
+                           self.ease.tolist(), targets, d1s, d2s,
+                           self.speaker_ids, self.game_ids,
+                           self.round_indices):
+            yield CleanRound(
+                word=self.vocab[word],
+                target=target,
+                distractors=(d1, d2),
+                context_ease=ease,
+                target_key=keys[chip],
+                speaker_id=speaker or None,
+                game_id=game,
+                round_index=index,
+            )
 
     @cached_property
     def target(self) -> np.ndarray:

@@ -10,15 +10,14 @@ chips in one batch and wrote a `Rounds` table.
 `oracle_read_clean_rounds` parses a clean_rounds.tsv table line by line
 into `CleanRow` tuples, as the package did before `read_clean_rounds`
 read it column by column. `rounds_rows` gives a `Rounds` table's rows in
-the same form, and `rounds_from_rows` builds a table from such rows, so
-that tests can compare tables by repr, which tells -0.0 from 0.0 and
-shows NaN.
+the same form, so that tests can compare tables by repr, which tells
+-0.0 from 0.0 and shows NaN; `rounds_from_rows` writes such rows and
+reads them back as a table.
 """
 
 import csv
+import io
 from typing import NamedTuple
-
-import numpy as np
 
 from colorlex.colorspace import (
     LabColor,
@@ -33,14 +32,13 @@ from colorlex.corpus import (
     RejectedRow,
     Rounds,
     SchemaError,
-    _chip_table,
-    _dense_ids,
     _framed,
     _parse_bool,
     _parse_hsl,
     chip_key,
     format_chip_key,
     normalize_utterance,
+    read_clean_rounds,
     write_table,
 )
 
@@ -212,21 +210,9 @@ def rounds_rows(rounds: Rounds) -> list[CleanRow]:
 
 
 def rounds_from_rows(rows) -> Rounds:
-    """The Rounds table of the given CleanRow tuples, in their order."""
-    word_ids, vocab = _dense_ids([r.word for r in rows])
-    key_ids, keys = _dense_ids([r.target_key for r in rows])
-    chip_keys, chip_ids = _chip_table(
-        np.array(keys, dtype=np.int64).reshape(-1, 3))
-    return Rounds(
-        vocab=tuple(vocab),
-        word_ids=word_ids,
-        chip_keys=chip_keys,
-        chip_ids=chip_ids[key_ids],
-        ease=np.array([r.ease for r in rows], dtype=np.float64),
-        game_ids=[r.game_id for r in rows],
-        speaker_ids=[r.speaker_id for r in rows],
-        round_indices=[r.round_index for r in rows],
-        lab=[np.array([getattr(r, block) for r in rows],
-                      dtype=np.float64).reshape(-1, 3)
-             for block in ("target", "d1", "d2")],
-    )
+    """The Rounds table of the given CleanRow tuples, in their order:
+    written by oracle_write_clean_rounds, read by read_clean_rounds."""
+    buffer = io.StringIO()
+    oracle_write_clean_rounds(buffer, rows, "# rows")
+    buffer.seek(0)
+    return read_clean_rounds(buffer)

@@ -30,6 +30,7 @@ from colorlex.colorspace import (
 )
 from colorlex.corpus import (
     DEFAULT_SCHEMA,
+    CleanRound,
     RawRound,
     RawRounds,
     RejectedRow,
@@ -640,7 +641,9 @@ def _rounds_written(rounds) -> str:
 
 
 def _written(rows) -> str:
-    return _rounds_written(rounds_from_rows(rows))
+    buffer = io.StringIO()
+    oracle_write_clean_rounds(buffer, rows, "# header line")
+    return buffer.getvalue()
 
 
 class TestColumnarRead:
@@ -649,11 +652,13 @@ class TestColumnarRead:
     @given(rows=st.lists(_CLEAN_ROUNDS, max_size=8))
     def test_equals_per_row_oracle(self, rows):
         text = _written(rows)
-        got = rounds_rows(read_clean_rounds(io.StringIO(text)))
+        rounds = read_clean_rounds(io.StringIO(text))
+        got = rounds_rows(rounds)
         want = oracle_read_clean_rounds(io.StringIO(text))
         # repr tells -0.0 from 0.0 and shows NaN, which == does not
         assert repr(got) == repr(want)
         assert repr(got) == repr(rows)
+        assert _rounds_written(rounds) == text
 
     def test_zero_rows(self):
         rounds = read_clean_rounds(io.StringIO(_written([])))
@@ -671,14 +676,6 @@ class TestColumnarRead:
         assert rounds.chip_keys.tolist() == [
             [9, 100, 100], [20, 50, 5], [100, 5, 5]]
         assert rounds.chip_ids.tolist() == [2, 1, 0, 1]
-
-    def test_built_equals_read(self, fixture_clean):
-        built = rounds_from_rows(fixture_clean)
-        read = read_clean_rounds(io.StringIO(_rounds_written(built)))
-        assert repr(rounds_rows(read)) == repr(rounds_rows(built))
-        assert read.vocab == built.vocab
-        assert read.chip_keys.tolist() == built.chip_keys.tolist()
-        assert read.chip_ids.tolist() == built.chip_ids.tolist()
 
     def test_lab_converted_on_first_access(self, fixture_clean):
         rounds = read_clean_rounds(io.StringIO(_written(fixture_clean)))
@@ -761,12 +758,6 @@ _SPELLMAPS = st.one_of(st.none(), st.dictionaries(
     st.sampled_from(["blue", "green", "teal"])))
 
 
-def _oracle_written(rows) -> str:
-    buffer = io.StringIO()
-    oracle_write_clean_rounds(buffer, rows, "# header line")
-    return buffer.getvalue()
-
-
 class TestCleanOracle:
     @settings(derandomize=True, database=None, deadline=None,
               max_examples=300)
@@ -777,13 +768,22 @@ class TestCleanOracle:
         want = oracle_clean(raw, spellmap)
         # repr tells -0.0 from 0.0, which == does not
         assert repr(rounds_rows(rounds)) == repr(want)
-        assert _rounds_written(rounds) == _oracle_written(want)
-        # the rows rebuild the table column for column
-        again = rounds_from_rows(rounds_rows(rounds))
+        text = _rounds_written(rounds)
+        assert text == _written(want)
+        # the table read back is the table, column for column
+        again = read_clean_rounds(io.StringIO(text))
         assert repr(rounds_rows(again)) == repr(rounds_rows(rounds))
         assert again.vocab == rounds.vocab
         assert again.chip_keys.tolist() == rounds.chip_keys.tolist()
         assert again.chip_ids.tolist() == rounds.chip_ids.tolist()
+
+    def test_iterates_as_clean_rounds(self, fixture_rounds):
+        rows = [CleanRow(r.game_id, r.round_index, r.speaker_id or "",
+                         r.word, r.target_key, r.context_ease,
+                         *((c.l_star, c.a_star, c.b_star)
+                           for c in (r.target, *r.distractors)))
+                for r in fixture_rounds]
+        assert repr(rows) == repr(rounds_rows(fixture_rounds))
 
     def test_fixture_corpus(self, fixture_corpus, fixture_rounds):
         raw, _ = ingest(fixture_corpus.csv)
@@ -792,7 +792,7 @@ class TestCleanOracle:
                              (clean(raw, spellmap),
                               oracle_clean(raw, spellmap))):
             assert repr(rounds_rows(rounds)) == repr(want)
-            assert _rounds_written(rounds) == _oracle_written(want)
+            assert _rounds_written(rounds) == _written(want)
 
     def test_all_dropped(self):
         chip = HslColor(10.0, 0.5, 0.5)
@@ -804,7 +804,7 @@ class TestCleanOracle:
         assert rounds.vocab == ()
         assert rounds.chip_keys.shape == (0, 3)
         assert rounds.target.shape == rounds.distractor2.shape == (0, 3)
-        assert _rounds_written(rounds) == _oracle_written([])
+        assert _rounds_written(rounds) == _written([])
 
 
 class TestRawRounds:
@@ -830,8 +830,11 @@ class TestRawRounds:
 class TestSlots:
     def test_frozen_and_hashed_by_value(self):
         chip = HslColor(10.0, 0.5, 0.5)
+        lab = LabColor(1.0, 2.0, 3.0)
         rows = [
             RawRound("g1", 1, "blue", chip, chip, chip, True, None),
+            CleanRound("blue", lab, (lab, lab), 1.0, (10, 50, 50), None,
+                       "g1", 1),
             RejectedRow(3, "bad"),
         ]
         for row in rows:
