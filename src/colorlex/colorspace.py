@@ -26,8 +26,6 @@ __all__ = [
     "srgb_to_lab",
     "hsl_to_lab_array",
     "lab_to_srgb",
-    "lab_distance",
-    "normalize_hue",
 ]
 
 
@@ -70,18 +68,6 @@ class LabColor:
     l_star: float
     a_star: float
     b_star: float
-
-
-def normalize_hue(h: float) -> float:
-    """Wrap a hue in degrees into [0, 360). An infinite or NaN hue is
-    returned as it is, for HslColor to reject by value."""
-    if not math.isfinite(h):
-        return h
-    h = math.fmod(h, 360.0)
-    if h < 0.0:
-        h += 360.0
-    # A tiny negative hue rounds up to exactly 360 when wrapped.
-    return 0.0 if h == 360.0 else h
 
 
 def hsl_to_srgb(c: HslColor) -> SrgbColor:
@@ -231,11 +217,3 @@ def lab_to_srgb(c: LabColor) -> SrgbColor:
         for u in (rl, gl, bl)
     )
     return SrgbColor(*channels)
-
-
-def lab_distance(a: LabColor, b: LabColor) -> float:
-    """Euclidean distance between two CIELAB points."""
-    dl = a.l_star - b.l_star
-    da = a.a_star - b.a_star
-    db = a.b_star - b.b_star
-    return math.sqrt(dl * dl + da * da + db * db)

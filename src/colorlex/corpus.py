@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .colorspace import HslColor, LabColor, hsl_to_lab_array, normalize_hue
+from .colorspace import HslColor, LabColor, hsl_to_lab_array
 from .errors import ColorlexError, not_utf8
 
 __all__ = [
@@ -127,45 +127,6 @@ _BOOLS = {"true": True, "1": True, "yes": True, "t": True,
           "false": False, "0": False, "no": False, "f": False}
 
 
-def _parse_bool(text: str) -> bool:
-    value = _BOOLS.get(text.strip().lower())
-    if value is None:
-        raise ValueError(f"not a boolean: {text!r}")
-    return value
-
-
-def _parse_hsl(row: Sequence[str], cols: Mapping[str, int],
-               field: str, hsl_scale: str) -> HslColor:
-    h = float(row[cols[f"{field}_h"]])
-    s = float(row[cols[f"{field}_s"]])
-    l = float(row[cols[f"{field}_l"]])
-    if hsl_scale == "percent":
-        s /= 100.0
-        l /= 100.0
-    return HslColor(normalize_hue(h), s, l)
-
-
-def _parse_row(row: Sequence[str], cols: Mapping[str, int],
-               hsl_scale: str) -> RawRound:
-    """One full-width row as a RawRound; a ValueError says why not."""
-    speaker_col = cols.get("speaker_id")
-    speaker = "" if speaker_col is None else row[speaker_col].strip()
-    game_id = row[cols["game_id"]].strip()
-    for field, value in (("game_id", game_id), ("speaker_id", speaker)):
-        if _ROW_BREAKS.search(value):
-            raise ValueError(f"{field} {value!r} holds a tab or line break")
-    return RawRound(
-        game_id=game_id,
-        round_index=int(row[cols["round_index"]]),
-        utterance=row[cols["utterance"]],
-        target=_parse_hsl(row, cols, "target", hsl_scale),
-        distractor1=_parse_hsl(row, cols, "distractor1", hsl_scale),
-        distractor2=_parse_hsl(row, cols, "distractor2", hsl_scale),
-        listener_correct=_parse_bool(row[cols["listener_correct"]]),
-        speaker_id=speaker or None,
-    )
-
-
 class RawRounds:
     """Raw rounds as columns: entry i of every column is round i.
 
@@ -240,8 +201,10 @@ def _framed(reader, path) -> Iterator[list[str]]:
 _ROW_BLOCK = 8192  # data rows held as text at a time
 
 
-def _converted(convert, values: Sequence[str], bad: np.ndarray) -> list:
-    """convert() of each value; a value it refuses marks bad and gives 0."""
+def _converted(convert, values: Sequence[str],
+               reasons: dict[int, str]) -> list:
+    """convert() of each value; a value it refuses gives 0, and its
+    ValueError text is its row's reason unless the row has one already."""
     try:
         return list(map(convert, values))
     except ValueError:
@@ -250,67 +213,77 @@ def _converted(convert, values: Sequence[str], bad: np.ndarray) -> list:
     for i, value in enumerate(values):
         try:
             out.append(convert(value))
-        except ValueError:
-            bad[i] = True
+        except ValueError as exc:
+            reasons.setdefault(i, str(exc))
             out.append(0)
     return out
 
 
-def _ids(values: Sequence[str], bad: np.ndarray) -> list[str]:
-    """The stripped ids; one that holds a tab or line break marks bad."""
+def _ids(values: Sequence[str], field: str,
+         reasons: dict[int, str]) -> list[str]:
+    """The stripped ids; one that holds a tab or line break is its
+    row's reason unless the row has one already."""
     ids = list(map(str.strip, values))
     if _ROW_BREAKS.search("".join(ids)):
-        bad |= [_ROW_BREAKS.search(v) is not None for v in ids]
+        for i, value in enumerate(ids):
+            if _ROW_BREAKS.search(value):
+                reasons.setdefault(
+                    i, f"{field} {value!r} holds a tab or line break")
     return ids
 
 
 def _parse_block(rows: list[list[str]], lines: list[int],
                  cols: Mapping[str, int], hsl_scale: str,
                  rejects: list[RejectedRow]) -> RawRounds:
-    """The rounds of full-width rows, parsed column by column with
-    _parse_row's checks in its operation order. The rows a check fails
-    go to rejects, with the reason _parse_row gives."""
+    """The rounds of full-width rows, parsed column by column.
+
+    A row that fails a check goes to rejects with the reason of the
+    first check it fails, in field order: the game_id and speaker_id
+    line breaks, round_index, each chip's h, s and l numbers and then
+    their ranges, and listener_correct.
+    """
     columns = list(zip(*rows))
-    bad = np.zeros(len(rows), dtype=bool)
-    game_ids = _ids(columns[cols["game_id"]], bad)
+    reasons: dict[int, str] = {}  # row -> the first check it fails
+    game_ids = _ids(columns[cols["game_id"]], "game_id", reasons)
     speaker_col = cols.get("speaker_id")
     speaker_ids = ([""] * len(rows) if speaker_col is None
-                   else _ids(columns[speaker_col], bad))
-    round_indices = _converted(int, columns[cols["round_index"]], bad)
-    correct = list(map(_BOOLS.get, map(str.lower, map(
-        str.strip, columns[cols["listener_correct"]]))))
-    if None in correct:
-        bad |= [v is None for v in correct]
+                   else _ids(columns[speaker_col], "speaker_id", reasons))
+    round_indices = _converted(int, columns[cols["round_index"]], reasons)
     chips = []
     for field in _COLOR_FIELDS:
         h, s, l = (np.array(_converted(float, columns[cols[f"{field}_{c}"]],
-                                       bad), dtype=np.float64)
+                                       reasons), dtype=np.float64)
                    for c in "hsl")
         if hsl_scale == "percent":
             s /= 100.0
             l /= 100.0
-        # normalize_hue; a hue that is not finite becomes NaN, which
-        # fails the range test as HslColor fails the unwrapped hue
+        # wrap the hue into [0, 360); one that is not finite becomes
+        # NaN and fails the range check, named by its unwrapped value
         with np.errstate(invalid="ignore"):
-            h = np.fmod(h, 360.0)
-        h[h < 0.0] += 360.0
-        h[h == 360.0] = 0.0
-        bad |= ~((0.0 <= h) & (h < 360.0) & (0.0 <= s) & (s <= 1.0)
-                 & (0.0 <= l) & (l <= 1.0))
-        chips.append(np.column_stack([h, s, l]))
+            hue = np.fmod(h, 360.0)
+        hue[hue < 0.0] += 360.0
+        hue[hue == 360.0] = 0.0  # a tiny negative hue rounds up to 360
+        for name, bounds, v, ok in (
+                ("hue", "[0, 360)", h, (0.0 <= hue) & (hue < 360.0)),
+                ("saturation", "[0, 1]", s, (0.0 <= s) & (s <= 1.0)),
+                ("lightness", "[0, 1]", l, (0.0 <= l) & (l <= 1.0))):
+            for i in np.flatnonzero(~ok).tolist():
+                reasons.setdefault(
+                    i, f"{name} {v[i].item()!r} outside {bounds}")
+        chips.append(np.column_stack([hue, s, l]))
+    text = columns[cols["listener_correct"]]
+    correct = list(map(_BOOLS.get, map(str.lower, map(str.strip, text))))
+    if None in correct:
+        for i, value in enumerate(correct):
+            if value is None:
+                reasons.setdefault(i, f"not a boolean: {text[i]!r}")
     utterances = list(columns[cols["utterance"]])
     correct = np.array(correct, dtype=bool)
-    if bad.any():
-        for i in np.flatnonzero(bad).tolist():
-            try:
-                _parse_row(rows[i], cols, hsl_scale)
-            except ValueError as exc:
-                rejects.append(RejectedRow(lines[i], str(exc)))
-            else:
-                raise RuntimeError(
-                    f"line {lines[i]}: a column check failed a row that "
-                    f"_parse_row accepts")
-        good = ~bad
+    if reasons:
+        rejects.extend(RejectedRow(lines[i], reason)
+                       for i, reason in reasons.items())
+        good = np.ones(len(rows), dtype=bool)
+        good[list(reasons)] = False
         keep = good.tolist()
         game_ids, round_indices, utterances, speaker_ids = (
             list(compress(v, keep))
@@ -421,7 +394,8 @@ def chip_key(c: HslColor) -> ChipKey:
 
 
 def _lab_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """colorspace.lab_distance of each row pair of two (n, 3) arrays."""
+    """The CIELAB (Euclidean) distance of each row pair of two (n, 3)
+    arrays."""
     d = a - b
     dl, da, db = d[:, 0], d[:, 1], d[:, 2]
     return np.sqrt(dl * dl + da * da + db * db)
@@ -510,9 +484,6 @@ def _parse_column(convert, values: Sequence[str], column: str,
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"{where(i)}: {column}: {exc}") from None
     raise error
-
-
-_LAB_BLOCKS = ("target", "distractor1", "distractor2")
 
 
 class _LabText:
@@ -624,11 +595,12 @@ class Rounds:
 
     def take(self, index) -> Rounds:
         """The rounds at the given row positions, as a new table; Lab
-        text not yet converted stays text."""
+        read as text stays text, converted on the new table's first
+        access."""
         index = np.asarray(index, dtype=np.intp)
         rows = index.tolist()
         lab = self._lab
-        out = Rounds(
+        return Rounds(
             vocab=self.vocab,
             word_ids=self.word_ids[index],
             chip_keys=self.chip_keys,
@@ -637,14 +609,10 @@ class Rounds:
             game_ids=[self.game_ids[i] for i in rows],
             speaker_ids=[self.speaker_ids[i] for i in rows],
             round_indices=[self.round_indices[i] for i in rows],
-            lab=([getattr(self, name)[index] for name in _LAB_BLOCKS]
-                 if lab is None else lab.take(index)),
+            lab=((self.target[index], self.distractor1[index],
+                  self.distractor2[index]) if lab is None
+                 else lab.take(index)),
         )
-        if lab is not None:
-            for name in _LAB_BLOCKS:
-                if name in self.__dict__:
-                    out.__dict__[name] = self.__dict__[name][index]
-        return out
 
 
 def build_denotations(rounds: Rounds,

@@ -1,12 +1,12 @@
 """The per-row corpus code, kept as the oracle for the columnar one.
 
-`oracle_ingest` reads a corpus row by row into RawRound objects, as
-the package did before `ingest` parsed blocks of rows column by column
-into a `RawRounds` table. `oracle_clean` and
-`oracle_write_clean_rounds` clean raw rounds into `CleanRow` tuples,
-converting each chip with the scalar colorspace functions, and write
-them line by line, as the package did before `clean` converted all
-chips in one batch and wrote a `Rounds` table.
+`oracle_ingest` reads a corpus row by row into RawRound objects, with
+its own checks and reject reasons, as the package did before `ingest`
+parsed blocks of rows column by column into a `RawRounds` table.
+`oracle_clean` and `oracle_write_clean_rounds` clean raw rounds into
+`CleanRow` tuples, converting each chip with the scalar colorspace
+functions, and write them line by line, as the package did before
+`clean` converted all chips in one batch and wrote a `Rounds` table.
 `oracle_read_clean_rounds` parses a clean_rounds.tsv table line by line
 into `CleanRow` tuples, as the package did before `read_clean_rounds`
 read it column by column. `rounds_rows` gives a `Rounds` table's rows in
@@ -17,24 +17,22 @@ reads them back as a table.
 
 import csv
 import io
+import math
 from typing import NamedTuple
 
 from colorlex.colorspace import (
+    HslColor,
     LabColor,
     hsl_to_srgb,
-    lab_distance,
     srgb_to_lab,
 )
 from colorlex.corpus import (
-    _ROW_BREAKS,
     DEFAULT_SCHEMA,
     RawRound,
     RejectedRow,
     Rounds,
     SchemaError,
     _framed,
-    _parse_bool,
-    _parse_hsl,
     chip_key,
     format_chip_key,
     normalize_utterance,
@@ -62,6 +60,37 @@ class CleanRow(NamedTuple):
     target: Lab
     d1: Lab
     d2: Lab
+
+
+def normalize_hue(h: float) -> float:
+    """Wrap a hue in degrees into [0, 360). An infinite or NaN hue is
+    returned as it is, for HslColor to reject by value."""
+    if not math.isfinite(h):
+        return h
+    h = math.fmod(h, 360.0)
+    if h < 0.0:
+        h += 360.0
+    # A tiny negative hue rounds up to exactly 360 when wrapped.
+    return 0.0 if h == 360.0 else h
+
+
+def _parse_bool(text):
+    value = {"true": True, "1": True, "yes": True, "t": True,
+             "false": False, "0": False, "no": False,
+             "f": False}.get(text.strip().lower())
+    if value is None:
+        raise ValueError(f"not a boolean: {text!r}")
+    return value
+
+
+def _parse_hsl(row, cols, field, hsl_scale):
+    h = float(row[cols[f"{field}_h"]])
+    s = float(row[cols[f"{field}_s"]])
+    l = float(row[cols[f"{field}_l"]])
+    if hsl_scale == "percent":
+        s /= 100.0
+        l /= 100.0
+    return HslColor(normalize_hue(h), s, l)
 
 
 def oracle_ingest(path, schema=None, *, delimiter=",", hsl_scale="percent"):
@@ -103,7 +132,7 @@ def oracle_ingest(path, schema=None, *, delimiter=",", hsl_scale="percent"):
                 game_id = row[cols["game_id"]].strip()
                 for field, value in (("game_id", game_id),
                                      ("speaker_id", speaker)):
-                    if _ROW_BREAKS.search(value):
+                    if any(c in value for c in "\t\r\n"):
                         raise ValueError(
                             f"{field} {value!r} holds a tab or line break")
                 rounds.append(
@@ -128,6 +157,14 @@ def oracle_ingest(path, schema=None, *, delimiter=",", hsl_scale="percent"):
 
 def _to_lab(c):
     return srgb_to_lab(hsl_to_srgb(c))
+
+
+def lab_distance(a: LabColor, b: LabColor) -> float:
+    """Euclidean distance between two CIELAB points."""
+    dl = a.l_star - b.l_star
+    da = a.a_star - b.a_star
+    db = a.b_star - b.b_star
+    return math.sqrt(dl * dl + da * da + db * db)
 
 
 def context_ease(target, d1, d2):

@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 from _labref import srgb_to_lab_decimal
+from _rounds_oracle import lab_distance, normalize_hue
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -17,9 +18,7 @@ from colorlex.colorspace import (
     SrgbColor,
     hsl_to_lab_array,
     hsl_to_srgb,
-    lab_distance,
     lab_to_srgb,
-    normalize_hue,
     srgb_to_lab,
 )
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from _rounds_oracle import (
     CleanRow,
+    lab_distance,
     oracle_clean,
     oracle_ingest,
     oracle_read_clean_rounds,
@@ -17,7 +18,7 @@ from _rounds_oracle import (
     rounds_from_rows,
     rounds_rows,
 )
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
 from colorlex import corpus
@@ -25,7 +26,6 @@ from colorlex.colorspace import (
     HslColor,
     LabColor,
     hsl_to_srgb,
-    lab_distance,
     srgb_to_lab,
 )
 from colorlex.corpus import (
@@ -215,14 +215,6 @@ class TestIngest:
         assert [r.reason.split()[0] for r in rejects] == \
             ["game_id", "speaker_id", "game_id"]
         assert all("tab or line break" in r.reason for r in rejects)
-
-    def test_flagged_row_the_row_parse_accepts_raises(self, tmp_path,
-                                                      monkeypatch):
-        path = tmp_path / "rows.csv"
-        _write_csv(path, _MINI_HEADER, [_mini_row(), _mini_row(ok="maybe")])
-        monkeypatch.setattr(corpus, "_parse_row", lambda *args: None)
-        with pytest.raises(RuntimeError, match="line 3"):
-            ingest(path)
 
     def test_byte_order_mark_ignored(self, tmp_path, fixture_corpus):
         path = tmp_path / "bom.csv"
@@ -525,8 +517,12 @@ _ROWS = st.builds(
     st.lists(_JUNK, min_size=2, max_size=2),
 )
 
+# No shrink phase: shrinking a failing oracle property's rows can take
+# minutes, while the unshrunk example is reported at once.
+_NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
 _PROPERTY = settings(
     derandomize=True, database=None, deadline=None, max_examples=100,
+    phases=_NO_SHRINK,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 
@@ -545,6 +541,23 @@ def _line_breaks(text):
 # A row on the edges of the ranges: hues of -360, which wrap to -0.0,
 # and full saturation and lightness.
 _EDGE_ROW = ("g1", "1", "blue") + ("-360", "100", "100") * 3 + ("1", "s1")
+
+
+def _edge_row(**fields):
+    """_EDGE_ROW with the named fields replaced."""
+    return tuple(fields.get(c, v) for c, v in zip(_MINI_HEADER, _EDGE_ROW))
+
+
+# Rows that each fail two adjacent checks, so the reject reason shows
+# which check comes first.
+_TWO_FAULT_ROWS = [
+    _edge_row(game_id="g\t1", speaker_id="s\n1"),
+    _edge_row(speaker_id="s\t1", round_index="x"),
+    _edge_row(round_index="x", target_h="x"),
+    _edge_row(target_h="inf", target_l="x"),
+    _edge_row(target_s="150", distractor1_h="x"),
+    _edge_row(distractor2_l="150", listener_correct="maybe"),
+]
 
 
 class TestIngestProperties:
@@ -576,6 +589,7 @@ class TestIngestProperties:
                    + _EDGE_ROW[-2:]], scale="percent")
     @example(rows=[_EDGE_ROW[:3] + ("-0", "1", "1.0") * 3
                    + _EDGE_ROW[-2:]], scale="fraction")
+    @example(rows=_TWO_FAULT_ROWS, scale="percent")
     def test_equals_per_row_oracle(self, tmp_path, monkeypatch, block, rows,
                                    scale):
         monkeypatch.setattr(corpus, "_ROW_BLOCK", block)
@@ -760,7 +774,7 @@ _SPELLMAPS = st.one_of(st.none(), st.dictionaries(
 
 class TestCleanOracle:
     @settings(derandomize=True, database=None, deadline=None,
-              max_examples=300)
+              max_examples=300, phases=_NO_SHRINK)
     @given(raw=st.lists(_RAW_ROUNDS, max_size=8), spellmap=_SPELLMAPS)
     @example(raw=[], spellmap=None)
     def test_equals_per_row_oracle(self, raw, spellmap):
