@@ -12,8 +12,10 @@ against the per-row code in tests/_rounds_oracle.py; the SVG plots
 against the per-point renderings in tests/_svg_oracle.py (equal
 bytes); and the cached random-intercept fit against `every_step_fit`
 in tests/test_regress.py, whose search profiles every step (equal
-fields), with the number of profile evaluations of each. Usage, from
-the root of a checkout:
+fields), with the number of profile evaluations of each. The
+clean-rounds cases also print the tracemalloc heap peak of one call
+(read, read with the target block, clean, write). Usage, from the
+root of a checkout:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py
 
@@ -24,6 +26,7 @@ The simulation oracle is a Python double loop over all ordered pairs
 
 import csv
 import io
+import os
 import sys
 import tempfile
 import timeit
@@ -43,6 +46,7 @@ from _rounds_oracle import (  # noqa: E402
     rounds_rows,
 )
 from _svg_oracle import oracle_denotation_plot, oracle_ease_plot  # noqa: E402
+from test_heap_peaks import heap_peak  # noqa: E402
 from test_kernels import oracle_mean_pairwise, reference_simulate  # noqa: E402
 from test_regress import (  # noqa: E402
     every_step_fit,
@@ -205,10 +209,11 @@ def _best(fn, repeat: int, number: int = 1) -> float:
 
 
 def _line(label: str, t_kernel: float, t_oracle: float,
-          kernel: str = "numpy") -> None:
+          kernel: str = "numpy", peak: int | None = None) -> None:
     print(f"{label:<34} {kernel:<7} {t_kernel * 1e3:10.3f} ms"
           f"   oracle {t_oracle * 1e3:10.1f} ms"
-          f"   {t_oracle / t_kernel:8.1f}x")
+          f"   {t_oracle / t_kernel:8.1f}x"
+          + ("" if peak is None else f"   heap peak {peak / 1e6:7.1f} MB"))
 
 
 def bench_spread(n: int, seed: int) -> None:
@@ -333,8 +338,11 @@ def bench_read_clean_rounds(n_rows: int, seed: int) -> None:
         lambda: oracle_read_clean_rounds(io.StringIO(text)), repeat=3)
     assert repr(rounds_rows(got)) == repr(want), (
         "read_clean_rounds disagrees with the per-row reader")
-    _line(f"read_clean_rounds n={n_rows}", t_read, t_oracle, "columns")
-    _line("  and its target Lab block", t_lab, t_oracle, "columns")
+    _line(f"read_clean_rounds n={n_rows}", t_read, t_oracle, "columns",
+          heap_peak(corpus.read_clean_rounds, io.StringIO(text)))
+    _line("  and its target Lab block", t_lab, t_oracle, "columns",
+          heap_peak(lambda handle: corpus.read_clean_rounds(handle).target,
+                    io.StringIO(text)))
 
 
 def bench_hsl_grid() -> None:
@@ -383,8 +391,11 @@ def bench_clean(n_rows: int, seed: int) -> None:
     oracle_written, t_oracle_write = _best(
         lambda: _write(oracle_write_clean_rounds, want), repeat=3)
     assert written == oracle_written, "written clean rounds differ"
-    _line(f"clean n={n_rows}", t_clean, t_oracle, "columns")
-    _line("  write_clean_rounds", t_write, t_oracle_write, "columns")
+    _line(f"clean n={n_rows}", t_clean, t_oracle, "columns",
+          heap_peak(corpus.clean, raw))
+    with open(os.devnull, "w", encoding="utf-8") as sink:
+        _line("  write_clean_rounds", t_write, t_oracle_write, "columns",
+              heap_peak(corpus.write_clean_rounds, sink, got, "# bench"))
 
 
 def _write(writer, rounds) -> str:

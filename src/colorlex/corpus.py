@@ -26,7 +26,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
@@ -198,7 +198,9 @@ def _framed(reader, path) -> Iterator[list[str]]:
         raise SchemaError(not_utf8(path)) from None
 
 
-_ROW_BLOCK = 8192  # data rows held as text at a time
+# Rows parsed, converted, formatted or held as text at a time by ingest,
+# clean, write_clean_rounds and read_clean_rounds.
+_ROW_BLOCK = 8192
 
 
 def _converted(convert, values: Sequence[str],
@@ -407,9 +409,9 @@ def clean(
     """Keep rounds solved with exactly one token; convert colors to Lab.
 
     Context ease is the distance from the target to its closest
-    (hardest) distractor. All kept chips are converted in one
-    hsl_to_lab_array call, and each distinct utterance is normalized
-    once.
+    (hardest) distractor. The kept chips are converted by
+    hsl_to_lab_array _ROW_BLOCK rounds at a time, and each distinct
+    utterance is normalized once.
     """
     utterance_ids, utterances = _dense_ids(raw.utterances)
     words = []  # each distinct utterance's one token, or None
@@ -420,14 +422,20 @@ def clean(
     kept = np.flatnonzero(raw.listener_correct & one_token[utterance_ids])
     rows = kept.tolist()
     n = len(rows)
-    h, s, l = np.concatenate(
-        [raw.target[kept], raw.distractor1[kept], raw.distractor2[kept]]).T
-    target, d1, d2 = hsl_to_lab_array(h, s, l).reshape(3, n, 3)
+    lab = np.empty((3, n, 3))
+    for start in range(0, n, _ROW_BLOCK):
+        block = kept[start:start + _ROW_BLOCK]
+        h, s, l = np.concatenate([raw.target[block], raw.distractor1[block],
+                                  raw.distractor2[block]]).T
+        lab[:, start:start + len(block)] = hsl_to_lab_array(
+            h, s, l).reshape(3, -1, 3)
+    target, d1, d2 = lab
     e1, e2 = _lab_distance(target, d1), _lab_distance(target, d2)
     # chip_key of each target; rint rounds half to even, as round does
-    keys = np.column_stack([np.rint(h[:n]).astype(np.int64) % 360,
-                            np.rint(s[:n] * 100.0).astype(np.int64),
-                            np.rint(l[:n] * 100.0).astype(np.int64)])
+    h, s, l = raw.target[kept].T
+    keys = np.column_stack([np.rint(h).astype(np.int64) % 360,
+                            np.rint(s * 100.0).astype(np.int64),
+                            np.rint(l * 100.0).astype(np.int64)])
     chip_keys, chip_ids = _chip_table(keys)
     word_ids, vocab = _dense_ids(
         [words[u] for u in utterance_ids[kept].tolist()])
@@ -489,33 +497,58 @@ def _parse_column(convert, values: Sequence[str], column: str,
 class _LabText:
     """The LAB_COLUMNS text of a stage table's rows (all of them, or
     those at `rows`), converted to floats one block of three columns at
-    a time."""
+    a time.
 
-    def __init__(self, columns: Sequence[list[str]],
+    Each column is held as one tab-joined text per `size` rows of the
+    table: row r is field r % size of text r // size of its column.
+    """
+
+    def __init__(self, columns: Sequence[list[str]], size: int,
                  where: Callable[[int], str], rows: np.ndarray | None = None):
         self.columns = columns
+        self.size = size
         self.where = where
         self.rows = rows
 
     def take(self, index: np.ndarray) -> _LabText:
         rows = index if self.rows is None else self.rows[index]
-        return _LabText(self.columns, self.where, rows)
+        return _LabText(self.columns, self.size, self.where, rows)
 
     def block(self, k: int) -> np.ndarray:
         """Block k (target, d1, d2) as an (n, 3) float64 array."""
-        columns = self.columns[3 * k:3 * k + 3]
-        where = self.where
-        if self.rows is not None:
-            rows = self.rows.tolist()
-            columns = [[text[i] for i in rows] for text in columns]
-
-            def where(i: int) -> str:
-                return self.where(rows[i])
-
         return np.column_stack([
-            _parse_column(float, text, name, where, np.float64)
-            for text, name in zip(columns, LAB_COLUMNS[3 * k:3 * k + 3])
-        ])
+            self._column(texts, name)
+            for texts, name in zip(self.columns[3 * k:3 * k + 3],
+                                   LAB_COLUMNS[3 * k:3 * k + 3])])
+
+    def _column(self, texts: list[str], name: str) -> np.ndarray:
+        """One column's rows as float64: all rows text by text, or the
+        rows at `rows`, cut from each text they need."""
+        if self.rows is None:
+            return np.concatenate([np.empty(0)] + [
+                _parse_column(float, text.split("\t"), name,
+                              _shifted(self.where, b * self.size), np.float64)
+                for b, text in enumerate(texts)])
+        rows = self.rows.tolist()
+        blocks, offsets = np.divmod(self.rows, self.size)
+        values = np.empty(len(rows), dtype=object)
+        for b in np.unique(blocks).tolist():
+            at = blocks == b
+            values[at] = _fields(texts[b], offsets[at])
+        return _parse_column(float, values.tolist(), name,
+                             lambda i: self.where(rows[i]), np.float64)
+
+
+def _fields(text: str, offsets: np.ndarray) -> list[str]:
+    """The fields at `offsets` of a tab-joined text, cut out of its UTF-8
+    bytes (a tab byte is never part of another character), which costs
+    a few times less than splitting the text when only a few are
+    needed."""
+    data = text.encode()
+    tabs = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 9)
+    starts = np.concatenate([[0], tabs + 1])[offsets].tolist()
+    ends = np.append(tabs, len(data))[offsets].tolist()
+    return [data[a:z].decode() for a, z in zip(starts, ends)]
 
 
 class Rounds:
@@ -530,8 +563,9 @@ class Rounds:
       `round_indices` are lists;
     - `target`, `distractor1` and `distractor2` are (n, 3) float64
       arrays of (L*, a*, b*) rows. A table read by read_clean_rounds
-      keeps them as text and converts a block on its first access, so
-      a stage that reads no Lab converts none.
+      keeps them as text, one string per Lab column and block of
+      _ROW_BLOCK rows, and converts a block of three columns on its
+      first access, so a stage that reads no Lab converts none.
 
     `clean` returns this table, and read_clean_rounds reads it back.
     Iterating over it yields its rounds as CleanRound rows; no stage
@@ -597,7 +631,8 @@ class Rounds:
         """The rounds at the given row positions, as a new table; Lab
         read as text stays text, converted on the new table's first
         access."""
-        index = np.asarray(index, dtype=np.intp)
+        # positions from the start, which _LabText.take needs
+        index = np.arange(len(self))[np.asarray(index, dtype=np.intp)]
         rows = index.tolist()
         lab = self._lab
         return Rounds(
@@ -687,28 +722,36 @@ def read_table(handle: TextIO, columns: Sequence[str]
     messages. A missing column line, or a line that does not hold one
     field per column, is a ValueError naming the file (and line).
     """
-    source = getattr(handle, "name", "<table>")
+    where = _skip_to_columns(handle, columns)
     lines = handle.read().split("\n")
     if lines[-1] == "":
         lines.pop()
+    _check_widths(lines, len(columns), where)
+    return where, lines
+
+
+def _skip_to_columns(handle: TextIO, columns: Sequence[str]
+                     ) -> Callable[[int], str]:
+    """Read the handle through its exact column line, and return
+    where(i), the "path:line" of the i-th line after it. A missing
+    column line is a ValueError naming the file."""
+    source = getattr(handle, "name", "<table>")
     header = "\t".join(columns)
-    try:
-        start = lines.index(header) + 1
-    except ValueError:
-        raise ValueError(
-            f"{source}: no column header {header!r} found") from None
-    del lines[:start]
+    for start, line in enumerate(iter(handle.readline, ""), start=1):
+        if line.rstrip("\n") == header:
+            return lambda i: f"{source}:{start + 1 + i}"
+    raise ValueError(f"{source}: no column header {header!r} found")
 
-    def where(i: int) -> str:
-        return f"{source}:{start + 1 + i}"
 
-    tabs = len(columns) - 1
+def _check_widths(lines: Iterable[str], width: int,
+                  where: Callable[[int], str]) -> None:
+    """A ValueError naming the first line (by where(i)) that does not
+    hold `width` tab-separated fields."""
     for i, line in enumerate(lines):
-        if line.count("\t") != tabs:
+        if line.count("\t") != width - 1:
             raise ValueError(
                 f"{where(i)}: row has {line.count(chr(9)) + 1} fields, "
-                f"expected {len(columns)}")
-    return where, lines
+                f"expected {width}")
 
 
 LAB_COLUMNS = tuple(f"{c}_{ch}" for c in ("target", "d1", "d2")
@@ -733,19 +776,26 @@ def format_chip_key(key: ChipKey) -> str:
 def write_clean_rounds(
     handle: TextIO, rounds: Rounds, header_comment: str
 ) -> None:
-    """Write clean rounds as a stage table, repr-precision floats."""
+    """Write clean rounds as a stage table, repr-precision floats,
+    formatting _ROW_BLOCK rows at a time."""
     keys = [format_chip_key(k) for k in rounds.chip_keys.tolist()]
-    write_table(handle, header_comment, _CLEAN_COLUMNS, zip(
-        rounds.game_ids,
-        map(str, rounds.round_indices),
-        rounds.speaker_ids,
-        [rounds.vocab[w] for w in rounds.word_ids.tolist()],
-        [keys[c] for c in rounds.chip_ids.tolist()],
-        map(repr, rounds.ease.tolist()),
-        *(map(repr, column)
-          for block in (rounds.target, rounds.distractor1, rounds.distractor2)
-          for column in block.T.tolist()),
-    ))
+
+    def rows(start: int) -> Iterator[tuple[str, ...]]:
+        block = slice(start, start + _ROW_BLOCK)
+        lab = np.concatenate([rounds.target[block], rounds.distractor1[block],
+                              rounds.distractor2[block]], axis=1)
+        return zip(
+            rounds.game_ids[block],
+            map(str, rounds.round_indices[block]),
+            rounds.speaker_ids[block],
+            [rounds.vocab[w] for w in rounds.word_ids[block].tolist()],
+            [keys[c] for c in rounds.chip_ids[block].tolist()],
+            map(repr, rounds.ease[block].tolist()),
+            *(map(repr, column) for column in lab.T.tolist()),
+        )
+
+    write_table(handle, header_comment, _CLEAN_COLUMNS, chain.from_iterable(
+        map(rows, range(0, len(rounds), _ROW_BLOCK))))
 
 
 def _parse_keys(texts: Sequence[str],
@@ -763,37 +813,88 @@ def _parse_keys(texts: Sequence[str],
 
 
 def read_clean_rounds(handle: TextIO) -> Rounds:
-    """Read a file written by write_clean_rounds, one column at a time.
+    """Read a file written by write_clean_rounds, _ROW_BLOCK lines at a
+    time.
 
-    The lines are split once into fields and each column is sliced out
-    and converted with float() or int() as a whole; Lab columns stay
-    text until a stage reads them (see Rounds).
+    Each block is split once into fields, and each of its columns is
+    sliced out and converted with float() or int() as a whole. Words
+    and chip keys map to ids through tables that all blocks share. The
+    Lab columns stay text, one string per column and block, until a
+    stage reads them (see Rounds).
+
+    A malformed line is a ValueError naming its "path:line". The first
+    bad block wins, and within it a row that does not hold one field
+    per column comes first, then a bad round_index, target_key or ease,
+    in that order. A bad Lab value is named when its block is first
+    converted.
     """
-    where, lines = read_table(handle, _CLEAN_COLUMNS)
-    width = len(_CLEAN_COLUMNS)
-    fields = "\t".join(lines).split("\t") if lines else []
-    del lines
-    (game_ids, round_text, speaker_ids, words, key_text, ease_text,
-     *lab_text) = (fields[k::width] for k in range(width))
-    del fields
-    word_ids, vocab = _dense_ids(words)
-    key_ids, keys = _dense_ids(key_text)
+    where = _skip_to_columns(handle, _CLEAN_COLUMNS)
+    size, width = _ROW_BLOCK, len(_CLEAN_COLUMNS)
+    game_ids: list[str] = []
+    speaker_ids: list[str] = []
+    round_indices: list[int] = []
+    word_ids = [np.empty(0, dtype=np.intp)]
+    key_ids = [np.empty(0, dtype=np.intp)]
+    keys, ease = [np.empty((0, 3), dtype=np.int64)], [np.empty(0)]
+    words: dict[str, int] = {}
+    key_index: dict[str, int] = {}
+    lab: list[list[str]] = [[] for _ in LAB_COLUMNS]
+    first = 0  # the table row of the block's first line
+    while text := "".join(islice(handle, size)):
+        if not text.endswith("\n"):
+            text += "\n"
+        n = text.count("\n")
+        block_where = _shifted(where, first)
+        # Every line holds `width` fields exactly when the list holds
+        # (width + 1) * n + 1 fields (an empty one ends it) and every
+        # (width + 1)-th is a line break; the second check alone would
+        # pass a line of 2 * width + 1 fields.
+        fields = text.replace("\n", "\t\n\t").split("\t")
+        if (len(fields) != (width + 1) * n + 1
+                or fields[width::width + 1].count("\n") != n):
+            _check_widths(text.split("\n")[:n], width, block_where)
+        del text, fields[-1]
+        (games, round_text, speakers, word_text, key_text, ease_text,
+         *lab_text) = (fields[k::width + 1] for k in range(width))
+        del fields
+        game_ids += games
+        round_indices += _parse_column(int, round_text, "round_index",
+                                       block_where)
+        speaker_ids += speakers
+        word_ids.append(np.array(
+            [words.setdefault(w, len(words)) for w in word_text],
+            dtype=np.intp))
+        known = len(key_index)
+        block_keys = [key_index.setdefault(k, len(key_index))
+                      for k in key_text]
+        key_ids.append(np.array(block_keys, dtype=np.intp))
 
-    def key_where(j: int) -> str:  # the first row holding key j
-        return where(key_ids.tolist().index(j))
+        def key_where(j: int) -> str:  # the first row holding new key j
+            return block_where(block_keys.index(known + j))
 
-    chip_keys, chip_ids = _chip_table(_parse_keys(keys, key_where))
+        keys.append(_parse_keys(list(key_index)[known:], key_where))
+        ease.append(_parse_column(float, ease_text, "ease", block_where,
+                                  np.float64))
+        for column, values in zip(lab, lab_text):
+            column.append("\t".join(values))
+        first += n
+    chip_keys, chip_ids = _chip_table(np.concatenate(keys))
     return Rounds(
-        vocab=tuple(vocab),
-        word_ids=word_ids,
+        vocab=tuple(words),
+        word_ids=np.concatenate(word_ids),
         chip_keys=chip_keys,
-        chip_ids=chip_ids[key_ids],
-        ease=_parse_column(float, ease_text, "ease", where, np.float64),
+        chip_ids=chip_ids[np.concatenate(key_ids)],
+        ease=np.concatenate(ease),
         game_ids=game_ids,
         speaker_ids=speaker_ids,
-        round_indices=_parse_column(int, round_text, "round_index", where),
-        lab=_LabText(lab_text, where),
+        round_indices=round_indices,
+        lab=_LabText(lab, size, where),
     )
+
+
+def _shifted(where: Callable[[int], str], first: int) -> Callable[[int], str]:
+    """where() of the line `first` lines further on."""
+    return lambda i: where(first + i)
 
 
 def write_rejects(

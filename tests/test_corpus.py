@@ -660,19 +660,56 @@ def _written(rows) -> str:
     return buffer.getvalue()
 
 
+def _assert_reads_as_oracle(rows):
+    text = _written(rows)
+    rounds = read_clean_rounds(io.StringIO(text))
+    got = rounds_rows(rounds)
+    want = oracle_read_clean_rounds(io.StringIO(text))
+    # repr tells -0.0 from 0.0 and shows NaN, which == does not
+    assert repr(got) == repr(want)
+    assert repr(got) == repr(rows)
+    assert _rounds_written(rounds) == text
+    backwards = list(range(len(rows)))[::-1]
+    assert repr(rounds_rows(rounds.take(backwards))) == repr(rows[::-1])
+
+
+_MALFORMED_FIELDS = [
+    (5, "nanx", "ease: could not convert string to float"),
+    (1, "1.5", "round_index: invalid literal for int()"),
+    (4, "1:2", "target_key: expected h:s:l"),
+    (4, "1:x:2", "target_key: invalid literal for int()"),
+]
+
+
+def _assert_named_on_read(tmp_path, rows, column, value, message):
+    """Set the field of the fourth row, on line 6, and read the table."""
+    path = tmp_path / "clean_rounds.tsv"
+    lines = _written(rows[:5]).splitlines(keepends=True)
+    fields = lines[5].split("\t")
+    fields[column] = value
+    lines[5] = "\t".join(fields)
+    path.write_text("".join(lines), encoding="utf-8")
+    with open(path, encoding="utf-8") as handle:
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}:6: {message}")):
+            read_clean_rounds(handle)
+
+
 class TestColumnarRead:
     @settings(derandomize=True, database=None, deadline=None,
               max_examples=200)
     @given(rows=st.lists(_CLEAN_ROUNDS, max_size=8))
     def test_equals_per_row_oracle(self, rows):
-        text = _written(rows)
-        rounds = read_clean_rounds(io.StringIO(text))
-        got = rounds_rows(rounds)
-        want = oracle_read_clean_rounds(io.StringIO(text))
-        # repr tells -0.0 from 0.0 and shows NaN, which == does not
-        assert repr(got) == repr(want)
-        assert repr(got) == repr(rows)
-        assert _rounds_written(rounds) == text
+        _assert_reads_as_oracle(rows)
+
+    # Blocks of 2 rows put block edges between the rows.
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=200,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.lists(_CLEAN_ROUNDS, max_size=8))
+    def test_equals_per_row_oracle_in_blocks_of_2(self, monkeypatch, rows):
+        monkeypatch.setattr(corpus, "_ROW_BLOCK", 2)
+        _assert_reads_as_oracle(rows)
 
     def test_zero_rows(self):
         rounds = read_clean_rounds(io.StringIO(_written([])))
@@ -719,24 +756,131 @@ class TestColumnarRead:
             rounds.take([4, 2]).distractor1
         assert rounds.take([4, 1]).distractor1.shape == (2, 3)
 
-    @pytest.mark.parametrize("column, value, message", [
-        (5, "nanx", "ease: could not convert string to float"),
-        (1, "1.5", "round_index: invalid literal for int()"),
-        (4, "1:2", "target_key: expected h:s:l"),
-        (4, "1:x:2", "target_key: invalid literal for int()"),
-    ])
+    @pytest.mark.parametrize("column, value, message", _MALFORMED_FIELDS)
     def test_malformed_field_named_on_read(self, tmp_path, fixture_clean,
                                            column, value, message):
+        _assert_named_on_read(tmp_path, fixture_clean, column, value,
+                              message)
+
+    @pytest.mark.parametrize("column, value, message", _MALFORMED_FIELDS)
+    def test_malformed_field_named_in_blocks_of_2(
+            self, tmp_path, monkeypatch, fixture_clean, column, value,
+            message):
+        monkeypatch.setattr(corpus, "_ROW_BLOCK", 2)
+        _assert_named_on_read(tmp_path, fixture_clean, column, value,
+                              message)
+
+
+class TestReadInBlocks:
+    """read_clean_rounds at two rows per block. Six rows are on lines
+    3 to 8, and blocks start on lines 3, 5 and 7."""
+
+    @pytest.fixture(autouse=True)
+    def blocks_of_2(self, monkeypatch):
+        monkeypatch.setattr(corpus, "_ROW_BLOCK", 2)
+
+    ROWS = [_round_with("blue", (10 * i, 50, 50), idx=i) for i in range(6)]
+
+    @staticmethod
+    def _read(tmp_path, text):
         path = tmp_path / "clean_rounds.tsv"
-        lines = _written(fixture_clean[:5]).splitlines(keepends=True)
-        fields = lines[5].split("\t")
-        fields[column] = value
-        lines[5] = "\t".join(fields)
-        path.write_text("".join(lines), encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         with open(path, encoding="utf-8") as handle:
-            with pytest.raises(ValueError,
-                               match=re.escape(f"{path}:6: {message}")):
-                read_clean_rounds(handle)
+            return path, read_clean_rounds(handle)
+
+    @staticmethod
+    def _edited(text, line, edit):
+        """The text with `edit` applied to line `line` (1-based, without
+        its line break)."""
+        lines = text.split("\n")
+        lines[line - 1] = edit(lines[line - 1])
+        return "\n".join(lines)
+
+    def _raises(self, tmp_path, text, message):
+        path = tmp_path / "clean_rounds.tsv"
+        with pytest.raises(ValueError, match=re.escape(
+                message.format(path=path))):
+            self._read(tmp_path, text)
+
+    @pytest.mark.parametrize("line, edit, message", [
+        (8, lambda s: s.rsplit("\t", 1)[0],
+         "{path}:8: row has 14 fields, expected 15"),
+        (7, lambda s: s.replace("\t1.0\t", "\tx\t", 1),
+         "{path}:7: ease: could not convert"),
+        # the line breaks of a 31-field row fall where those of two
+        # 15-field rows would
+        (7, lambda s: f"{s}\t{s}\tx", "{path}:7: row has 31 fields"),
+        (8, lambda s: s + "\t", "{path}:8: row has 16 fields"),
+    ])
+    def test_bad_row_in_third_block_named_by_its_line(self, tmp_path, line,
+                                                      edit, message):
+        self._raises(tmp_path, self._edited(_written(self.ROWS), line, edit),
+                     message)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_last_line_without_line_break(self, tmp_path, n):
+        text = _written(self.ROWS[:n])
+        _, rounds = self._read(tmp_path, text[:-1])
+        assert rounds_rows(rounds) == self.ROWS[:n]
+
+    def test_trailing_blank_line(self, tmp_path):
+        self._raises(tmp_path, _written(self.ROWS) + "\n",
+                     "{path}:9: row has 1 fields, expected 15")
+
+    def test_data_row_starting_with_hash(self, tmp_path):
+        rows = [r._replace(game_id="#g") if i in (2, 3) else r
+                for i, r in enumerate(self.ROWS)]
+        _, rounds = self._read(tmp_path, _written(rows))
+        assert rounds_rows(rounds) == rows
+
+    def test_column_header_below_extra_comment_lines(self, tmp_path):
+        text = "# one\n# two\n" + self._edited(
+            _written(self.ROWS), 6, lambda s: s.rsplit("\t", 1)[0])
+        self._raises(tmp_path, text, "{path}:8: row has 14 fields")
+        _, rounds = self._read(tmp_path, "# one\n# two\n"
+                               + _written(self.ROWS))
+        assert rounds_rows(rounds) == self.ROWS
+
+    @pytest.mark.parametrize("text", [_written([]), _written([])[:-1]])
+    def test_zero_rows(self, tmp_path, text):
+        _, rounds = self._read(tmp_path, text)
+        assert len(rounds) == 0
+        assert rounds.chip_keys.shape == (0, 3)
+        assert rounds.target.shape == (0, 3)
+        assert rounds.take([]).distractor2.shape == (0, 3)
+
+    def test_take_reads_across_blocks(self, tmp_path):
+        _, rounds = self._read(tmp_path, _written(self.ROWS))
+        picked = rounds.take([5, 0, 3, 3]).take([3, 0, 1])
+        assert rounds_rows(picked) == [self.ROWS[i] for i in (3, 5, 0)]
+
+    def test_take_counts_negative_positions_from_the_end(self, tmp_path):
+        # the last of three blocks holds one row
+        _, rounds = self._read(tmp_path, _written(self.ROWS[:5]))
+        picked = rounds.take([-2, -5, 4])
+        assert rounds_rows(picked) == [self.ROWS[i] for i in (3, 0, 4)]
+        with pytest.raises(IndexError):
+            rounds.take([-6])
+
+    # The first bad block wins; within a block, a row of the wrong
+    # width comes before a bad value.
+    @pytest.mark.parametrize("edits, message", [
+        # a bad ease in block 1, a short row in block 3
+        ({3: lambda s: s.replace("\t1.0\t", "\tx\t", 1),
+          8: lambda s: s.rsplit("\t", 1)[0]}, "{path}:3: ease"),
+        # a bad ease on the first line of block 2, a short row on its
+        # second
+        ({5: lambda s: s.replace("\t1.0\t", "\tx\t", 1),
+          6: lambda s: s.rsplit("\t", 1)[0]}, "{path}:6: row has 14"),
+        # a Lab value is named only when it is converted
+        ({3: lambda s: s.rsplit("\t", 1)[0] + "\tx",
+          8: lambda s: s.rsplit("\t", 1)[0]}, "{path}:8: row has 14"),
+    ])
+    def test_error_order(self, tmp_path, edits, message):
+        text = _written(self.ROWS)
+        for line, edit in edits.items():
+            text = self._edited(text, line, edit)
+        self._raises(tmp_path, text, message)
 
 
 # ------------------------------------------------------ columnar clean
