@@ -13,9 +13,10 @@ against the per-point renderings in tests/_svg_oracle.py (equal
 bytes); and the cached random-intercept fit against `every_step_fit`
 in tests/test_regress.py, whose search profiles every step (equal
 fields), with the number of profile evaluations of each. The
-clean-rounds cases also print the tracemalloc heap peak of one call
-(read, read with the target block, clean, write). Usage, from the
-root of a checkout:
+clean-rounds and ingest cases also print the tracemalloc heap peak of
+one call (ingest, read, read with the target block, clean, write), and
+the read case the heap its table keeps. Usage, from the root of a
+checkout:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py
 
@@ -46,7 +47,7 @@ from _rounds_oracle import (  # noqa: E402
     rounds_rows,
 )
 from _svg_oracle import oracle_denotation_plot, oracle_ease_plot  # noqa: E402
-from test_heap_peaks import heap_peak  # noqa: E402
+from test_heap_peaks import heap_kept, heap_peak  # noqa: E402
 from test_kernels import oracle_mean_pairwise, reference_simulate  # noqa: E402
 from test_regress import (  # noqa: E402
     every_step_fit,
@@ -209,21 +210,23 @@ def _best(fn, repeat: int, number: int = 1) -> float:
 
 
 def _line(label: str, t_kernel: float, t_oracle: float,
-          kernel: str = "numpy", peak: int | None = None) -> None:
+          kernel: str = "numpy", peak: int | None = None,
+          kept: int | None = None) -> None:
     print(f"{label:<34} {kernel:<7} {t_kernel * 1e3:10.3f} ms"
           f"   oracle {t_oracle * 1e3:10.1f} ms"
           f"   {t_oracle / t_kernel:8.1f}x"
-          + ("" if peak is None else f"   heap peak {peak / 1e6:7.1f} MB"))
+          + ("" if peak is None else f"   heap peak {peak / 1e6:7.1f} MB")
+          + ("" if kept is None else f"   keeps {kept / 1e6:7.1f} MB"))
 
 
 def bench_spread(n: int, seed: int) -> None:
     pts = _spread_case(n, seed)
     got, t_kernel = _best(lambda: kernels.mean_pairwise_distance(pts),
-                          repeat=5, number=100)
+                          repeat=5, number=max(1, 10_000 // n))
     want, t_oracle = _best(lambda: oracle_mean_pairwise(pts.tolist()),
                            repeat=3)
     assert got == want, f"spread n={n}: {got!r} != {want!r}"
-    _line(f"mean_pairwise_distance n={n}", t_kernel, t_oracle)
+    _line(f"mean_pairwise_distance n={n}", t_kernel, t_oracle, "in-place")
 
 
 def bench_simulate(n_referents: int, vocab: int, seed: int) -> None:
@@ -339,7 +342,8 @@ def bench_read_clean_rounds(n_rows: int, seed: int) -> None:
     assert repr(rounds_rows(got)) == repr(want), (
         "read_clean_rounds disagrees with the per-row reader")
     _line(f"read_clean_rounds n={n_rows}", t_read, t_oracle, "columns",
-          heap_peak(corpus.read_clean_rounds, io.StringIO(text)))
+          heap_peak(corpus.read_clean_rounds, io.StringIO(text)),
+          heap_kept(corpus.read_clean_rounds, io.StringIO(text))[1])
     _line("  and its target Lab block", t_lab, t_oracle, "columns",
           heap_peak(lambda handle: corpus.read_clean_rounds(handle).target,
                     io.StringIO(text)))
@@ -373,10 +377,11 @@ def bench_ingest(n_rows: int, seed: int) -> None:
                                          repeat=3)
         (want, want_rejects), t_oracle = _best(lambda: oracle_ingest(path),
                                                repeat=3)
+        peak = heap_peak(corpus.ingest, path)
     assert rejects and repr(rejects) == repr(want_rejects), (
         "ingest rejects differ from oracle_ingest")
     assert repr(list(got)) == repr(want), "ingest disagrees with oracle_ingest"
-    _line(f"ingest n={n_rows}", t_ingest, t_oracle, "columns")
+    _line(f"ingest n={n_rows}", t_ingest, t_oracle, "columns", peak)
 
 
 def bench_clean(n_rows: int, seed: int) -> None:
@@ -406,7 +411,9 @@ def _write(writer, rounds) -> str:
 
 def main() -> None:
     print(f"backend {kernels.backend_name()}, numpy {np.__version__}")
+    # the subsample size of `info`, and a denotation 10 times as large
     bench_spread(100, 1)
+    bench_spread(1000, 2)
     for i, n in enumerate((500, 1500, 2500, 6000)):
         bench_simulate(n, 60, 3 + i)
     # ~90 % singleton groups, as when chips rarely repeat (vocab47k);

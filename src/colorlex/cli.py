@@ -123,6 +123,7 @@ def cmd_ingest(cfg: RunConfig, args) -> None:
 def cmd_info(cfg: RunConfig, args) -> None:
     rounds = _read_rounds(cfg)
     denotations = corpus.build_denotations(rounds, cfg.min_count)
+    del rounds  # freed before the spreads; the denotations own their chips
     infos = compute_word_infos(denotations, cfg.sampling)
     ordered = sorted(infos.values(), key=lambda w: (-w.i_w, w.word))
     _write(cfg, "word_info.tsv",
@@ -137,6 +138,7 @@ def cmd_regress(cfg: RunConfig, args) -> None:
     if args.subset == "repeated":
         rounds = corpus.repeated_chip_subset(rounds)
     rows = regress.rows_from_rounds(rounds, infos)
+    del rounds  # freed before the fits; the rows suffice
     label = f"informativeness ~ ease, subset={args.subset}"
     ols = regress.fit_ols(rows)
     mixed = regress.fit_random_intercept(rows)
@@ -203,6 +205,7 @@ def cmd_plot(cfg: RunConfig, args) -> None:
     header = header_line(cfg).lstrip("# ")
     if args.kind == "denotations":
         denotations = corpus.build_denotations(rounds, cfg.min_count)
+        del rounds
         if args.words is not None:
             words = [w for w in args.words.split(",") if w]
             if not words:
@@ -220,6 +223,7 @@ def cmd_plot(cfg: RunConfig, args) -> None:
         svg = svgplot.denotation_plot(denotations, words, header)
     else:
         rows = regress.rows_from_rounds(rounds, _read_infos(cfg))
+        del rounds
         ease = [row.ease for row in rows]
         i_w = [row.i_w for row in rows]
         line = None

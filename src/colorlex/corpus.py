@@ -22,6 +22,7 @@ its grid triple, quantized before any color conversion. This makes
 from __future__ import annotations
 
 import csv
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -131,7 +132,8 @@ class RawRounds:
     """Raw rounds as columns: entry i of every column is round i.
 
     - `game_ids`, `round_indices`, `utterances` and `speaker_ids` ("" when
-      the corpus has none) are lists;
+      the corpus has none) are lists. In a table from `ingest`, equal
+      ids and utterances are one shared string object;
     - `listener_correct` is a bool array;
     - `target`, `distractor1` and `distractor2` are (n, 3) float64
       arrays of valid HslColor fields (h, s, l).
@@ -200,7 +202,13 @@ def _framed(reader, path) -> Iterator[list[str]]:
 
 # Rows parsed, converted, formatted or held as text at a time by ingest,
 # clean, write_clean_rounds and read_clean_rounds.
-_ROW_BLOCK = 8192
+_ROW_BLOCK = 2048
+
+
+def _shared(values: Sequence[str], table: dict[str, str]) -> list[str]:
+    """The values, each one replaced by the first equal string that
+    `table` has seen, so that a repeated id is held once, not per row."""
+    return list(map(table.setdefault, values, values))
 
 
 def _converted(convert, values: Sequence[str],
@@ -221,11 +229,11 @@ def _converted(convert, values: Sequence[str],
     return out
 
 
-def _ids(values: Sequence[str], field: str,
-         reasons: dict[int, str]) -> list[str]:
-    """The stripped ids; one that holds a tab or line break is its
-    row's reason unless the row has one already."""
-    ids = list(map(str.strip, values))
+def _ids(values: Sequence[str], field: str, reasons: dict[int, str],
+         shared: dict[str, str]) -> list[str]:
+    """The stripped ids, shared through `shared`; one that holds a tab or
+    line break is its row's reason unless the row has one already."""
+    ids = _shared(list(map(str.strip, values)), shared)
     if _ROW_BREAKS.search("".join(ids)):
         for i, value in enumerate(ids):
             if _ROW_BREAKS.search(value):
@@ -236,8 +244,10 @@ def _ids(values: Sequence[str], field: str,
 
 def _parse_block(rows: list[list[str]], lines: list[int],
                  cols: Mapping[str, int], hsl_scale: str,
-                 rejects: list[RejectedRow]) -> RawRounds:
-    """The rounds of full-width rows, parsed column by column.
+                 rejects: list[RejectedRow],
+                 shared: dict[str, str]) -> RawRounds:
+    """The rounds of full-width rows, parsed column by column. Equal ids
+    and utterances become the one string that `shared` holds for them.
 
     A row that fails a check goes to rejects with the reason of the
     first check it fails, in field order: the game_id and speaker_id
@@ -246,10 +256,11 @@ def _parse_block(rows: list[list[str]], lines: list[int],
     """
     columns = list(zip(*rows))
     reasons: dict[int, str] = {}  # row -> the first check it fails
-    game_ids = _ids(columns[cols["game_id"]], "game_id", reasons)
+    game_ids = _ids(columns[cols["game_id"]], "game_id", reasons, shared)
     speaker_col = cols.get("speaker_id")
     speaker_ids = ([""] * len(rows) if speaker_col is None
-                   else _ids(columns[speaker_col], "speaker_id", reasons))
+                   else _ids(columns[speaker_col], "speaker_id", reasons,
+                             shared))
     round_indices = _converted(int, columns[cols["round_index"]], reasons)
     chips = []
     for field in _COLOR_FIELDS:
@@ -279,7 +290,7 @@ def _parse_block(rows: list[list[str]], lines: list[int],
         for i, value in enumerate(correct):
             if value is None:
                 reasons.setdefault(i, f"not a boolean: {text[i]!r}")
-    utterances = list(columns[cols["utterance"]])
+    utterances = _shared(columns[cols["utterance"]], shared)
     correct = np.array(correct, dtype=bool)
     if reasons:
         rejects.extend(RejectedRow(lines[i], reason)
@@ -332,6 +343,7 @@ def ingest(
         raise ValueError(f"unknown hsl_scale {hsl_scale!r}")
     parts = [RawRounds.from_rows([])]  # a corpus may hold no round
     rejects: list[RejectedRow] = []
+    shared: dict[str, str] = {}  # each distinct id and utterance
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
         rows = _framed(reader, path)
@@ -358,15 +370,16 @@ def ingest(
                 block.append(row)
                 lines.append(reader.line_num)
                 if len(block) == _ROW_BLOCK:
-                    parts.append(
-                        _parse_block(block, lines, cols, hsl_scale, rejects))
+                    parts.append(_parse_block(block, lines, cols, hsl_scale,
+                                              rejects, shared))
                     block, lines = [], []
             elif row:
                 rejects.append(RejectedRow(
                     reader.line_num,
                     f"row has {len(row)} fields, header has {width}"))
         if block:
-            parts.append(_parse_block(block, lines, cols, hsl_scale, rejects))
+            parts.append(_parse_block(block, lines, cols, hsl_scale,
+                                      rejects, shared))
     rejects.sort(key=operator.attrgetter("line"))
     return _joined(parts), rejects
 
@@ -494,10 +507,33 @@ def _parse_column(convert, values: Sequence[str], column: str,
     raise error
 
 
+# Every hsl_to_lab_array output lies within _LAB_LIMIT in each of L*, a*
+# and b*: over the sRGB cube each f(t) of the CIELAB formulas is in
+# [4/29, 1] (up to rounding), so L* is in [0, 100], |a*| at most about 431
+# and |b*| about 172. A stage-table value beyond it was not written here.
+_LAB_LIMIT = 500.0
+# The largest CIELAB distance between two such colours.
+_EASE_LIMIT = 2.0 * math.sqrt(3.0) * _LAB_LIMIT
+
+
+def _in_range(values: np.ndarray, low: float, high: float, column: str,
+              where: Callable[[int], str]) -> np.ndarray:
+    """The values, when each is in [low, high]; otherwise a ValueError
+    naming where(i) of the first that is not (NaN never is) and the
+    column."""
+    bad = np.flatnonzero(~((low <= values) & (values <= high)))
+    if len(bad):
+        i = int(bad[0])
+        raise ValueError(f"{where(i)}: {column}: {values[i].item()!r} "
+                         f"outside [{low!r}, {high!r}]")
+    return values
+
+
 class _LabText:
     """The LAB_COLUMNS text of a stage table's rows (all of them, or
     those at `rows`), converted to floats one block of three columns at
-    a time.
+    a time. A value that is not a number in [-_LAB_LIMIT, _LAB_LIMIT]
+    is a ValueError naming its row and column.
 
     Each column is held as one tab-joined text per `size` rows of the
     table: row r is field r % size of text r // size of its column.
@@ -526,8 +562,8 @@ class _LabText:
         rows at `rows`, cut from each text they need."""
         if self.rows is None:
             return np.concatenate([np.empty(0)] + [
-                _parse_column(float, text.split("\t"), name,
-                              _shifted(self.where, b * self.size), np.float64)
+                _lab_values(text.split("\t"), name,
+                            _shifted(self.where, b * self.size))
                 for b, text in enumerate(texts)])
         rows = self.rows.tolist()
         blocks, offsets = np.divmod(self.rows, self.size)
@@ -535,8 +571,17 @@ class _LabText:
         for b in np.unique(blocks).tolist():
             at = blocks == b
             values[at] = _fields(texts[b], offsets[at])
-        return _parse_column(float, values.tolist(), name,
-                             lambda i: self.where(rows[i]), np.float64)
+        return _lab_values(values.tolist(), name,
+                           lambda i: self.where(rows[i]))
+
+
+def _lab_values(texts: Sequence[str], column: str,
+                where: Callable[[int], str]) -> np.ndarray:
+    """One Lab column's texts as float64, each checked to lie within
+    _LAB_LIMIT; a bad one is a ValueError naming where(i) and the
+    column."""
+    return _in_range(_parse_column(float, texts, column, where, np.float64),
+                     -_LAB_LIMIT, _LAB_LIMIT, column, where)
 
 
 def _fields(text: str, offsets: np.ndarray) -> list[str]:
@@ -560,14 +605,18 @@ class Rounds:
       ascending chip ids are ascending keys;
     - `ease` is the float64 context ease;
     - `game_ids`, `speaker_ids` ("" when the corpus has none) and
-      `round_indices` are lists;
+      `round_indices` are lists. Equal ids are one shared string
+      object, in a table from read_clean_rounds and in one that `clean`
+      made from an `ingest` table;
     - `target`, `distractor1` and `distractor2` are (n, 3) float64
       arrays of (L*, a*, b*) rows. A table read by read_clean_rounds
       keeps them as text, one string per Lab column and block of
       _ROW_BLOCK rows, and converts a block of three columns on its
       first access, so a stage that reads no Lab converts none.
 
-    `clean` returns this table, and read_clean_rounds reads it back.
+    `clean` returns this table, and read_clean_rounds reads it back. A
+    stage drops its table once it has what it needs from it (the
+    denotations, or the regression rows), before its heaviest work.
     Iterating over it yields its rounds as CleanRound rows; no stage
     does, but the benchmark's ground-truth test still does.
     """
@@ -818,20 +867,25 @@ def read_clean_rounds(handle: TextIO) -> Rounds:
 
     Each block is split once into fields, and each of its columns is
     sliced out and converted with float() or int() as a whole. Words
-    and chip keys map to ids through tables that all blocks share. The
-    Lab columns stay text, one string per column and block, until a
-    stage reads them (see Rounds).
+    and chip keys map to ids through tables that all blocks share, and
+    equal game and speaker ids become one shared string. The Lab
+    columns stay text, one string per column and block, until a stage
+    reads them (see Rounds). A block's field strings are freed before
+    the next block is read, so no more than one block of them is alive
+    at a time.
 
     A malformed line is a ValueError naming its "path:line". The first
     bad block wins, and within it a row that does not hold one field
-    per column comes first, then a bad round_index, target_key or ease,
-    in that order. A bad Lab value is named when its block is first
-    converted.
+    per column comes first, then a bad round_index, target_key or ease
+    (one that is not a number in [0, _EASE_LIMIT]), in that order. A
+    bad Lab value (one that is not a number in [-_LAB_LIMIT,
+    _LAB_LIMIT]) is named when its block is first converted.
     """
     where = _skip_to_columns(handle, _CLEAN_COLUMNS)
     size, width = _ROW_BLOCK, len(_CLEAN_COLUMNS)
     game_ids: list[str] = []
     speaker_ids: list[str] = []
+    shared: dict[str, str] = {}  # each distinct game and speaker id
     round_indices: list[int] = []
     word_ids = [np.empty(0, dtype=np.intp)]
     key_ids = [np.empty(0, dtype=np.intp)]
@@ -857,10 +911,10 @@ def read_clean_rounds(handle: TextIO) -> Rounds:
         (games, round_text, speakers, word_text, key_text, ease_text,
          *lab_text) = (fields[k::width + 1] for k in range(width))
         del fields
-        game_ids += games
+        game_ids += _shared(games, shared)
         round_indices += _parse_column(int, round_text, "round_index",
                                        block_where)
-        speaker_ids += speakers
+        speaker_ids += _shared(speakers, shared)
         word_ids.append(np.array(
             [words.setdefault(w, len(words)) for w in word_text],
             dtype=np.intp))
@@ -873,10 +927,14 @@ def read_clean_rounds(handle: TextIO) -> Rounds:
             return block_where(block_keys.index(known + j))
 
         keys.append(_parse_keys(list(key_index)[known:], key_where))
-        ease.append(_parse_column(float, ease_text, "ease", block_where,
-                                  np.float64))
+        ease.append(_in_range(
+            _parse_column(float, ease_text, "ease", block_where, np.float64),
+            0.0, _EASE_LIMIT, "ease", block_where))
         for column, values in zip(lab, lab_text):
             column.append("\t".join(values))
+        # the block's fields, before the next block's are made
+        del games, round_text, speakers, word_text, key_text, ease_text
+        del lab_text, values
         first += n
     chip_keys, chip_ids = _chip_table(np.concatenate(keys))
     return Rounds(

@@ -162,6 +162,10 @@ def compute_word_infos(
 
 
 _INFO_COLUMNS = ("word", "n_chips", "spread", "i_w", "sampled")
+# spread and i_w as read back lie in (0, _INFO_LIMIT]. A real spread is a
+# mean CIELAB distance, below 2,000; the fits square i_w and add it up
+# over every row, which stays finite for any table below this bound.
+_INFO_LIMIT = 1e100
 
 
 def write_word_infos(
@@ -176,15 +180,21 @@ def write_word_infos(
 
 
 def read_word_infos(handle: TextIO) -> list[WordInfo]:
-    """Read a table written by write_word_infos. A malformed value is a
+    """Read a table written by write_word_infos. A malformed value, or a
+    spread or i_w that is not a number in (0, _INFO_LIMIT], is a
     ValueError naming its file and line."""
     where, lines = read_table(handle, _INFO_COLUMNS)
     infos = []
     for i, line in enumerate(lines):
         word, n_chips, s, i_w, sampled = line.split("\t")
         try:
-            infos.append(WordInfo(word, float(s), float(i_w), int(n_chips),
-                                  bool(int(sampled))))
+            info = WordInfo(word, float(s), float(i_w), int(n_chips),
+                            bool(int(sampled)))
         except ValueError as exc:
             raise ValueError(f"{where(i)}: {exc}") from None
+        for column, value in (("spread", info.spread), ("i_w", info.i_w)):
+            if not 0.0 < value <= _INFO_LIMIT:
+                raise ValueError(f"{where(i)}: {column}: {value!r} outside "
+                                 f"(0, {_INFO_LIMIT!r}]")
+        infos.append(info)
     return infos

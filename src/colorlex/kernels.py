@@ -38,20 +38,28 @@ def mean_pairwise_distance(pts) -> float:
     if n < 2:
         raise ValueError("need at least two points")
     xs, ys, zs = arr[:, 0], arr[:, 1], arr[:, 2]
-    rows = max(1, _SPREAD_BLOCK // n)
+    rows = min(n, max(1, _SPREAD_BLOCK // n))
+    # The running total leads each block's distances in `run`, so the
+    # cumulative sum continues it instead of starting a fresh partial
+    # sum. Each block's distances are computed in place in run's tail,
+    # as sqrt(dl * dl + da * da + db * db) in that order.
+    run = np.empty(rows * n + 1)
+    sq = np.empty((rows, n))
     acc = 0.0
     for i0 in range(0, n, rows):
         i1 = min(n, i0 + rows)
-        dl = xs[i0:i1, None] - xs
-        da = ys[i0:i1, None] - ys
-        db = zs[i0:i1, None] - zs
-        dist = np.sqrt(dl * dl + da * da + db * db)
-        # The running total leads the block, so the cumulative sum
-        # continues it instead of starting a fresh partial sum.
-        run = np.empty(dist.size + 1)
+        m = (i1 - i0) * n
+        dist = run[1:m + 1].reshape(i1 - i0, n)
+        d = sq[:i1 - i0]
+        np.subtract(xs[i0:i1, None], xs, out=dist)
+        np.multiply(dist, dist, out=dist)
+        for cs in (ys, zs):
+            np.subtract(cs[i0:i1, None], cs, out=d)
+            np.multiply(d, d, out=d)
+            np.add(dist, d, out=dist)
+        np.sqrt(dist, out=dist)
         run[0] = acc
-        run[1:] = dist.ravel()
-        acc = float(np.cumsum(run, out=run)[-1])
+        acc = float(np.cumsum(run[:m + 1], out=run[:m + 1])[-1])
     return acc / (n * (n - 1))
 
 

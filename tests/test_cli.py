@@ -208,8 +208,8 @@ class TestOverrides:
         assert blue_count(fixed_out) > blue_count(plain_out)
 
 
-def _corrupt(path, column, rows):
-    """Write "nanx" into `column` of the given data rows of a stage
+def _corrupt(path, column, rows, value="nanx"):
+    """Write `value` into `column` of the given data rows of a stage
     table (every row when rows is None); returns their file lines."""
     lines = path.read_text(encoding="utf-8").split("\n")
     col = lines[1].split("\t").index(column)
@@ -217,7 +217,7 @@ def _corrupt(path, column, rows):
         rows = range(len(lines) - 3)  # the text ends with a line break
     for r in rows:
         fields = lines[2 + r].split("\t")
-        fields[col] = "nanx"
+        fields[col] = value
         lines[2 + r] = "\t".join(fields)
     path.write_text("\n".join(lines), encoding="utf-8")
     return {3 + r for r in rows}
@@ -269,6 +269,35 @@ class TestReadErrorsNameTheLine:
         if table == "clean_rounds.tsv":
             reason = f"{column}: {reason}"
         assert found[2] == reason
+
+    # A finite value that no stage writes would overflow in the fits or
+    # the Lab-to-sRGB conversion; the readers refuse it instead.
+    @pytest.mark.parametrize("stage, table, column, value, bounds", [
+        (_ALL, "word_info.tsv", "i_w", "1e308", "(0, 1e+100]"),
+        (_REPEATED, "word_info.tsv", "i_w", "1e308", "(0, 1e+100]"),
+        (_EASE, "word_info.tsv", "i_w", "1e308", "(0, 1e+100]"),
+        (_ALL, "clean_rounds.tsv", "ease", "1e308",
+         "[0.0, 1732.0508075688772]"),
+        (_REPEATED, "clean_rounds.tsv", "ease", "1e308",
+         "[0.0, 1732.0508075688772]"),
+        (_EASE, "clean_rounds.tsv", "ease", "1e308",
+         "[0.0, 1732.0508075688772]"),
+        (_DENOTATIONS, "clean_rounds.tsv", "target_l", "1e200",
+         "[-500.0, 500.0]"),
+        (["info"], "clean_rounds.tsv", "target_a", "1e200",
+         "[-500.0, 500.0]"),
+    ])
+    def test_huge_finite_value(self, pipeline, tmp_path, capsys, stage,
+                               table, column, value, bounds):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline.out, out)
+        line, = _corrupt(out / table, column, [1], value)
+        code = main(["--config", str(pipeline.corpus.config),
+                     "--out", str(out), *stage])
+        assert capsys.readouterr().err == (
+            f"error: {out / table}:{line}: {column}: "
+            f"{float(value)!r} outside {bounds}\n")
+        assert code == 2
 
 
 class TestErrorHandling:

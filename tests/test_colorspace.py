@@ -12,6 +12,7 @@ from _rounds_oracle import lab_distance, normalize_hue
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from colorlex import corpus
 from colorlex.colorspace import (
     HslColor,
     LabColor,
@@ -198,6 +199,26 @@ class TestHslToLabArray:
 
     def test_empty(self):
         assert hsl_to_lab_array([], [], []).shape == (0, 3)
+
+    def test_within_the_stage_readers_bound(self):
+        # read_clean_rounds refuses a Lab value beyond corpus._LAB_LIMIT
+        # and an ease beyond corpus._EASE_LIMIT, so every conversion must
+        # lie inside them. The a* and b* extremes are at the sRGB
+        # primaries and secondaries (h = 0, 60, ..., 300, s = 1, l = 0.5).
+        h, s, l = (a.ravel() for a in np.meshgrid(
+            np.arange(0.0, 360.0, 2.0), np.linspace(0.0, 1.0, 21),
+            np.linspace(0.0, 1.0, 21), indexing="ij"))
+        rng = np.random.default_rng(406)
+        lab = np.concatenate([hsl_to_lab_array(h, s, l), hsl_to_lab_array(
+            rng.uniform(0.0, 360.0, 50_000) % 360.0, rng.random(50_000),
+            rng.random(50_000))])
+        # the figures in the comment at corpus._LAB_LIMIT
+        assert 0.0 <= lab[:, 0].min() and lab[:, 0].max() <= 100.0 + 1e-9
+        assert np.abs(lab[:, 1]).max() <= 500.0 * 25.0 / 29.0
+        assert np.abs(lab[:, 2]).max() <= 200.0 * 25.0 / 29.0
+        assert np.abs(lab).max() <= corpus._LAB_LIMIT
+        assert corpus._EASE_LIMIT == pytest.approx(math.dist(
+            [-corpus._LAB_LIMIT] * 3, [corpus._LAB_LIMIT] * 3))
 
 
 class TestSlots:

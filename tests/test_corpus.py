@@ -625,10 +625,17 @@ class TestIngestProperties:
 
 # ------------------------------------------------- columnar clean rounds
 
+# Values the reader takes: every Lab value within corpus._LAB_LIMIT and
+# every ease in [0, corpus._EASE_LIMIT], the bounds included.
+_TINY = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e-310]
 _LAB_VALUE = st.one_of(
-    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
-                     1e-310, float("inf"), -float("inf"), float("nan")]),
-    st.floats(),
+    st.sampled_from(_TINY + [-x for x in _TINY[2:]]
+                    + [corpus._LAB_LIMIT, -corpus._LAB_LIMIT]),
+    st.floats(-corpus._LAB_LIMIT, corpus._LAB_LIMIT),
+)
+_EASE = st.one_of(
+    st.sampled_from(_TINY + [corpus._EASE_LIMIT]),
+    st.floats(0.0, corpus._EASE_LIMIT),
 )
 # Ids and words hold "#", spaces and non-ASCII letters, never a tab or a
 # line break (ingest rejects those, and words are single tokens).
@@ -643,7 +650,7 @@ _CLEAN_ROUNDS = st.builds(
     st.one_of(st.just(""), _ID_TEXT),
     st.one_of(st.sampled_from(["blue", "蓝", "bleu#", "é"]), _ID_TEXT),
     st.tuples(st.integers(-5, 400), st.integers(0, 100), st.integers(0, 100)),
-    _LAB_VALUE,
+    _EASE,
     st.lists(_LAB_VALUE, min_size=9, max_size=9),
 )
 
@@ -675,6 +682,10 @@ def _assert_reads_as_oracle(rows):
 
 _MALFORMED_FIELDS = [
     (5, "nanx", "ease: could not convert string to float"),
+    (5, "1e308", "ease: 1e+308 outside [0.0, 1732.0508075688772]"),
+    (5, "-1.0", "ease: -1.0 outside [0.0, "),
+    (5, "nan", "ease: nan outside [0.0, "),
+    (5, "inf", "ease: inf outside [0.0, "),
     (1, "1.5", "round_index: invalid literal for int()"),
     (4, "1:2", "target_key: expected h:s:l"),
     (4, "1:x:2", "target_key: invalid literal for int()"),
@@ -693,6 +704,18 @@ def _assert_named_on_read(tmp_path, rows, column, value, message):
         with pytest.raises(ValueError,
                            match=re.escape(f"{path}:6: {message}")):
             read_clean_rounds(handle)
+
+
+def _with_lab(tmp_path, rows, value):
+    """The first five rows written with d1_l of the third row, on line
+    5, set to `value`."""
+    path = tmp_path / "clean_rounds.tsv"
+    lines = _written(rows[:5]).splitlines(keepends=True)
+    fields = lines[4].split("\t")
+    fields[9] = value
+    lines[4] = "\t".join(fields)
+    path.write_text("".join(lines), encoding="utf-8")
+    return path
 
 
 class TestColumnarRead:
@@ -740,12 +763,7 @@ class TestColumnarRead:
 
     def test_malformed_lab_named_when_converted(self, tmp_path,
                                                fixture_clean):
-        path = tmp_path / "clean_rounds.tsv"
-        lines = _written(fixture_clean[:5]).splitlines(keepends=True)
-        fields = lines[4].split("\t")
-        fields[9] = "nanx"  # d1_l of the third row, on line 5
-        lines[4] = "\t".join(fields)
-        path.write_text("".join(lines), encoding="utf-8")
+        path = _with_lab(tmp_path, fixture_clean, "nanx")
         with open(path, encoding="utf-8") as handle:
             rounds = read_clean_rounds(handle)
         assert rounds.target.shape == (5, 3)
@@ -754,6 +772,18 @@ class TestColumnarRead:
             rounds.distractor1
         with pytest.raises(ValueError, match=re.escape(f"{path}:5: d1_l")):
             rounds.take([4, 2]).distractor1
+        assert rounds.take([4, 1]).distractor1.shape == (2, 3)
+
+    @pytest.mark.parametrize("value", ["1e200", "-500.0000000000001",
+                                       "nan", "-inf"])
+    def test_lab_outside_bound_named_when_converted(self, tmp_path,
+                                                   fixture_clean, value):
+        path = _with_lab(tmp_path, fixture_clean, value)
+        with open(path, encoding="utf-8") as handle:
+            rounds = read_clean_rounds(handle)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:5: d1_l: {float(value)!r} outside [-500.0, 500.0]")):
+            rounds.distractor1
         assert rounds.take([4, 1]).distractor1.shape == (2, 3)
 
     @pytest.mark.parametrize("column, value, message", _MALFORMED_FIELDS)

@@ -1,19 +1,20 @@
-"""Heap peaks of `clean`, `write_clean_rounds` and `read_clean_rounds`.
+"""Heap peaks of `ingest`, `clean`, `write_clean_rounds` and
+`read_clean_rounds`, and the heap a read table keeps.
 
 Each of them works through the table `corpus._ROW_BLOCK` rows at a
 time, so its heap peak grows with the table only by what it keeps: the
 table's columns, not whole-table lists of text or floats. The guards
 below bound the `tracemalloc` peak of each on a 20,000-round table: the
-reader's by a multiple of the file's bytes, `clean`'s and the writer's
+readers' by a multiple of the file's bytes, `clean`'s and the writer's
 by bytes per row. `tracemalloc` counts what Python and numpy allocate,
 not the pages the process holds, so the bounds do not depend on the
 host.
 
-Each bound sits between the peak of the whole-table code these
-functions replaced and their own (measured at this size, in the
-comment beside it).
+Each bound sits between the peak of the code these functions replaced
+and their own (measured at this size, in the comment beside it).
 """
 
+import csv
 import os
 import tracemalloc
 
@@ -21,20 +22,31 @@ import numpy as np
 import pytest
 
 from colorlex.corpus import (
+    CANONICAL_FIELDS,
     RawRounds,
     clean,
+    ingest,
     read_clean_rounds,
     write_clean_rounds,
 )
 
 N_ROWS = 20_000
 
-# whole-table code 7.3 times the file's bytes, block by block 5.6
-READ_PER_BYTE = 6.4
-# whole-table code 730 bytes per row, block by block 421
-CLEAN_PER_ROW = 575
-# whole-table code 405 bytes per row, block by block 244
-WRITE_PER_ROW = 325
+# 8,192-line blocks 5.5 times the file's bytes; 2,048-line blocks, each
+# block's fields freed before the next is read, 2.15 (2.6 when they are
+# not, or when ids are not shared)
+READ_PER_BYTE = 2.4
+# one string per row for each id 1.65 times the file's bytes, one per
+# distinct id 1.17
+READ_KEEPS_PER_BYTE = 1.4
+# 8,192-row blocks, one string per row and id 11.7 times the CSV's
+# bytes; 2,048-row blocks sharing repeated ids and utterances 5.8 (8.5
+# without the sharing)
+INGEST_PER_BYTE = 7.0
+# 8,192-row blocks 421 bytes per row, 2,048-row blocks 269
+CLEAN_PER_ROW = 330
+# 8,192-row blocks 244 bytes per row, 2,048-row blocks 163
+WRITE_PER_ROW = 200
 
 
 def _raw_rounds(n: int, seed: int) -> RawRounds:
@@ -67,6 +79,41 @@ def heap_peak(fn, *args) -> int:
         tracemalloc.stop()
 
 
+def heap_kept(fn, *args) -> tuple[object, int]:
+    """fn(*args), and the tracemalloc bytes it still holds on return."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def write_corpus(path, raw: RawRounds) -> None:
+    """The rounds as a corpus CSV in canonical layout, percent scale."""
+    columns = {
+        "game_id": raw.game_ids, "round_index": raw.round_indices,
+        "utterance": raw.utterances,
+        "listener_correct": ["true" if c else "false"
+                             for c in raw.listener_correct.tolist()],
+        "speaker_id": raw.speaker_ids,
+    }
+    for name in ("target", "distractor1", "distractor2"):
+        hsl = getattr(raw, name) * [1.0, 100.0, 100.0]
+        for k, channel in enumerate("hsl"):
+            columns[f"{name}_{channel}"] = np.rint(
+                hsl[:, k]).astype(np.int64).tolist()
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(CANONICAL_FIELDS)
+        writer.writerows(zip(*(columns[f] for f in CANONICAL_FIELDS)))
+
+
+def distinct_objects(values: list[str]) -> tuple[int, int]:
+    """The number of string objects, and of distinct values, in a list."""
+    return len(set(map(id, values))), len(set(values))
+
+
 @pytest.fixture(scope="module")
 def raw():
     return _raw_rounds(N_ROWS, 5)
@@ -85,6 +132,26 @@ def table(rounds, tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def corpus_csv(raw, tmp_path_factory):
+    path = tmp_path_factory.mktemp("heap") / "corpus.csv"
+    write_corpus(path, raw)
+    return path
+
+
+def test_ingest(corpus_csv):
+    assert heap_peak(ingest, corpus_csv) <= (
+        INGEST_PER_BYTE * corpus_csv.stat().st_size)
+
+
+def test_ingest_shares_repeated_strings(raw, corpus_csv):
+    got, rejects = ingest(corpus_csv)
+    assert not rejects and got.game_ids == raw.game_ids
+    for column in (got.game_ids, got.speaker_ids, got.utterances):
+        objects, values = distinct_objects(column)
+        assert objects == values < len(column)
+
+
 def test_clean(raw):
     assert heap_peak(clean, raw) <= CLEAN_PER_ROW * len(raw)
 
@@ -99,3 +166,12 @@ def test_read_clean_rounds(table):
     with open(table, encoding="utf-8") as handle:
         peak = heap_peak(read_clean_rounds, handle)
     assert peak <= READ_PER_BYTE * table.stat().st_size
+
+
+def test_read_table_keeps_one_string_per_id(table):
+    with open(table, encoding="utf-8") as handle:
+        got, kept = heap_kept(read_clean_rounds, handle)
+    assert kept <= READ_KEEPS_PER_BYTE * table.stat().st_size
+    for column in (got.game_ids, got.speaker_ids):
+        objects, values = distinct_objects(column)
+        assert objects == values < len(column)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colorlex.informativeness import (
+    _INFO_LIMIT,
     SCALE,
     DegenerateDenotationError,
     InsufficientDenotationError,
@@ -177,6 +178,13 @@ _WORDS = st.text(st.one_of(
 ))
 
 
+# The spreads and i_w values the reader takes, the bound included.
+_INFO_VALUE = st.one_of(
+    st.sampled_from([5e-324, _INFO_LIMIT]),
+    st.floats(0.0, _INFO_LIMIT, exclude_min=True),
+)
+
+
 class TestSerialization:
     def test_round_trip(self, fixture_infos):
         buffer = io.StringIO()
@@ -203,12 +211,26 @@ class TestSerialization:
         buffer.seek(0)
         assert read_word_infos(buffer) == infos
 
+    @pytest.mark.parametrize("column", ["spread", "i_w"])
+    @pytest.mark.parametrize("value", [0.0, -0.0, -2.0, 1e308, math.inf,
+                                       math.nan])
+    def test_value_outside_bounds_is_named(self, column, value):
+        fields = {"spread": 2.0, "i_w": 50.0, column: value}
+        buffer = io.StringIO()
+        write_word_infos(buffer, [WordInfo("sky", 1.0, 100.0, 3, False),
+                                  WordInfo("blue", n_chips=3, sampled=False,
+                                           **fields)], "# h")
+        buffer.seek(0)
+        with pytest.raises(ValueError, match=re.escape(
+                f"<table>:4: {column}: {value!r} outside (0, 1e+100]")):
+            read_word_infos(buffer)
+
     @settings(derandomize=True, database=None)
     @given(infos=st.lists(st.builds(
         WordInfo,
         word=_WORDS,
-        spread=st.floats(allow_nan=False, allow_infinity=False),
-        i_w=st.floats(allow_nan=False, allow_infinity=False),
+        spread=_INFO_VALUE,
+        i_w=_INFO_VALUE,
         n_chips=st.integers(0, 10**9),
         sampled=st.booleans(),
     ), max_size=8))
