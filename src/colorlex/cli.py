@@ -43,7 +43,6 @@ from .config import (
 )
 from .errors import ColorlexError, not_utf8
 from .informativeness import (
-    WordInfo,
     compute_word_infos,
     derive_seed,
     read_word_infos,
@@ -91,11 +90,6 @@ def _read_rounds(cfg: RunConfig) -> corpus.Rounds:
     return _read(cfg, "clean_rounds.tsv", "ingest", corpus.read_clean_rounds)
 
 
-def _read_infos(cfg: RunConfig) -> dict[str, WordInfo]:
-    infos = _read(cfg, "word_info.tsv", "info", read_word_infos)
-    return {info.word: info for info in infos}
-
-
 def cmd_ingest(cfg: RunConfig, args) -> None:
     spellmap = corpus.read_spellmap(cfg.spellmap) if cfg.spellmap else None
     raw, rejects = corpus.ingest(
@@ -134,7 +128,7 @@ def cmd_info(cfg: RunConfig, args) -> None:
 
 def cmd_regress(cfg: RunConfig, args) -> None:
     rounds = _read_rounds(cfg)
-    infos = _read_infos(cfg)
+    infos = _read(cfg, "word_info.tsv", "info", read_word_infos)
     if args.subset == "repeated":
         rounds = corpus.repeated_chip_subset(rounds)
     rows = regress.rows_from_rounds(rounds, infos)
@@ -158,7 +152,7 @@ def cmd_regress(cfg: RunConfig, args) -> None:
 
 def cmd_simulate(cfg: RunConfig, args) -> None:
     rounds = _read_rounds(cfg)
-    infos = _read_infos(cfg)
+    infos = _read(cfg, "word_info.tsv", "info", read_word_infos)
     entries, report = simulate.build_entries(rounds, infos)
     results = simulate.run_all_variants(entries)
     ordered = [results[v] for v in simulate.SystemVariant]
@@ -180,7 +174,7 @@ def cmd_simulate(cfg: RunConfig, args) -> None:
 
 def cmd_stimuli(cfg: RunConfig, args) -> None:
     rounds = _read_rounds(cfg)
-    infos = _read_infos(cfg)
+    infos = _read(cfg, "word_info.tsv", "info", read_word_infos)
     entries, _ = simulate.build_entries(rounds, infos)
     stimuli, report = simulate.generate_stimuli(
         rounds,
@@ -222,7 +216,8 @@ def cmd_plot(cfg: RunConfig, args) -> None:
                 denotations, key=lambda w: (-len(denotations[w]), w))[:6]
         svg = svgplot.denotation_plot(denotations, words, header)
     else:
-        rows = regress.rows_from_rounds(rounds, _read_infos(cfg))
+        rows = regress.rows_from_rounds(
+            rounds, _read(cfg, "word_info.tsv", "info", read_word_infos))
         del rounds
         ease = [row.ease for row in rows]
         i_w = [row.i_w for row in rows]

@@ -201,7 +201,7 @@ def _framed(reader, path) -> Iterator[list[str]]:
 
 
 # Rows parsed, converted, formatted or held as text at a time by ingest,
-# clean, write_clean_rounds and read_clean_rounds.
+# clean, write_clean_rounds and read_table.
 _ROW_BLOCK = 2048
 
 
@@ -517,15 +517,18 @@ _EASE_LIMIT = 2.0 * math.sqrt(3.0) * _LAB_LIMIT
 
 
 def _in_range(values: np.ndarray, low: float, high: float, column: str,
-              where: Callable[[int], str]) -> np.ndarray:
-    """The values, when each is in [low, high]; otherwise a ValueError
-    naming where(i) of the first that is not (NaN never is) and the
-    column."""
-    bad = np.flatnonzero(~((low <= values) & (values <= high)))
+              where: Callable[[int], str], open_low: bool = False
+              ) -> np.ndarray:
+    """The values, when each is in [low, high] ((low, high] when
+    open_low); otherwise a ValueError naming where(i) of the first that
+    is not (NaN never is) and the column."""
+    above = low < values if open_low else low <= values
+    bad = np.flatnonzero(~(above & (values <= high)))
     if len(bad):
         i = int(bad[0])
         raise ValueError(f"{where(i)}: {column}: {values[i].item()!r} "
-                         f"outside [{low!r}, {high!r}]")
+                         f"outside {'(' if open_low else '['}{low!r}, "
+                         f"{high!r}]")
     return values
 
 
@@ -535,20 +538,21 @@ class _LabText:
     a time. A value that is not a number in [-_LAB_LIMIT, _LAB_LIMIT]
     is a ValueError naming its row and column.
 
-    Each column is held as one tab-joined text per `size` rows of the
-    table: row r is field r % size of text r // size of its column.
+    Each column is held as one tab-joined text per block of _ROW_BLOCK
+    rows that read_table gave, and `wheres` holds each block's where():
+    row r is field r % _ROW_BLOCK of text r // _ROW_BLOCK of its column.
     """
 
-    def __init__(self, columns: Sequence[list[str]], size: int,
-                 where: Callable[[int], str], rows: np.ndarray | None = None):
+    def __init__(self, columns: Sequence[list[str]],
+                 wheres: Sequence[Callable[[int], str]],
+                 rows: np.ndarray | None = None):
         self.columns = columns
-        self.size = size
-        self.where = where
+        self.wheres = wheres
         self.rows = rows
 
     def take(self, index: np.ndarray) -> _LabText:
         rows = index if self.rows is None else self.rows[index]
-        return _LabText(self.columns, self.size, self.where, rows)
+        return _LabText(self.columns, self.wheres, rows)
 
     def block(self, k: int) -> np.ndarray:
         """Block k (target, d1, d2) as an (n, 3) float64 array."""
@@ -562,17 +566,15 @@ class _LabText:
         rows at `rows`, cut from each text they need."""
         if self.rows is None:
             return np.concatenate([np.empty(0)] + [
-                _lab_values(text.split("\t"), name,
-                            _shifted(self.where, b * self.size))
-                for b, text in enumerate(texts)])
-        rows = self.rows.tolist()
-        blocks, offsets = np.divmod(self.rows, self.size)
-        values = np.empty(len(rows), dtype=object)
+                _lab_values(text.split("\t"), name, where)
+                for text, where in zip(texts, self.wheres)])
+        blocks, offsets = np.divmod(self.rows, _ROW_BLOCK)
+        values = np.empty(len(self.rows), dtype=object)
         for b in np.unique(blocks).tolist():
             at = blocks == b
             values[at] = _fields(texts[b], offsets[at])
         return _lab_values(values.tolist(), name,
-                           lambda i: self.where(rows[i]))
+                           lambda i: self.wheres[blocks[i]](int(offsets[i])))
 
 
 def _lab_values(texts: Sequence[str], column: str,
@@ -763,44 +765,53 @@ def write_table(handle: TextIO, header_comment: str, columns: Sequence[str],
 
 
 def read_table(handle: TextIO, columns: Sequence[str]
-               ) -> tuple[Callable[[int], str], list[str]]:
-    """The data lines of a stage table: every line after the exact
-    column line, even one that starts with "#".
+               ) -> Iterator[tuple[Callable[[int], str], list[list[str]]]]:
+    """The data lines of a stage table, every line after the exact
+    column line (even one that starts with "#"), _ROW_BLOCK lines at a
+    time.
 
-    Also returns where(i), the "path:line" of data line i, for error
-    messages. A missing column line, or a line that does not hold one
-    field per column, is a ValueError naming the file (and line).
+    Yields each block's where(i), the "path:line" of its line i (i < 0
+    names an earlier block's line), and its fields as one list per
+    column. Each block is split into fields once; the reader keeps none
+    of them once the next block is asked for, so a caller that drops
+    its columns by then holds one block of fields at a time. A missing
+    column line, or a line that does not hold one field per column, is
+    a ValueError naming the file (and line).
     """
-    where = _skip_to_columns(handle, columns)
-    lines = handle.read().split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    _check_widths(lines, len(columns), where)
-    return where, lines
-
-
-def _skip_to_columns(handle: TextIO, columns: Sequence[str]
-                     ) -> Callable[[int], str]:
-    """Read the handle through its exact column line, and return
-    where(i), the "path:line" of the i-th line after it. A missing
-    column line is a ValueError naming the file."""
     source = getattr(handle, "name", "<table>")
     header = "\t".join(columns)
-    for start, line in enumerate(iter(handle.readline, ""), start=1):
-        if line.rstrip("\n") == header:
-            return lambda i: f"{source}:{start + 1 + i}"
-    raise ValueError(f"{source}: no column header {header!r} found")
+    for line, text in enumerate(iter(handle.readline, ""), start=1):
+        if text.rstrip("\n") == header:
+            break
+    else:
+        raise ValueError(f"{source}: no column header {header!r} found")
+    width = len(columns)
+    while text := "".join(islice(handle, _ROW_BLOCK)):
+        if not text.endswith("\n"):
+            text += "\n"
+        n = text.count("\n")
 
+        def where(i: int, first: int = line + 1) -> str:
+            return f"{source}:{first + i}"
 
-def _check_widths(lines: Iterable[str], width: int,
-                  where: Callable[[int], str]) -> None:
-    """A ValueError naming the first line (by where(i)) that does not
-    hold `width` tab-separated fields."""
-    for i, line in enumerate(lines):
-        if line.count("\t") != width - 1:
-            raise ValueError(
-                f"{where(i)}: row has {line.count(chr(9)) + 1} fields, "
-                f"expected {width}")
+        # Every line holds `width` fields exactly when the list holds
+        # (width + 1) * n + 1 fields (an empty one ends it) and every
+        # (width + 1)-th is a line break; the second check alone would
+        # pass a line of 2 * width + 1 fields.
+        fields = text.replace("\n", "\t\n\t").split("\t")
+        if (len(fields) != (width + 1) * n + 1
+                or fields[width::width + 1].count("\n") != n):
+            for i, row in enumerate(text.split("\n")[:n]):
+                if row.count("\t") != width - 1:
+                    raise ValueError(
+                        f"{where(i)}: row has {row.count(chr(9)) + 1} "
+                        f"fields, expected {width}")
+        del text, fields[-1]
+        block = [fields[k::width + 1] for k in range(width)]
+        del fields
+        yield where, block
+        del block
+        line += n
 
 
 LAB_COLUMNS = tuple(f"{c}_{ch}" for c in ("target", "d1", "d2")
@@ -862,17 +873,16 @@ def _parse_keys(texts: Sequence[str],
 
 
 def read_clean_rounds(handle: TextIO) -> Rounds:
-    """Read a file written by write_clean_rounds, _ROW_BLOCK lines at a
-    time.
-
-    Each block is split once into fields, and each of its columns is
-    sliced out and converted with float() or int() as a whole. Words
-    and chip keys map to ids through tables that all blocks share, and
-    equal game and speaker ids become one shared string. The Lab
-    columns stay text, one string per column and block, until a stage
-    reads them (see Rounds). A block's field strings are freed before
-    the next block is read, so no more than one block of them is alive
+    """Read a file written by write_clean_rounds, one read_table block
     at a time.
+
+    Each of a block's columns is converted with float() or int() as a
+    whole. Words and chip keys map to ids through tables that all
+    blocks share, and equal game and speaker ids become one shared
+    string. The Lab columns stay text, one string per column and block,
+    until a stage reads them (see Rounds). A block's field strings are
+    dropped before the next block is read, so no more than one block of
+    them is alive at a time.
 
     A malformed line is a ValueError naming its "path:line". The first
     bad block wins, and within it a row that does not hold one field
@@ -881,8 +891,6 @@ def read_clean_rounds(handle: TextIO) -> Rounds:
     bad Lab value (one that is not a number in [-_LAB_LIMIT,
     _LAB_LIMIT]) is named when its block is first converted.
     """
-    where = _skip_to_columns(handle, _CLEAN_COLUMNS)
-    size, width = _ROW_BLOCK, len(_CLEAN_COLUMNS)
     game_ids: list[str] = []
     speaker_ids: list[str] = []
     shared: dict[str, str] = {}  # each distinct game and speaker id
@@ -893,27 +901,12 @@ def read_clean_rounds(handle: TextIO) -> Rounds:
     words: dict[str, int] = {}
     key_index: dict[str, int] = {}
     lab: list[list[str]] = [[] for _ in LAB_COLUMNS]
-    first = 0  # the table row of the block's first line
-    while text := "".join(islice(handle, size)):
-        if not text.endswith("\n"):
-            text += "\n"
-        n = text.count("\n")
-        block_where = _shifted(where, first)
-        # Every line holds `width` fields exactly when the list holds
-        # (width + 1) * n + 1 fields (an empty one ends it) and every
-        # (width + 1)-th is a line break; the second check alone would
-        # pass a line of 2 * width + 1 fields.
-        fields = text.replace("\n", "\t\n\t").split("\t")
-        if (len(fields) != (width + 1) * n + 1
-                or fields[width::width + 1].count("\n") != n):
-            _check_widths(text.split("\n")[:n], width, block_where)
-        del text, fields[-1]
-        (games, round_text, speakers, word_text, key_text, ease_text,
-         *lab_text) = (fields[k::width + 1] for k in range(width))
-        del fields
+    wheres: list[Callable[[int], str]] = []
+    for where, (games, round_text, speakers, word_text, key_text, ease_text,
+                *lab_text) in read_table(handle, _CLEAN_COLUMNS):
+        wheres.append(where)
         game_ids += _shared(games, shared)
-        round_indices += _parse_column(int, round_text, "round_index",
-                                       block_where)
+        round_indices += _parse_column(int, round_text, "round_index", where)
         speaker_ids += _shared(speakers, shared)
         word_ids.append(np.array(
             [words.setdefault(w, len(words)) for w in word_text],
@@ -924,18 +917,17 @@ def read_clean_rounds(handle: TextIO) -> Rounds:
         key_ids.append(np.array(block_keys, dtype=np.intp))
 
         def key_where(j: int) -> str:  # the first row holding new key j
-            return block_where(block_keys.index(known + j))
+            return where(block_keys.index(known + j))
 
         keys.append(_parse_keys(list(key_index)[known:], key_where))
         ease.append(_in_range(
-            _parse_column(float, ease_text, "ease", block_where, np.float64),
-            0.0, _EASE_LIMIT, "ease", block_where))
+            _parse_column(float, ease_text, "ease", where, np.float64),
+            0.0, _EASE_LIMIT, "ease", where))
         for column, values in zip(lab, lab_text):
             column.append("\t".join(values))
         # the block's fields, before the next block's are made
         del games, round_text, speakers, word_text, key_text, ease_text
         del lab_text, values
-        first += n
     chip_keys, chip_ids = _chip_table(np.concatenate(keys))
     return Rounds(
         vocab=tuple(words),
@@ -946,13 +938,8 @@ def read_clean_rounds(handle: TextIO) -> Rounds:
         game_ids=game_ids,
         speaker_ids=speaker_ids,
         round_indices=round_indices,
-        lab=_LabText(lab, size, where),
+        lab=_LabText(lab, wheres),
     )
-
-
-def _shifted(where: Callable[[int], str], first: int) -> Callable[[int], str]:
-    """where() of the line `first` lines further on."""
-    return lambda i: where(first + i)
 
 
 def write_rejects(

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, TextIO
 import numpy as np
 
 from . import kernels
-from .corpus import read_table, write_table
+from .corpus import _in_range, _parse_column, read_table, write_table
 from .errors import ColorlexError
 
 __all__ = [
@@ -179,22 +179,38 @@ def write_word_infos(
     ))
 
 
-def read_word_infos(handle: TextIO) -> list[WordInfo]:
-    """Read a table written by write_word_infos. A malformed value, or a
-    spread or i_w that is not a number in (0, _INFO_LIMIT], is a
-    ValueError naming its file and line."""
-    where, lines = read_table(handle, _INFO_COLUMNS)
-    infos = []
-    for i, line in enumerate(lines):
-        word, n_chips, s, i_w, sampled = line.split("\t")
-        try:
-            info = WordInfo(word, float(s), float(i_w), int(n_chips),
-                            bool(int(sampled)))
-        except ValueError as exc:
-            raise ValueError(f"{where(i)}: {exc}") from None
-        for column, value in (("spread", info.spread), ("i_w", info.i_w)):
-            if not 0.0 < value <= _INFO_LIMIT:
-                raise ValueError(f"{where(i)}: {column}: {value!r} outside "
-                                 f"(0, {_INFO_LIMIT!r}]")
-        infos.append(info)
+def read_word_infos(handle: TextIO) -> dict[str, WordInfo]:
+    """Read a table written by write_word_infos: each word's WordInfo,
+    in file order, one read_table block at a time.
+
+    A malformed line is a ValueError naming its "path:line" and column:
+    an n_chips that is not an integer of at least 2 (spread needs two
+    chips), a spread or i_w that is not a number in (0, _INFO_LIMIT], a
+    sampled that is not 0 or 1, or a word on an earlier line too. The
+    first bad block wins, and within it a row that does not hold one
+    field per column comes first, then the checks in that order.
+    """
+    infos: dict[str, WordInfo] = {}
+    for where, (words, n_text, spread_text, i_w_text, sampled_text) in (
+            read_table(handle, _INFO_COLUMNS)):
+        n_chips = _in_range(
+            _parse_column(int, n_text, "n_chips", where, np.int64),
+            2, np.inf, "n_chips", where)
+        spreads, i_ws = (
+            _in_range(_parse_column(float, text, column, where, np.float64),
+                      0, _INFO_LIMIT, column, where, open_low=True)
+            for column, text in (("spread", spread_text), ("i_w", i_w_text)))
+        sampled = _in_range(
+            _parse_column(int, sampled_text, "sampled", where, np.int64),
+            0, 1, "sampled", where)
+        before = len(infos)
+        infos.update(zip(words, map(
+            WordInfo, words, spreads.tolist(), i_ws.tolist(),
+            n_chips.tolist(), sampled.astype(bool).tolist())))
+        if len(infos) != before + len(words):  # a word repeats
+            first = dict(zip(infos, range(len(infos))))  # its first row
+            i = next(i for i, w in enumerate(words) if first[w] < before + i)
+            line = where(first[words[i]] - before).rpartition(":")[2]
+            raise ValueError(
+                f"{where(i)}: word: {words[i]!r} also on line {line}")
     return infos

@@ -109,7 +109,7 @@ class TestPipeline:
     def test_word_info_sorted(self, pipeline):
         with open(pipeline.out / "word_info.tsv") as handle:
             infos = read_word_infos(handle)
-        scores = [w.i_w for w in infos]
+        scores = [w.i_w for w in infos.values()]
         assert len(infos) > 5
         assert scores == sorted(scores, reverse=True)
 
@@ -265,10 +265,8 @@ class TestReadErrorsNameTheLine:
         assert found, err
         assert int(found[1]) == min(lines) or rows is None
         assert int(found[1]) in lines
-        reason = "could not convert string to float: 'nanx'"
-        if table == "clean_rounds.tsv":
-            reason = f"{column}: {reason}"
-        assert found[2] == reason
+        assert found[2] == (
+            f"{column}: could not convert string to float: 'nanx'")
 
     # A finite value that no stage writes would overflow in the fits or
     # the Lab-to-sRGB conversion; the readers refuse it instead.
@@ -297,6 +295,40 @@ class TestReadErrorsNameTheLine:
         assert capsys.readouterr().err == (
             f"error: {out / table}:{line}: {column}: "
             f"{float(value)!r} outside {bounds}\n")
+        assert code == 2
+
+    # Values that `info` never writes: it scores words of two chips or
+    # more, writes sampled as 0 or 1, and lists each word once.
+    @pytest.mark.parametrize("stage, column, value, reason", [
+        (["simulate"], "n_chips", "1", "1 outside [2, inf]"),
+        (_ALL, "n_chips", "-3", "-3 outside [2, inf]"),
+        (["stimuli"], "sampled", "7", "7 outside [0, 1]"),
+    ])
+    def test_value_info_never_writes(self, pipeline, tmp_path, capsys,
+                                     stage, column, value, reason):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline.out, out)
+        line, = _corrupt(out / "word_info.tsv", column, [1], value)
+        code = main(["--config", str(pipeline.corpus.config),
+                     "--out", str(out), *stage])
+        assert capsys.readouterr().err == (
+            f"error: {out / 'word_info.tsv'}:{line}: {column}: {reason}\n")
+        assert code == 2
+
+    @pytest.mark.parametrize("stage", [
+        _ALL, _REPEATED, ["simulate"], ["stimuli"], _EASE])
+    def test_repeated_word(self, pipeline, tmp_path, capsys, stage):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline.out, out)
+        path = out / "word_info.tsv"
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines.insert(5, lines[3])  # line 4 again as line 6
+        path.write_text("\n".join(lines), encoding="utf-8")
+        code = main(["--config", str(pipeline.corpus.config),
+                     "--out", str(out), *stage])
+        word = lines[3].split("\t")[0]
+        assert capsys.readouterr().err == (
+            f"error: {path}:6: word: {word!r} also on line 4\n")
         assert code == 2
 
 

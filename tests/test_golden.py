@@ -6,6 +6,8 @@ identical configurations. These tests run all eight stages through
 with the digests recorded in golden_digests.json:
 
 - the synthetic fixture corpus of conftest.py;
+- the same corpus in the paper's second language: its words in Chinese,
+  run with `language = chinese`;
 - the benchmark's pool47k and vocab47k generators (perfbench/workloads.py),
   shrunk by patching the module's N_ROUNDS and POOL_SIZE, as the
   benchmark's own tests do.
@@ -22,9 +24,11 @@ deliberate output change:
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -58,15 +62,38 @@ WORKLOAD_CASES = {
 }
 
 
+# Each English token of the fixture's utterances as a Chinese colour
+# word; its misspellings become homophone misspellings.
+CHINESE = {
+    "red": "红", "orange": "橙", "yellow": "黄", "green": "绿", "blue": "蓝",
+    "purple": "紫", "rust": "铁锈", "gold": "金", "lime": "青柠",
+    "forest": "墨绿", "sky": "天蓝", "navy": "藏青", "violet": "紫罗兰",
+    "plum": "梅红", "very": "很", "bleu": "兰", "gren": "录", "purpel": "子",
+}
+
+
+def write_chinese_csv(source: Path, path: Path) -> None:
+    """Copy a corpus CSV with the tokens of its utterances in Chinese,
+    their separators and punctuation kept."""
+    with open(source, encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    utterance = rows[0].index("utterance")
+    for row in rows[1:]:
+        row[utterance] = re.sub("[a-z]+", lambda m: CHINESE[m[0].lower()],
+                                row[utterance], flags=re.IGNORECASE)
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle).writerows(rows)
+
+
 def versions() -> dict[str, str]:
     return {"python": sys.version.split()[0], "numpy": np.__version__}
 
 
-def run_stages(work: Path) -> dict[str, str]:
+def run_stages(work: Path, language: str = "english") -> dict[str, str]:
     """Run the eight stages in `work` (which holds corpus.csv) and
     return the sha256 of every output file by name."""
     (work / "run.ini").write_text(
-        "[run]\ninput = corpus.csv\nlanguage = english\nseed = 7\n",
+        f"[run]\ninput = corpus.csv\nlanguage = {language}\nseed = 7\n",
         encoding="utf-8")
     for stage in STAGES:
         code = main(["--config", "run.ini", "--out", "out", *stage])
@@ -110,6 +137,13 @@ def test_fixture_corpus_outputs_are_golden(fixture_corpus, tmp_path,
     _check("fixture", run_stages(tmp_path))
 
 
+def test_chinese_fixture_outputs_are_golden(fixture_corpus, tmp_path,
+                                           monkeypatch):
+    write_chinese_csv(fixture_corpus.csv, tmp_path / "corpus.csv")
+    monkeypatch.chdir(tmp_path)
+    _check("fixture_chinese", run_stages(tmp_path, "chinese"))
+
+
 @pytest.mark.parametrize("case", sorted(WORKLOAD_CASES))
 def test_workload_outputs_are_golden(case, tmp_path, monkeypatch):
     generate_workload(case, tmp_path / "corpus.csv", monkeypatch.setattr)
@@ -125,16 +159,22 @@ def record() -> None:
     cases = {}
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        for case in ("fixture", *sorted(WORKLOAD_CASES)):
+        english = Path(tmp) / "fixture.csv"
+        conftest.write_fixture_csv(english)
+        for case in ("fixture", "fixture_chinese", *sorted(WORKLOAD_CASES)):
             work = Path(tmp) / case
             work.mkdir()
+            language = "english"
             if case == "fixture":
-                conftest.write_fixture_csv(work / "corpus.csv")
+                shutil.copy(english, work / "corpus.csv")
+            elif case == "fixture_chinese":
+                write_chinese_csv(english, work / "corpus.csv")
+                language = "chinese"
             else:
                 generate_workload(case, work / "corpus.csv", setattr)
             os.chdir(work)
             try:
-                cases[case] = run_stages(work)
+                cases[case] = run_stages(work, language)
             finally:
                 os.chdir(cwd)
     GOLDEN.write_text(json.dumps({"versions": versions(), "cases": cases},

@@ -185,45 +185,99 @@ _INFO_VALUE = st.one_of(
 )
 
 
+def _written(infos) -> io.StringIO:
+    buffer = io.StringIO()
+    write_word_infos(buffer, infos, "# h")
+    buffer.seek(0)
+    return buffer
+
+
+def _table(*rows: str) -> io.StringIO:
+    """A word-info table of the given tab-separated data rows."""
+    return io.StringIO("# h\nword\tn_chips\tspread\ti_w\tsampled\n"
+                       + "".join(row + "\n" for row in rows))
+
+
 class TestSerialization:
     def test_round_trip(self, fixture_infos):
-        buffer = io.StringIO()
         ordered = sorted(
             fixture_infos.values(), key=lambda w: (-w.i_w, w.word)
         )
-        write_word_infos(buffer, ordered, "# test header")
-        buffer.seek(0)
-        back = read_word_infos(buffer)
-        assert back == ordered
+        back = read_word_infos(_written(ordered))
+        assert list(back.values()) == ordered
+        assert back == fixture_infos
 
     def test_floats_survive_exactly(self):
         info = WordInfo("w", 1.0 / 3.0, 300.0000000001, 7, True)
-        buffer = io.StringIO()
-        write_word_infos(buffer, [info], "# h")
-        buffer.seek(0)
-        assert read_word_infos(buffer) == [info]
+        assert read_word_infos(_written([info])) == {"w": info}
 
     def test_header_like_words_survive(self):
         infos = [WordInfo(w, 2.0, 50.0, 3, False)
                  for w in ("word", "#1", "blue")]
-        buffer = io.StringIO()
-        write_word_infos(buffer, infos, "# h")
-        buffer.seek(0)
-        assert read_word_infos(buffer) == infos
+        assert list(read_word_infos(_written(infos)).values()) == infos
 
     @pytest.mark.parametrize("column", ["spread", "i_w"])
     @pytest.mark.parametrize("value", [0.0, -0.0, -2.0, 1e308, math.inf,
                                        math.nan])
     def test_value_outside_bounds_is_named(self, column, value):
         fields = {"spread": 2.0, "i_w": 50.0, column: value}
-        buffer = io.StringIO()
-        write_word_infos(buffer, [WordInfo("sky", 1.0, 100.0, 3, False),
-                                  WordInfo("blue", n_chips=3, sampled=False,
-                                           **fields)], "# h")
-        buffer.seek(0)
+        buffer = _written([WordInfo("sky", 1.0, 100.0, 3, False),
+                           WordInfo("blue", n_chips=3, sampled=False,
+                                    **fields)])
         with pytest.raises(ValueError, match=re.escape(
                 f"<table>:4: {column}: {value!r} outside (0, 1e+100]")):
             read_word_infos(buffer)
+
+    # A value write_word_infos never writes: info scores words of at least
+    # two chips, and writes sampled as 0 or 1.
+    @pytest.mark.parametrize("column, text, reason", [
+        ("n_chips", "1", "1 outside [2, inf]"),
+        ("n_chips", "0", "0 outside [2, inf]"),
+        ("n_chips", "-3", "-3 outside [2, inf]"),
+        ("n_chips", "2.0", "invalid literal for int() with base 10: '2.0'"),
+        ("n_chips", "1" * 25, "Python int too large to convert to C long"),
+        ("sampled", "7", "7 outside [0, 1]"),
+        ("sampled", "-1", "-1 outside [0, 1]"),
+        ("sampled", "true",
+         "invalid literal for int() with base 10: 'true'"),
+        ("spread", "", "could not convert string to float: ''"),
+        ("i_w", "x:y:z", "could not convert string to float: 'x:y:z'"),
+    ])
+    def test_malformed_value_names_line_and_column(self, column, text,
+                                                   reason):
+        fields = {"word": "blue", "n_chips": "3", "spread": "2.0",
+                  "i_w": "50.0", "sampled": "0", column: text}
+        buffer = _table("sky\t3\t1.0\t100.0\t1", "\t".join(fields.values()))
+        with pytest.raises(ValueError) as caught:
+            read_word_infos(buffer)
+        assert str(caught.value) == f"<table>:4: {column}: {reason}"
+
+    def test_bounds_are_read(self):
+        assert read_word_infos(_table("blue\t2\t5e-324\t1e+100\t1")) == {
+            "blue": WordInfo("blue", 5e-324, 1e100, 2, True)}
+
+    @pytest.mark.parametrize("rows, line, earlier", [
+        (["blue\t3\t2.0\t50.0\t0", "blue\t4\t2.0\t50.0\t0"], 4, 3),
+        (["sky\t3\t2.0\t50.0\t0", "blue\t3\t2.0\t50.0\t0",
+          "navy\t3\t2.0\t50.0\t0", "blue\t3\t2.0\t50.0\t0",
+          "sky\t3\t2.0\t50.0\t0"], 6, 4),
+        # the second listing in a later block than the first
+        ([f"w{i}\t3\t2.0\t50.0\t0" for i in range(3000)]
+         + ["w5\t3\t2.0\t50.0\t0"], 3003, 8),
+        ([f"w{i}\t3\t2.0\t50.0\t0" for i in range(3000)]
+         + ["w2999\t3\t2.0\t50.0\t0"], 3003, 3002),
+    ])
+    def test_repeated_word_names_both_lines(self, rows, line, earlier):
+        word = rows[line - 3].split("\t")[0]
+        with pytest.raises(ValueError) as caught:
+            read_word_infos(_table(*rows))
+        assert str(caught.value) == (
+            f"<table>:{line}: word: {word!r} also on line {earlier}")
+
+    def test_many_blocks_read_in_file_order(self):
+        infos = [WordInfo(f"w{i}", 1.0 + i, 100.0 / (1.0 + i), 2 + i % 7,
+                          i % 3 == 0) for i in range(5000)]
+        assert list(read_word_infos(_written(infos)).values()) == infos
 
     @settings(derandomize=True, database=None)
     @given(infos=st.lists(st.builds(
@@ -231,24 +285,24 @@ class TestSerialization:
         word=_WORDS,
         spread=_INFO_VALUE,
         i_w=_INFO_VALUE,
-        n_chips=st.integers(0, 10**9),
+        n_chips=st.integers(2, 10**9),
         sampled=st.booleans(),
-    ), max_size=8))
+    ), max_size=8, unique_by=lambda info: info.word))
     def test_round_trip_property(self, infos):
-        buffer = io.StringIO()
-        write_word_infos(buffer, infos, "# h")
+        buffer = _written(infos)
         # read with universal newlines, as the stages open the file
         back = read_word_infos(io.StringIO(buffer.getvalue(), newline=None))
-        assert back == infos
+        assert list(back.values()) == infos
+        assert list(back) == [info.word for info in infos]
 
     def test_missing_column_line_is_an_error(self):
         with pytest.raises(ValueError, match="column header"):
             read_word_infos(io.StringIO("# h\nblue\t3\t2.0\t50.0\t0\n"))
 
     def test_wrong_width_is_an_error(self):
-        text = "# h\nword\tn_chips\tspread\ti_w\tsampled\nblue\t3\t2.0\n"
-        with pytest.raises(ValueError, match="3 fields, expected 5"):
-            read_word_infos(io.StringIO(text))
+        with pytest.raises(ValueError, match="<table>:3: row has 3 fields, "
+                                             "expected 5"):
+            read_word_infos(_table("blue\t3\t2.0"))
 
 
 class TestFixtureCorpusInfos:
