@@ -3,7 +3,8 @@
 Each case runs the kernel and the oracle on identical inputs, asserts
 that they agree exactly, and prints the best-of-repeat time of each.
 The spread and simulation kernels are checked against
-tests/test_kernels.py; the random-intercept profile likelihood and the
+tests/test_kernels.py, the simulation once per lexicon of
+`lexicon_for_mode`; the random-intercept profile likelihood and the
 per-group statistics against `reference_profile` and
 `reference_group_stats` in tests/test_regress.py; the batch colour
 conversion against hsl_to_srgb + srgb_to_lab over the whole integer
@@ -48,7 +49,11 @@ from _rounds_oracle import (  # noqa: E402
 )
 from _svg_oracle import oracle_denotation_plot, oracle_ease_plot  # noqa: E402
 from test_heap_peaks import heap_kept, heap_peak  # noqa: E402
-from test_kernels import oracle_mean_pairwise, reference_simulate  # noqa: E402
+from test_kernels import (  # noqa: E402
+    lexicon_for_mode,
+    oracle_mean_pairwise,
+    reference_simulate,
+)
 from test_regress import (  # noqa: E402
     every_step_fit,
     group_stats_tuples,
@@ -230,16 +235,17 @@ def bench_spread(n: int, seed: int) -> None:
 
 
 def bench_simulate(n_referents: int, vocab: int, seed: int) -> None:
+    """One line per lexicon: every name, the first, the last."""
     offsets, words, app = _simulate_case(n_referents, vocab, seed)
-    for mode in (0, 1, 2):
+    for mode, lexicon in enumerate(("all names", "first name", "last name")):
+        names = lexicon_for_mode(offsets, words, mode)
         got, t_kernel = _best(
-            lambda: kernels.simulate_counts(offsets, words, app, mode),
-            repeat=3)
+            lambda: kernels.simulate_counts(*names, app), repeat=3)
         want, t_oracle = _best(
             lambda: reference_simulate(offsets, words, app, mode), repeat=1)
         assert got[0] == want[0] and (got[1] == want[1]).all(), (
-            f"simulate n={n_referents} mode={mode} disagrees")
-        _line(f"simulate_counts n={n_referents} mode={mode}", t_kernel,
+            f"simulate n={n_referents} {lexicon} disagrees")
+        _line(f"simulate_counts n={n_referents} {lexicon}", t_kernel,
               t_oracle)
 
 

@@ -221,10 +221,11 @@ def cmd_plot(cfg: RunConfig, args) -> None:
         del rounds
         ease = [row.ease for row in rows]
         i_w = [row.i_w for row in rows]
-        line = None
-        if len(rows) >= 3 and len(set(ease)) > 1:
+        try:
             fit = regress.fit_ols(rows)
             line = (fit.intercept, fit.slope)
+        except regress.FitError:  # too few rows, or no spread in ease
+            line = None
         del rows  # freed before the SVG text is built; the columns suffice
         svg = svgplot.ease_plot(ease, i_w, header, line)
     path = _write(cfg, f"plot_{args.kind}.svg", lambda h: h.write(svg))

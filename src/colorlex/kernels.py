@@ -63,45 +63,30 @@ def mean_pairwise_distance(pts) -> float:
     return acc / (n * (n - 1))
 
 
-def simulate_counts(offsets, words, applicable, mode: int):
+def simulate_counts(offsets, words, applicable):
     """Tally one speaker/listener interaction per ordered referent pair.
 
-    offsets/words give each target's candidate names (word columns of
-    `applicable`) in ascending informativeness order, CSR layout; every
-    target needs at least one. applicable[d, w] is nonzero when word w
-    applies to referent d. mode: 0 = the first name that does not apply
-    to the distractor, else the last; 1 = always the first name; 2 =
-    always the last. Returns (acc_twice, counts): twice the summed
-    expected accuracy (chance = 1, success = 2) and how often each word
-    was uttered.
+    offsets/words give each target's names (word columns of `applicable`)
+    in ascending informativeness order, CSR layout; every target needs
+    at least one. applicable[d, w] is nonzero when word w
+    applies to referent d. The speaker utters the first name that does
+    not apply to the distractor, else the last; a lexicon of one name
+    per referent always utters that name. Returns (acc_twice, counts):
+    twice the summed expected accuracy (chance = 1, success = 2) and
+    how often each word was uttered.
+
+    From bitsets: with P_k the set of distractors to which the target's
+    names w_0..w_k all apply, name w_k is uttered to the |P_{k-1}| -
+    |P_k| distractors that it is the first not to fit, and w_m to the
+    |P_m| distractors that every name fits.
     """
     offsets = np.ascontiguousarray(offsets, dtype=np.int64)
     words = np.ascontiguousarray(words, dtype=np.int64)
     app = np.ascontiguousarray(applicable, dtype=np.uint8) != 0
-    if mode not in (0, 1, 2):
-        raise ValueError(f"unknown mode {mode}")
     n, n_words = app.shape
     lengths = np.diff(offsets)
     if len(lengths) != n or (lengths < 1).any():
         raise ValueError("offsets must give every referent at least one name")
-    if mode == 0:
-        return _simulate_adaptive(lengths, offsets, words, app)
-    chosen = words[offsets[:-1]] if mode == 1 else words[offsets[1:] - 1]
-    counts = np.bincount(chosen, minlength=n_words).astype(np.int64)
-    counts *= n - 1
-    # Each of the n - 1 distractors scores 2, less 1 when the word also
-    # applies to it; the target's own row is not a distractor.
-    shared = (app.sum(axis=0, dtype=np.int64)[chosen]
-              - app[np.arange(n), chosen])
-    return int(2 * n * (n - 1) - shared.sum()), counts
-
-
-def _simulate_adaptive(lengths, offsets, words, app):
-    """Mode 0 from bitsets: with P_k the set of distractors to which the
-    target's names w_0..w_k all apply, name w_k is uttered to the
-    |P_{k-1}| - |P_k| distractors that it is the first not to fit, and
-    w_m to the |P_m| distractors that every name fits."""
-    n, n_words = app.shape
     counts = np.zeros(n_words, dtype=np.int64)
     bits = np.packbits(app, axis=0).T.copy()  # (n_words, n_bytes)
     n_bytes = bits.shape[1]
@@ -116,7 +101,10 @@ def _simulate_adaptive(lengths, offsets, words, app):
             # The target is no distractor of its own; packbits already
             # left the padding bits clear.
             sets[np.arange(len(t)), 0, t >> 3] &= _CLEAR[t & 7]
-            np.bitwise_and.accumulate(sets, axis=1, out=sets)
+            # One name at a time: np.bitwise_and.accumulate along
+            # axis 1 is several times slower than these ANDs of rows.
+            for k in range(1, length):
+                np.bitwise_and(sets[:, k - 1], sets[:, k], out=sets[:, k])
             fits = np.bitwise_count(sets).sum(axis=2, dtype=np.int64)
             uttered = np.empty_like(fits)
             uttered[:, 0] = n - 1 - fits[:, 0]

@@ -3,16 +3,17 @@
 Every target chip that received at least two distinct names (words
 surviving the frequency threshold) becomes a referent. A simulated
 reference game enumerates all ordered (target, distractor) referent
-pairs; the speaker utters one of the target's names and the listener
-picks the target unless the uttered word also applies to the
-distractor, in which case it guesses (half credit, as an expected
-value rather than a coin flip). Three speaker strategies are compared:
+pairs. One speaker rule is played over three lexicons: the speaker
+utters the least informative of the target's names in the lexicon that
+does not apply to the distractor, or, if every one applies, the most
+informative. The listener picks the target unless the uttered word also
+applies to the distractor, judged by every name the corpus gave the
+distractor whatever the lexicon; then it guesses (half credit, as an
+expected value rather than a coin flip). The lexicons:
 
-  actual         prefer the least informative name that does not apply
-                 to the distractor; if every name applies, fall back to
-                 the most informative one
-  general_only   always the least informative name
-  specific_only  always the most informative name
+  actual         every name a referent received
+  general_only   only its least informative name
+  specific_only  only its most informative name
 
 Accuracy is tallied in integers (chance = 1, success = 2, out of two
 per interaction) and the mean informativeness of uttered words is a
@@ -66,13 +67,6 @@ class SystemVariant(Enum):
     ACTUAL = "actual"
     GENERAL_ONLY = "general_only"
     SPECIFIC_ONLY = "specific_only"
-
-
-_KERNEL_MODE = {
-    SystemVariant.ACTUAL: 0,
-    SystemVariant.GENERAL_ONLY: 1,
-    SystemVariant.SPECIFIC_ONLY: 2,
-}
 
 
 @dataclass(frozen=True)
@@ -193,7 +187,7 @@ def _vocab_arrays(entries: Sequence[ReferentEntry]):
 def run_simulation(
     entries: Sequence[ReferentEntry], variant: SystemVariant
 ) -> SimResult:
-    """Play every ordered referent pair once under one speaker strategy."""
+    """Play every ordered referent pair once over one variant's lexicon."""
     if len(entries) < 2:
         raise SimulationError(f"need at least 2 referents, got {len(entries)}")
     i_w_of: dict[str, float] = {}
@@ -201,24 +195,22 @@ def run_simulation(
         for w, i_w in e.names:
             i_w_of[w] = i_w
     vocab, offsets, words, app = _vocab_arrays(entries)
-    acc_twice, counts = kernels.simulate_counts(
-        offsets, words, app, _KERNEL_MODE[variant]
-    )
+    if variant is not SystemVariant.ACTUAL:
+        # One name per referent; `app` still holds every name.
+        general = variant is SystemVariant.GENERAL_ONLY
+        words = words[offsets[:-1]] if general else words[offsets[1:] - 1]
+        offsets = np.arange(len(entries) + 1)
+    acc_twice, counts = kernels.simulate_counts(offsets, words, app)
     n_inter = len(entries) * (len(entries) - 1)
     accuracy = acc_twice / (2 * n_inter)
     i_l = fsum(
         int(counts[i]) * i_w_of[w] for i, w in enumerate(vocab)
     ) / n_inter
-    if variant is SystemVariant.GENERAL_ONLY:
-        vocab_size = len({e.general for e in entries})
-    elif variant is SystemVariant.SPECIFIC_ONLY:
-        vocab_size = len({e.specific for e in entries})
-    else:
-        vocab_size = len(vocab)
     tallies = {
         w: int(counts[i]) for i, w in enumerate(vocab) if counts[i] > 0
     }
-    return SimResult(variant, accuracy, i_l, n_inter, vocab_size, tallies)
+    return SimResult(variant, accuracy, i_l, n_inter, len(np.unique(words)),
+                     tallies)
 
 
 def run_all_variants(
@@ -274,21 +266,15 @@ def generate_stimuli(
     short = [b for b in range(bins) if take[b] < quota]
     moved: dict[int, int] = {}
     for b in short:
+        # From the nearest bins with spare rounds, the lower index first
+        # on a tie; n eligible rounds always leave enough spares.
         deficit = quota - take[b]
-        while deficit > 0:
-            # nearest bin with spare rounds; prefer the lower index
-            best = None
-            for other in sorted(range(bins), key=lambda o: (abs(o - b), o)):
-                if other != b and len(pools[other]) > take[other]:
-                    best = other
-                    break
-            if best is None:
-                raise SimulationError(
-                    "cannot rebalance bins; not enough eligible rounds"
-                )
-            take[best] += 1
-            moved[best] = moved.get(best, 0) + 1
-            deficit -= 1
+        for other in sorted(range(bins), key=lambda o: (abs(o - b), o)):
+            extra = min(deficit, len(pools[other]) - take[other])
+            if extra > 0:
+                take[other] += extra
+                moved[other] = moved.get(other, 0) + extra
+                deficit -= extra
     rng = random.Random(seed)
     picked: list[tuple[int, int]] = []  # (bin, row)
     for b in range(bins):

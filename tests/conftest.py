@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 from _rounds_oracle import CleanRow, rounds_from_rows, rounds_rows
 
+from colorlex.cli import main
 from colorlex.corpus import Rounds, build_denotations, clean, ingest
 from colorlex.informativeness import SamplingConfig, WordInfo, compute_word_infos
 from colorlex.simulate import build_entries
@@ -259,6 +260,34 @@ def fixture_infos(fixture_denotations) -> dict[str, WordInfo]:
     return compute_word_infos(
         fixture_denotations, SamplingConfig(seed=FIXTURE_SEED)
     )
+
+
+# ----------------------------------------------------------------- stages
+
+REGRESS_ALL = ("regress", "--subset", "all")
+REGRESS_REPEATED = ("regress", "--subset", "repeated")
+PLOT_DENOTATIONS = ("plot", "--kind", "denotations")
+PLOT_EASE = ("plot", "--kind", "ease_vs_iw")
+
+# The eight stage invocations of a full pass, in pipeline order, with
+# the default options of `stimuli`.
+STAGES = (("ingest",), ("info",), REGRESS_ALL, REGRESS_REPEATED,
+          ("simulate",), ("stimuli",), PLOT_DENOTATIONS, PLOT_EASE)
+
+# The stages that read each stage table, in pipeline order: `info`
+# rewrites word_info.tsv from clean_rounds.tsv before the others read it.
+READERS = {
+    "clean_rounds.tsv": STAGES[1:],
+    "word_info.tsv": (REGRESS_ALL, REGRESS_REPEATED, ("simulate",),
+                      ("stimuli",), PLOT_EASE),
+}
+
+
+def run_stages(config, out) -> None:
+    """Run the eight STAGES through `cli.main`; each must return 0."""
+    for stage in STAGES:
+        code = main(["--config", str(config), "--out", str(out), *stage])
+        assert code == 0, f"stage {' '.join(stage)} exited {code}"
 
 
 # ---------------------------------------------------------------- toy system

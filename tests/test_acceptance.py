@@ -12,8 +12,7 @@ import random
 import numpy as np
 import pytest
 from _labref import srgb_to_lab_decimal
-from conftest import _locate_corpus, make_grouped_rows
-from test_cli import run_pipeline
+from conftest import _locate_corpus, make_grouped_rows, run_stages
 from test_kernels import oracle_mean_pairwise
 
 from colorlex.colorspace import SrgbColor, srgb_to_lab
@@ -256,8 +255,8 @@ def test_09_pipeline_determinism(fixture_corpus, tmp_path):
     desc = "two identical runs produce byte-identical output directories"
     out1 = tmp_path / "run1"
     out2 = tmp_path / "run2"
-    run_pipeline(fixture_corpus.config, out1)
-    run_pipeline(fixture_corpus.config, out2)
+    run_stages(fixture_corpus.config, out1)
+    run_stages(fixture_corpus.config, out2)
     names1 = sorted(p.name for p in out1.iterdir())
     names2 = sorted(p.name for p in out2.iterdir())
     failures = []

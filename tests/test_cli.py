@@ -12,6 +12,14 @@ from pathlib import Path
 from types import ModuleType, SimpleNamespace
 
 import pytest
+from conftest import (
+    PLOT_DENOTATIONS,
+    PLOT_EASE,
+    READERS,
+    REGRESS_ALL,
+    REGRESS_REPEATED,
+    run_stages,
+)
 
 from colorlex import simulate
 from colorlex.cli import main
@@ -44,26 +52,10 @@ EXPECTED_FILES = (
 )
 
 
-def run_pipeline(config, out):
-    steps = (
-        ["ingest"],
-        ["info"],
-        ["regress", "--subset", "all"],
-        ["regress", "--subset", "repeated"],
-        ["simulate"],
-        ["stimuli"],
-        ["plot", "--kind", "denotations"],
-        ["plot", "--kind", "ease_vs_iw"],
-    )
-    for step in steps:
-        code = main(["--config", str(config), "--out", str(out)] + step)
-        assert code == 0, f"step {step} failed"
-
-
 @pytest.fixture(scope="module")
 def pipeline(fixture_corpus, tmp_path_factory) -> SimpleNamespace:
     out = tmp_path_factory.mktemp("cli") / "out"
-    run_pipeline(fixture_corpus.config, out)
+    run_stages(fixture_corpus.config, out)
     cfg = with_overrides(load_config(fixture_corpus.config), None, str(out))
     return SimpleNamespace(out=out, cfg=cfg, corpus=fixture_corpus)
 
@@ -223,12 +215,6 @@ def _corrupt(path, column, rows, value="nanx"):
     return {3 + r for r in rows}
 
 
-_ALL = ["regress", "--subset", "all"]
-_REPEATED = ["regress", "--subset", "repeated"]
-_DENOTATIONS = ["plot", "--kind", "denotations"]
-_EASE = ["plot", "--kind", "ease_vs_iw"]
-
-
 class TestReadErrorsNameTheLine:
     """A malformed value in a stage table stops every stage that reads
     it with `error: <path>:<line>: ...` and exit status 2, whether the
@@ -237,19 +223,19 @@ class TestReadErrorsNameTheLine:
     @pytest.mark.parametrize("stage, table, column, rows", [
         (["info"], "clean_rounds.tsv", "ease", [7]),
         (["info"], "clean_rounds.tsv", "target_l", [7, 9]),
-        (_ALL, "clean_rounds.tsv", "ease", [7]),
-        (_REPEATED, "clean_rounds.tsv", "ease", [7]),
+        (REGRESS_ALL, "clean_rounds.tsv", "ease", [7]),
+        (REGRESS_REPEATED, "clean_rounds.tsv", "ease", [7]),
         (["simulate"], "clean_rounds.tsv", "ease", [7]),
         (["stimuli"], "clean_rounds.tsv", "ease", [7]),
         (["stimuli"], "clean_rounds.tsv", "d1_a", None),
-        (_DENOTATIONS, "clean_rounds.tsv", "ease", [7]),
-        (_DENOTATIONS, "clean_rounds.tsv", "target_b", [7]),
-        (_EASE, "clean_rounds.tsv", "ease", [7]),
-        (_ALL, "word_info.tsv", "i_w", [2]),
-        (_REPEATED, "word_info.tsv", "i_w", [2]),
+        (PLOT_DENOTATIONS, "clean_rounds.tsv", "ease", [7]),
+        (PLOT_DENOTATIONS, "clean_rounds.tsv", "target_b", [7]),
+        (PLOT_EASE, "clean_rounds.tsv", "ease", [7]),
+        (REGRESS_ALL, "word_info.tsv", "i_w", [2]),
+        (REGRESS_REPEATED, "word_info.tsv", "i_w", [2]),
         (["simulate"], "word_info.tsv", "i_w", [2]),
         (["stimuli"], "word_info.tsv", "i_w", [2]),
-        (_EASE, "word_info.tsv", "i_w", [2]),
+        (PLOT_EASE, "word_info.tsv", "i_w", [2]),
     ])
     def test_nanx(self, pipeline, tmp_path, capsys, stage, table, column,
                   rows):
@@ -271,16 +257,16 @@ class TestReadErrorsNameTheLine:
     # A finite value that no stage writes would overflow in the fits or
     # the Lab-to-sRGB conversion; the readers refuse it instead.
     @pytest.mark.parametrize("stage, table, column, value, bounds", [
-        (_ALL, "word_info.tsv", "i_w", "1e308", "(0, 1e+100]"),
-        (_REPEATED, "word_info.tsv", "i_w", "1e308", "(0, 1e+100]"),
-        (_EASE, "word_info.tsv", "i_w", "1e308", "(0, 1e+100]"),
-        (_ALL, "clean_rounds.tsv", "ease", "1e308",
+        (REGRESS_ALL, "word_info.tsv", "i_w", "1e308", "(0, 1e+100]"),
+        (REGRESS_REPEATED, "word_info.tsv", "i_w", "1e308", "(0, 1e+100]"),
+        (PLOT_EASE, "word_info.tsv", "i_w", "1e308", "(0, 1e+100]"),
+        (REGRESS_ALL, "clean_rounds.tsv", "ease", "1e308",
          "[0.0, 1732.0508075688772]"),
-        (_REPEATED, "clean_rounds.tsv", "ease", "1e308",
+        (REGRESS_REPEATED, "clean_rounds.tsv", "ease", "1e308",
          "[0.0, 1732.0508075688772]"),
-        (_EASE, "clean_rounds.tsv", "ease", "1e308",
+        (PLOT_EASE, "clean_rounds.tsv", "ease", "1e308",
          "[0.0, 1732.0508075688772]"),
-        (_DENOTATIONS, "clean_rounds.tsv", "target_l", "1e200",
+        (PLOT_DENOTATIONS, "clean_rounds.tsv", "target_l", "1e200",
          "[-500.0, 500.0]"),
         (["info"], "clean_rounds.tsv", "target_a", "1e200",
          "[-500.0, 500.0]"),
@@ -301,7 +287,7 @@ class TestReadErrorsNameTheLine:
     # more, writes sampled as 0 or 1, and lists each word once.
     @pytest.mark.parametrize("stage, column, value, reason", [
         (["simulate"], "n_chips", "1", "1 outside [2, inf]"),
-        (_ALL, "n_chips", "-3", "-3 outside [2, inf]"),
+        (REGRESS_ALL, "n_chips", "-3", "-3 outside [2, inf]"),
         (["stimuli"], "sampled", "7", "7 outside [0, 1]"),
     ])
     def test_value_info_never_writes(self, pipeline, tmp_path, capsys,
@@ -315,8 +301,7 @@ class TestReadErrorsNameTheLine:
             f"error: {out / 'word_info.tsv'}:{line}: {column}: {reason}\n")
         assert code == 2
 
-    @pytest.mark.parametrize("stage", [
-        _ALL, _REPEATED, ["simulate"], ["stimuli"], _EASE])
+    @pytest.mark.parametrize("stage", READERS["word_info.tsv"])
     def test_repeated_word(self, pipeline, tmp_path, capsys, stage):
         out = tmp_path / "out"
         shutil.copytree(pipeline.out, out)
@@ -552,6 +537,33 @@ class TestDegenerateCorpora:
                      "--out", str(failed_only.out), "simulate"])
         assert code == 2
         assert "referent" in capsys.readouterr().err
+
+    def test_ease_plot_without_a_fit_draws_no_line(self, pipeline, tmp_path,
+                                                   capsys):
+        # Distinct eases within the read bounds whose squared deviations
+        # underflow to zero: the fit is undefined, so the plot draws
+        # every point and no line, while `regress` says why it cannot fit.
+        out = tmp_path / "out"
+        shutil.copytree(pipeline.out, out)
+        path = out / "clean_rounds.tsv"
+        lines = path.read_text(encoding="utf-8").split("\n")
+        col = lines[1].split("\t").index("ease")
+        for r in range(2, len(lines) - 1):
+            fields = lines[r].split("\t")
+            fields[col] = repr(r * 1e-170)
+            lines[r] = "\t".join(fields)
+        path.write_text("\n".join(lines), encoding="utf-8")
+        args = ["--config", str(pipeline.corpus.config), "--out", str(out)]
+        assert main(args + ["plot", "--kind", "ease_vs_iw"]) == 0
+        svg = (out / "plot_ease_vs_iw.svg").read_text(encoding="utf-8")
+        fitted = (pipeline.out / "plot_ease_vs_iw.svg").read_text(
+            encoding="utf-8")
+        assert svg.count("<circle") == fitted.count("<circle") > 0
+        assert 'stroke="#aa3333"' in fitted
+        assert 'stroke="#aa3333"' not in svg
+        capsys.readouterr()
+        assert main(args + ["regress"]) == 2
+        assert "predictor is constant" in capsys.readouterr().err
 
 
 class TestConfigParsing:

@@ -14,22 +14,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import STAGES
 
 from colorlex import cli
 from colorlex.errors import ColorlexError
 
 ROOT = Path(__file__).resolve().parents[1]
-
-STAGES = (
-    ("ingest",),
-    ("info",),
-    ("regress", "--subset", "all"),
-    ("regress", "--subset", "repeated"),
-    ("simulate",),
-    ("stimuli",),
-    ("plot", "--kind", "denotations"),
-    ("plot", "--kind", "ease_vs_iw"),
-)
 
 
 @pytest.fixture

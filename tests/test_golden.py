@@ -36,23 +36,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-
-from colorlex.cli import main
+from conftest import run_stages, write_fixture_csv
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden_digests.json"
 PERFBENCH = HERE.parent / "perfbench"
-
-STAGES = (
-    ("ingest",),
-    ("info",),
-    ("regress", "--subset", "all"),
-    ("regress", "--subset", "repeated"),
-    ("simulate",),
-    ("stimuli", "--n", "100", "--bins", "10"),
-    ("plot", "--kind", "denotations"),
-    ("plot", "--kind", "ease_vs_iw"),
-)
 
 # Workload corpora: (workload, seed, N_ROUNDS, POOL_SIZE). vocab47k
 # needs more rounds than pool47k before any chip is named twice.
@@ -89,15 +77,13 @@ def versions() -> dict[str, str]:
     return {"python": sys.version.split()[0], "numpy": np.__version__}
 
 
-def run_stages(work: Path, language: str = "english") -> dict[str, str]:
+def digest_stages(work: Path, language: str = "english") -> dict[str, str]:
     """Run the eight stages in `work` (which holds corpus.csv) and
     return the sha256 of every output file by name."""
     (work / "run.ini").write_text(
         f"[run]\ninput = corpus.csv\nlanguage = {language}\nseed = 7\n",
         encoding="utf-8")
-    for stage in STAGES:
-        code = main(["--config", "run.ini", "--out", "out", *stage])
-        assert code == 0, f"stage {' '.join(stage)} exited {code}"
+    run_stages("run.ini", "out")
     return {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted((work / "out").iterdir())
@@ -134,33 +120,30 @@ def test_fixture_corpus_outputs_are_golden(fixture_corpus, tmp_path,
                                            monkeypatch):
     shutil.copy(fixture_corpus.csv, tmp_path / "corpus.csv")
     monkeypatch.chdir(tmp_path)
-    _check("fixture", run_stages(tmp_path))
+    _check("fixture", digest_stages(tmp_path))
 
 
 def test_chinese_fixture_outputs_are_golden(fixture_corpus, tmp_path,
                                            monkeypatch):
     write_chinese_csv(fixture_corpus.csv, tmp_path / "corpus.csv")
     monkeypatch.chdir(tmp_path)
-    _check("fixture_chinese", run_stages(tmp_path, "chinese"))
+    _check("fixture_chinese", digest_stages(tmp_path, "chinese"))
 
 
 @pytest.mark.parametrize("case", sorted(WORKLOAD_CASES))
 def test_workload_outputs_are_golden(case, tmp_path, monkeypatch):
     generate_workload(case, tmp_path / "corpus.csv", monkeypatch.setattr)
     monkeypatch.chdir(tmp_path)
-    _check(case, run_stages(tmp_path))
+    _check(case, digest_stages(tmp_path))
 
 
 def record() -> None:
     """Recompute every case and rewrite golden_digests.json."""
-    sys.path.insert(0, str(HERE))
-    import conftest
-
     cases = {}
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         english = Path(tmp) / "fixture.csv"
-        conftest.write_fixture_csv(english)
+        write_fixture_csv(english)
         for case in ("fixture", "fixture_chinese", *sorted(WORKLOAD_CASES)):
             work = Path(tmp) / case
             work.mkdir()
@@ -174,7 +157,7 @@ def record() -> None:
                 generate_workload(case, work / "corpus.csv", setattr)
             os.chdir(work)
             try:
-                cases[case] = run_stages(work, language)
+                cases[case] = digest_stages(work, language)
             finally:
                 os.chdir(cwd)
     GOLDEN.write_text(json.dumps({"versions": versions(), "cases": cases},

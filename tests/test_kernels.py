@@ -65,6 +65,16 @@ def reference_simulate(offsets, words, applicable, mode):
     return acc_twice, counts
 
 
+def lexicon_for_mode(offsets, words, mode):
+    """The lexicon that plays `reference_simulate`'s speaker `mode`
+    under the kernel's one rule: every name (0), or one name per
+    referent, its first (1) or its last (2). Returns (offsets, words)."""
+    if mode == 0:
+        return offsets, words
+    kept = words[offsets[:-1]] if mode == 1 else words[offsets[1:] - 1]
+    return np.arange(len(offsets), dtype=np.int64), kept
+
+
 def _random_points(rng, n):
     return np.array(
         [[rng.uniform(0, 100), rng.uniform(-80, 80), rng.uniform(-80, 80)]
@@ -113,7 +123,8 @@ def _random_matrix_system(rng, n_referents, vocab):
 
 def _assert_simulate_matches_reference(offsets, words, app):
     for mode in (0, 1, 2):
-        acc_twice, counts = kernels.simulate_counts(offsets, words, app, mode)
+        acc_twice, counts = kernels.simulate_counts(
+            *lexicon_for_mode(offsets, words, mode), app)
         exp_acc, exp_counts = reference_simulate(offsets, words, app, mode)
         assert acc_twice == exp_acc
         assert counts.dtype == np.int64
@@ -210,8 +221,7 @@ class TestSimulateCounts:
             vocab = rng.randint(4, 20)
             offsets, words, app = _random_system(rng, n_ref, vocab)
             acc_twice, counts = kernels.simulate_counts(
-                offsets, words, app, mode
-            )
+                *lexicon_for_mode(offsets, words, mode), app)
             exp_acc, exp_counts = reference_simulate(offsets, words, app, mode)
             assert acc_twice == exp_acc
             assert (counts == exp_counts).all()
@@ -251,7 +261,7 @@ class TestSimulateCounts:
         offsets = np.array([0, 2, 4], dtype=np.int64)
         words = np.array([0, 1, 0, 1], dtype=np.int64)
         app = np.array([[0, 1], [1, 1]], dtype=np.uint8)
-        assert kernels.simulate_counts(offsets, words, app, 0)[0] == 3
+        assert kernels.simulate_counts(offsets, words, app)[0] == 3
         _assert_simulate_matches_reference(offsets, words, app)
 
     def test_degenerate_sizes(self):
@@ -262,8 +272,8 @@ class TestSimulateCounts:
         empty = np.zeros((0, 3), dtype=np.uint8)
         for mode in (0, 1, 2):
             acc_twice, counts = kernels.simulate_counts(
-                np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64),
-                empty, mode)
+                *lexicon_for_mode(np.zeros(1, dtype=np.int64),
+                                  np.zeros(0, dtype=np.int64), mode), empty)
             assert acc_twice == 0
             assert counts.tolist() == [0, 0, 0]
 
@@ -271,20 +281,16 @@ class TestSimulateCounts:
         rng = random.Random(521)
         offsets, words, app = _random_system(rng, 30, 15)
         for mode in (0, 1, 2):
-            _, counts = kernels.simulate_counts(offsets, words, app, mode)
+            _, counts = kernels.simulate_counts(
+                *lexicon_for_mode(offsets, words, mode), app)
             assert int(np.sum(counts)) == 30 * 29
-
-    def test_mode_validation(self):
-        offsets, words, app = _random_system(random.Random(522), 3, 5)
-        with pytest.raises(ValueError):
-            kernels.simulate_counts(offsets, words, app, 3)
 
     def test_every_target_needs_a_name(self):
         app = np.ones((2, 2), dtype=np.uint8)
         with pytest.raises(ValueError):
-            kernels.simulate_counts(np.array([0, 0, 1]), np.array([1]), app, 0)
+            kernels.simulate_counts(np.array([0, 0, 1]), np.array([1]), app)
         with pytest.raises(ValueError):
-            kernels.simulate_counts(np.array([0, 1]), np.array([1]), app, 0)
+            kernels.simulate_counts(np.array([0, 1]), np.array([1]), app)
 
 
 def test_backend_name_consistent():

@@ -9,6 +9,8 @@ are asserted exactly where the arithmetic is exact.
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from _rounds_oracle import CleanRow, rounds_from_rows
 from conftest import TOY_I_W, TOY_NAMES
 
@@ -59,6 +61,30 @@ def _table(rows):
 def _round(word, key, ease=1.0, game="g", idx=0):
     gray = (50.0, 0.0, 0.0)
     return CleanRow(game, idx, "", word, key, ease, gray, gray, gray)
+
+
+def oracle_rebalance(sizes, quota):
+    """The per-round rebalancing rule: each short bin, in index order,
+    takes one round at a time from the nearest bin with a spare round,
+    the lower index first on a tie. Returns the stimuli report's
+    bin_counts, underpopulated_bins and rebalanced."""
+    bins = len(sizes)
+    take = [min(quota, size) for size in sizes]
+    short = [b for b in range(bins) if take[b] < quota]
+    moved = {}
+    for b in short:
+        deficit = quota - take[b]
+        while deficit > 0:
+            best = None
+            for other in sorted(range(bins), key=lambda o: (abs(o - b), o)):
+                if other != b and sizes[other] > take[other]:
+                    best = other
+                    break
+            assert best is not None, "not enough eligible rounds"
+            take[best] += 1
+            moved[best] = moved.get(best, 0) + 1
+            deficit -= 1
+    return take, short, moved
 
 
 class TestBuildEntries:
@@ -303,6 +329,32 @@ class TestGenerateStimuli:
         assert report["underpopulated_bins"] == [1, 2]
         assert report["rebalanced"] == {0: 4}
         assert len(stimuli) == 8
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=100)
+    @given(quota=st.integers(1, 4),
+           counts=st.lists(st.integers(0, 8), min_size=1, max_size=8))
+    def test_rebalancing_equals_per_round_rule(self, quota, counts):
+        # counts[b] rounds at ease b + 0.5, plus one at each end of
+        # [0, bins], so that bin b holds exactly sizes[b] rounds.
+        bins = len(counts)
+        eases = [0.0, float(bins)] + [
+            b + 0.5 for b, c in enumerate(counts) for _ in range(c)]
+        sizes = list(counts)
+        sizes[0] += 1
+        sizes[-1] += 1
+        assume(sum(sizes) >= quota * bins)
+        rows = [_round("w", (i, 0, 0), ease=e, idx=i)
+                for i, e in enumerate(eases)]
+        stimuli, report = generate_stimuli(
+            _table(rows), [], {"w": _info("w", 2.0)}, n=quota * bins,
+            bins=bins, seed=5)
+        take, short, moved = oracle_rebalance(sizes, quota)
+        assert report["bin_counts"] == take
+        assert report["underpopulated_bins"] == short
+        assert list(report["rebalanced"].items()) == list(moved.items())
+        assert [s.bin_index for s in stimuli] == [
+            b for b, k in enumerate(take) for _ in range(k)]
 
     def test_deterministic_in_seed(self, fixture_rounds, fixture_infos):
         entries, _ = build_entries(fixture_rounds, fixture_infos)
