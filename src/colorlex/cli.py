@@ -21,6 +21,7 @@ import gc
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
@@ -99,6 +100,15 @@ def cmd_ingest(cfg: RunConfig, args) -> None:
         hsl_scale=cfg.hsl_scale,
     )
     rounds = corpus.clean(raw, spellmap)
+    if not len(rounds):
+        reason = ""
+        if rejects:
+            text, n = Counter(r.reason for r in rejects).most_common(1)[0]
+            reason = f"; most common reject reason ({n} rows): {text}"
+        raise ColorlexError(
+            f"{cfg.input}: no round kept: {len(raw) + len(rejects)} rows, "
+            f"{len(rejects)} rejected, {len(raw)} dropped as unsolved or "
+            f"not one token{reason}")
     header = header_line(cfg)
     _write(cfg, "clean_rounds.tsv",
            lambda h: corpus.write_clean_rounds(h, rounds, header))
@@ -117,6 +127,12 @@ def cmd_ingest(cfg: RunConfig, args) -> None:
 def cmd_info(cfg: RunConfig, args) -> None:
     rounds = _read_rounds(cfg)
     denotations = corpus.build_denotations(rounds, cfg.min_count)
+    if not denotations:
+        top = Counter(rounds.word_ids.tolist()).most_common(1)
+        raise ColorlexError(
+            f"no word reaches min_count={cfg.min_count}: " + (
+                f"the most frequent, {rounds.vocab[top[0][0]]!r}, names "
+                f"{top[0][1]} rounds" if top else "no clean round"))
     del rounds  # freed before the spreads; the denotations own their chips
     infos = compute_word_infos(denotations, cfg.sampling)
     ordered = sorted(infos.values(), key=lambda w: (-w.i_w, w.word))

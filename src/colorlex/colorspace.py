@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
-
 import numpy as np
 
 __all__ = [
@@ -141,26 +139,17 @@ def srgb_to_lab(c: SrgbColor) -> LabColor:
     return LabColor(116.0 * fy - 16.0, 500.0 * (fx - fy), 200.0 * (fy - fz))
 
 
-_POW_BLOCK = 8192  # elements held as Python floats at a time
-
-
-def _pow(base: np.ndarray, exponent: float) -> np.ndarray:
-    """base ** exponent per element, through the libm pow that float **
-    calls: np.power and np.cbrt may round some results differently."""
-    out = np.empty_like(base)
-    for i in range(0, len(base), _POW_BLOCK):
-        block = base[i:i + _POW_BLOCK].tolist()
-        out[i:i + _POW_BLOCK] = list(map(pow, block, repeat(exponent)))
-    return out
-
-
 def hsl_to_lab_array(h, s, l) -> np.ndarray:
     """The CIELAB rows, as an (n, 3) float64 array, of n HSL chips given
     as three arrays of valid HslColor fields.
 
     Row i is bit for bit srgb_to_lab(hsl_to_srgb(HslColor(h[i], s[i],
-    l[i]))): the same operations run in the same order on whole arrays,
-    and only the two powers go element by element (see _pow).
+    l[i]))): the same operations run in the same order on whole arrays.
+    The two powers go through np.float_power, whose float64 loop calls
+    the same libm pow() that float ** calls, element by element. np.power
+    and np.cbrt may not stand in for it: they dispatch to SIMD routines
+    that round some results differently (about 5 % of inputs on an
+    AVX-512 host), and tests/test_colorspace.py pins the equality.
     """
     h, s, l = (np.asarray(v, dtype=np.float64) for v in (h, s, l))
     # hsl_to_srgb
@@ -184,13 +173,13 @@ def hsl_to_lab_array(h, s, l) -> np.ndarray:
     # srgb_to_lab
     lin = rgb / 12.92
     high = rgb > 0.04045
-    lin[high] = _pow((rgb[high] + 0.055) / 1.055, 2.4)
+    lin[high] = np.float_power((rgb[high] + 0.055) / 1.055, 2.4)
     rl, gl, bl = lin
     t = np.stack([(row[0] * rl + row[1] * gl + row[2] * bl) / w
                   for row, w in zip(_SRGB_TO_XYZ, _WHITE)])
     f = _F_SLOPE * t + 4.0 / 29.0
     high = t > _DELTA_CUBED
-    f[high] = _pow(t[high], 1.0 / 3.0)
+    f[high] = np.float_power(t[high], 1.0 / 3.0)
     fx, fy, fz = f
     return np.column_stack(
         [116.0 * fy - 16.0, 500.0 * (fx - fy), 200.0 * (fy - fz)])

@@ -71,9 +71,14 @@ def _checked(cfg: RunConfig) -> RunConfig:
                           f"got {cfg.hsl_scale!r}")
     if cfg.min_count < 1:
         raise ConfigError("min_count must be at least 1")
+    mapped: dict[str, str] = {}  # column -> the first field mapped to it
     for fname, column in cfg.schema.items():
-        if column is None and fname != "speaker_id":
-            raise ConfigError(f"schema field {fname!r} cannot be empty")
+        if column is None:
+            if fname != "speaker_id":
+                raise ConfigError(f"schema field {fname!r} cannot be empty")
+        elif mapped.setdefault(column, fname) != fname:
+            raise ConfigError(f"schema fields {mapped[column]!r} and "
+                              f"{fname!r} both map to column {column!r}")
     try:
         cfg.sampling  # SamplingConfig checks its own fields
     except ValueError as exc:

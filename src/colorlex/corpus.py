@@ -189,17 +189,6 @@ class RawRounds:
                            speaker or None)
 
 
-def _framed(reader, path) -> Iterator[list[str]]:
-    """The reader's rows; a CSV framing error or a byte that is not
-    UTF-8 names the file line."""
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise SchemaError(f"{path}:{reader.line_num}: {exc}") from None
-    except UnicodeDecodeError:
-        raise SchemaError(not_utf8(path)) from None
-
-
 # Rows parsed, converted, formatted or held as text at a time by ingest,
 # clean, write_clean_rounds and read_table.
 _ROW_BLOCK = 2048
@@ -346,40 +335,44 @@ def ingest(
     shared: dict[str, str] = {}  # each distinct id and utterance
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
-        rows = _framed(reader, path)
-        header = next(rows, None)
-        if header is None:
-            raise SchemaError(f"{path}: empty file, no header row")
-        index = {column: i for i, column in enumerate(header)}
-        cols: dict[str, int] = {}
-        for field in CANONICAL_FIELDS:
-            column = schema.get(field)
-            if field == "speaker_id" and column is None:
-                continue
-            if column not in index:
-                raise SchemaError(
-                    f"{path}: mapped column {column!r} (field {field!r}) "
-                    f"not in header"
-                )
-            cols[field] = index[column]
-        width = len(header)
-        block: list[list[str]] = []
-        lines: list[int] = []
-        for row in rows:
-            if len(row) == width:
-                block.append(row)
-                lines.append(reader.line_num)
-                if len(block) == _ROW_BLOCK:
-                    parts.append(_parse_block(block, lines, cols, hsl_scale,
-                                              rejects, shared))
-                    block, lines = [], []
-            elif row:
-                rejects.append(RejectedRow(
-                    reader.line_num,
-                    f"row has {len(row)} fields, header has {width}"))
-        if block:
-            parts.append(_parse_block(block, lines, cols, hsl_scale,
-                                      rejects, shared))
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise SchemaError(f"{path}: empty file, no header row")
+            index = {column: i for i, column in enumerate(header)}
+            cols: dict[str, int] = {}
+            for field in CANONICAL_FIELDS:
+                column = schema.get(field)
+                if field == "speaker_id" and column is None:
+                    continue
+                if column not in index:
+                    raise SchemaError(
+                        f"{path}: mapped column {column!r} (field "
+                        f"{field!r}) not in header"
+                    )
+                cols[field] = index[column]
+            width = len(header)
+            block: list[list[str]] = []
+            lines: list[int] = []
+            for row in reader:
+                if len(row) == width:
+                    block.append(row)
+                    lines.append(reader.line_num)
+                    if len(block) == _ROW_BLOCK:
+                        parts.append(_parse_block(block, lines, cols,
+                                                  hsl_scale, rejects, shared))
+                        block, lines = [], []
+                elif row:
+                    rejects.append(RejectedRow(
+                        reader.line_num,
+                        f"row has {len(row)} fields, header has {width}"))
+        except csv.Error as exc:  # a field the csv module cannot frame
+            raise SchemaError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            raise SchemaError(not_utf8(path)) from None
+    if block:
+        parts.append(_parse_block(block, lines, cols, hsl_scale, rejects,
+                                  shared))
     rejects.sort(key=operator.attrgetter("line"))
     return _joined(parts), rejects
 
@@ -451,16 +444,16 @@ def clean(
                             np.rint(l * 100.0).astype(np.int64)])
     chip_keys, chip_ids = _chip_table(keys)
     word_ids, vocab = _dense_ids(
-        [words[u] for u in utterance_ids[kept].tolist()])
+        list(map(words.__getitem__, utterance_ids[kept].tolist())))
     return Rounds(
         vocab=tuple(vocab),
         word_ids=word_ids,
         chip_keys=chip_keys,
         chip_ids=chip_ids,
         ease=np.where(e2 < e1, e2, e1),  # min(e1, e2)
-        game_ids=[raw.game_ids[i] for i in rows],
-        speaker_ids=[raw.speaker_ids[i] for i in rows],
-        round_indices=[raw.round_indices[i] for i in rows],
+        game_ids=list(map(raw.game_ids.__getitem__, rows)),
+        speaker_ids=list(map(raw.speaker_ids.__getitem__, rows)),
+        round_indices=list(map(raw.round_indices.__getitem__, rows)),
         lab=(target, d1, d2),
     )
 
@@ -468,9 +461,10 @@ def clean(
 def _dense_ids(values: Sequence) -> tuple[np.ndarray, list]:
     """Each value's index among the distinct values, which are returned
     in first-appearance order."""
-    index: dict = {}
-    ids = [index.setdefault(v, len(index)) for v in values]
-    return np.array(ids, dtype=np.intp), list(index)
+    distinct = list(dict.fromkeys(values))
+    index = dict(zip(distinct, range(len(distinct))))
+    return (np.fromiter(map(index.__getitem__, values), dtype=np.intp,
+                        count=len(values)), distinct)
 
 
 def _chip_table(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -837,25 +831,26 @@ def write_clean_rounds(
     handle: TextIO, rounds: Rounds, header_comment: str
 ) -> None:
     """Write clean rounds as a stage table, repr-precision floats,
-    formatting _ROW_BLOCK rows at a time."""
+    formatting and writing _ROW_BLOCK rows at a time as one text."""
+    write_table(handle, header_comment, _CLEAN_COLUMNS, ())
     keys = [format_chip_key(k) for k in rounds.chip_keys.tolist()]
-
-    def rows(start: int) -> Iterator[tuple[str, ...]]:
+    for start in range(0, len(rounds), _ROW_BLOCK):
         block = slice(start, start + _ROW_BLOCK)
         lab = np.concatenate([rounds.target[block], rounds.distractor1[block],
                               rounds.distractor2[block]], axis=1)
-        return zip(
+        lines = list(map("\t".join, zip(
             rounds.game_ids[block],
             map(str, rounds.round_indices[block]),
             rounds.speaker_ids[block],
-            [rounds.vocab[w] for w in rounds.word_ids[block].tolist()],
-            [keys[c] for c in rounds.chip_ids[block].tolist()],
+            map(rounds.vocab.__getitem__, rounds.word_ids[block].tolist()),
+            map(keys.__getitem__, rounds.chip_ids[block].tolist()),
             map(repr, rounds.ease[block].tolist()),
             *(map(repr, column) for column in lab.T.tolist()),
-        )
-
-    write_table(handle, header_comment, _CLEAN_COLUMNS, chain.from_iterable(
-        map(rows, range(0, len(rounds), _ROW_BLOCK))))
+        )))
+        lines.append("")  # the last line's line break
+        text = "\n".join(lines)
+        del lines  # freed before write() encodes a copy of the text
+        handle.write(text)
 
 
 def _parse_keys(texts: Sequence[str],

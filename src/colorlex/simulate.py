@@ -170,8 +170,13 @@ def build_entries(
 
 
 def _vocab_arrays(entries: Sequence[ReferentEntry]):
-    """Kernel inputs; a word applies to the referents it names."""
-    vocab = sorted({w for e in entries for w, _ in e.names})
+    """Kernel inputs, which every variant shares; a word applies to the
+    referents it names. Also each word's informativeness, in vocab
+    order."""
+    if len(entries) < 2:
+        raise SimulationError(f"need at least 2 referents, got {len(entries)}")
+    i_w_of = {w: i_w for e in entries for w, i_w in e.names}
+    vocab = sorted(i_w_of)
     index = {w: i for i, w in enumerate(vocab)}
     offsets = np.zeros(len(entries) + 1, dtype=np.int64)
     flat: list[int] = []
@@ -181,42 +186,41 @@ def _vocab_arrays(entries: Sequence[ReferentEntry]):
     words = np.array(flat, dtype=np.int64)
     app = np.zeros((len(entries), len(vocab)), dtype=np.uint8)
     app[np.repeat(np.arange(len(entries)), np.diff(offsets)), words] = 1
-    return vocab, offsets, words, app
+    return vocab, [i_w_of[w] for w in vocab], offsets, words, app
+
+
+def _play(arrays, variant: SystemVariant) -> SimResult:
+    """One variant's result from the _vocab_arrays of its entries."""
+    vocab, i_ws, offsets, words, app = arrays
+    n = len(offsets) - 1
+    if variant is not SystemVariant.ACTUAL:
+        # One name per referent; `app` still holds every name.
+        general = variant is SystemVariant.GENERAL_ONLY
+        words = words[offsets[:-1]] if general else words[offsets[1:] - 1]
+        offsets = np.arange(n + 1)
+    acc_twice, counts = kernels.simulate_counts(offsets, words, app)
+    n_inter = n * (n - 1)
+    accuracy = acc_twice / (2 * n_inter)
+    counts = counts.tolist()
+    i_l = fsum(c * i_w for c, i_w in zip(counts, i_ws)) / n_inter
+    tallies = {w: c for w, c in zip(vocab, counts) if c > 0}
+    return SimResult(variant, accuracy, i_l, n_inter, len(np.unique(words)),
+                     tallies)
 
 
 def run_simulation(
     entries: Sequence[ReferentEntry], variant: SystemVariant
 ) -> SimResult:
     """Play every ordered referent pair once over one variant's lexicon."""
-    if len(entries) < 2:
-        raise SimulationError(f"need at least 2 referents, got {len(entries)}")
-    i_w_of: dict[str, float] = {}
-    for e in entries:
-        for w, i_w in e.names:
-            i_w_of[w] = i_w
-    vocab, offsets, words, app = _vocab_arrays(entries)
-    if variant is not SystemVariant.ACTUAL:
-        # One name per referent; `app` still holds every name.
-        general = variant is SystemVariant.GENERAL_ONLY
-        words = words[offsets[:-1]] if general else words[offsets[1:] - 1]
-        offsets = np.arange(len(entries) + 1)
-    acc_twice, counts = kernels.simulate_counts(offsets, words, app)
-    n_inter = len(entries) * (len(entries) - 1)
-    accuracy = acc_twice / (2 * n_inter)
-    i_l = fsum(
-        int(counts[i]) * i_w_of[w] for i, w in enumerate(vocab)
-    ) / n_inter
-    tallies = {
-        w: int(counts[i]) for i, w in enumerate(vocab) if counts[i] > 0
-    }
-    return SimResult(variant, accuracy, i_l, n_inter, len(np.unique(words)),
-                     tallies)
+    return _play(_vocab_arrays(entries), variant)
 
 
 def run_all_variants(
     entries: Sequence[ReferentEntry],
 ) -> dict[SystemVariant, SimResult]:
-    return {v: run_simulation(entries, v) for v in SystemVariant}
+    """run_simulation of each variant, the shared inputs built once."""
+    arrays = _vocab_arrays(entries)
+    return {v: _play(arrays, v) for v in SystemVariant}
 
 
 def _assign_bins(values: Sequence[float], bins: int) -> list[int]:

@@ -32,13 +32,13 @@ from colorlex.corpus import (
     RejectedRow,
     Rounds,
     SchemaError,
-    _framed,
     chip_key,
     format_chip_key,
     normalize_utterance,
     read_clean_rounds,
     write_table,
 )
+from colorlex.errors import not_utf8
 
 _CLEAN_COLUMNS = ("game_id", "round_index", "speaker_id", "word",
                   "target_key", "ease") + tuple(
@@ -91,6 +91,17 @@ def _parse_hsl(row, cols, field, hsl_scale):
         s /= 100.0
         l /= 100.0
     return HslColor(normalize_hue(h), s, l)
+
+
+def _framed(reader, path):
+    """The reader's rows; a CSV framing error or a byte that is not
+    UTF-8 names the file line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise SchemaError(f"{path}:{reader.line_num}: {exc}") from None
+    except UnicodeDecodeError:
+        raise SchemaError(not_utf8(path)) from None
 
 
 def oracle_ingest(path, schema=None, *, delimiter=",", hsl_scale="percent"):

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 from types import ModuleType, SimpleNamespace
@@ -31,8 +32,13 @@ from colorlex.config import (
     load_config,
     with_overrides,
 )
-from colorlex.corpus import read_clean_rounds
-from colorlex.informativeness import read_word_infos
+from colorlex.corpus import (
+    clean,
+    ingest,
+    read_clean_rounds,
+    write_clean_rounds,
+)
+from colorlex.informativeness import read_word_infos, write_word_infos
 
 EXPECTED_FILES = (
     "clean_rounds.tsv",
@@ -360,6 +366,58 @@ class TestErrorHandling:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_two_fields_mapped_to_one_column(self, fixture_corpus, tmp_path,
+                                             capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[run]\ninput = {fixture_corpus.csv}\n"
+                       f"[schema]\ntarget_h = target_s\n")
+        out = tmp_path / "o"
+        code = main(["--config", str(cfg), "--out", str(out), "ingest"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: schema fields 'target_h' and 'target_s' both map to "
+            "column 'target_s'\n")
+        assert not out.exists()
+
+    def test_ingest_that_keeps_no_round_fails(self, fixture_corpus,
+                                              tmp_path, capsys):
+        # Percent-scale saturations and lightnesses read as fractions
+        # are out of range: every row is rejected.
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[run]\ninput = {fixture_corpus.csv}\n"
+                       f"hsl_scale = fraction\n")
+        out = tmp_path / "o"
+        code = main(["--config", str(cfg), "--out", str(out), "ingest"])
+        err = capsys.readouterr().err
+        assert code == 2
+        n_rows = fixture_corpus.n_raw + fixture_corpus.n_rejects
+        assert re.fullmatch(
+            rf"error: {re.escape(str(fixture_corpus.csv))}: no round kept: "
+            rf"{n_rows} rows, {n_rows} rejected, 0 dropped as unsolved or "
+            rf"not one token; most common reject reason \(\d+ rows\): "
+            rf"(saturation|lightness) \d+\.0 outside \[0, 1\]\n", err), err
+        assert not out.exists()
+
+    def test_info_without_a_word_at_min_count_fails(self, pipeline, tmp_path,
+                                                    capsys):
+        with open(pipeline.out / "clean_rounds.tsv",
+                  encoding="utf-8") as handle:
+            rounds = read_clean_rounds(handle)
+        counts = Counter(rounds.vocab[w] for w in rounds.word_ids.tolist())
+        (word, largest), = counts.most_common(1)
+        out = tmp_path / "out"
+        out.mkdir()
+        shutil.copy(pipeline.out / "clean_rounds.tsv", out)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[run]\ninput = {pipeline.corpus.csv}\n"
+                       f"min_count = {largest + 1}\n")
+        code = main(["--config", str(cfg), "--out", str(out), "info"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: no word reaches min_count={largest + 1}: the most "
+            f"frequent, {word!r}, names {largest} rounds\n")
+        assert not (out / "word_info.tsv").exists()
+
     def test_missing_column_names_it(self, tmp_path, capsys):
         src = tmp_path / "narrow.csv"
         src.write_text("game_id,round_index,utterance\n")
@@ -519,8 +577,17 @@ class TestDegenerateCorpora:
         cfg = tmp_path / "run.ini"
         cfg.write_text(f"[run]\ninput = {src}\nmin_count = 1\n")
         out = tmp_path / "o"
-        assert main(["--config", str(cfg), "--out", str(out), "ingest"]) == 0
-        assert main(["--config", str(cfg), "--out", str(out), "info"]) == 0
+        # `ingest` refuses a run that keeps no round, so the empty tables
+        # a stale or hand-made directory may hold are written here.
+        assert main(["--config", str(cfg), "--out", str(out), "ingest"]) == 2
+        header = header_line(load_config(cfg))
+        rounds = clean(ingest(src)[0])
+        assert not len(rounds)
+        out.mkdir()
+        with open(out / "clean_rounds.tsv", "w", encoding="utf-8") as handle:
+            write_clean_rounds(handle, rounds, header)
+        with open(out / "word_info.tsv", "w", encoding="utf-8") as handle:
+            write_word_infos(handle, [], header)
         return SimpleNamespace(cfg=cfg, out=out)
 
     def test_empty_plots_still_render(self, failed_only):

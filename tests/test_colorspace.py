@@ -12,7 +12,7 @@ from _rounds_oracle import lab_distance, normalize_hue
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from colorlex import corpus
+from colorlex import colorspace, corpus
 from colorlex.colorspace import (
     HslColor,
     LabColor,
@@ -219,6 +219,45 @@ class TestHslToLabArray:
         assert np.abs(lab).max() <= corpus._LAB_LIMIT
         assert corpus._EASE_LIMIT == pytest.approx(math.dist(
             [-corpus._LAB_LIMIT] * 3, [corpus._LAB_LIMIT] * 3))
+
+
+def _assert_float_power_bits(base: np.ndarray, exponent: float) -> None:
+    """np.float_power(base, exponent) equals float ** bit for bit."""
+    got = np.float_power(base, exponent)
+    want = np.array([b ** exponent for b in base.tolist()])
+    bad = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+    assert bad.size == 0, (
+        f"{bad.size} of {base.size} differ, first at {base[bad[0]]!r}: "
+        f"{got[bad[0]]!r} != {want[bad[0]]!r}")
+
+
+class TestFloatPower:
+    """hsl_to_lab_array's two powers go through np.float_power, whose
+    float64 loop calls the libm pow() that float ** calls. np.power (and
+    np.cbrt) round some results differently on SIMD hosts; a numpy that
+    sent np.float_power to SIMD as well would fail here, over each
+    power's domain as hsl_to_lab_array reaches it."""
+
+    def test_linearization_power(self):
+        # (u + 0.055) / 1.055 for each sRGB channel u in (0.04045, 1]
+        low = 0.04045
+        edges = [math.nextafter(low, 1.0), math.nextafter(
+            math.nextafter(low, 1.0), 1.0), math.nextafter(1.0, 0.0), 1.0]
+        u = np.concatenate([edges, np.random.default_rng(2401).uniform(
+            low, 1.0, 200_000)])
+        base = (u[u > low] + 0.055) / 1.055
+        assert base.max() == 1.0
+        _assert_float_power_bits(base, 2.4)
+
+    def test_cube_root(self):
+        # each t in (_DELTA_CUBED, 1], and one rounding past 1
+        low = colorspace._DELTA_CUBED
+        edges = [math.nextafter(low, 1.0), math.nextafter(
+            math.nextafter(low, 1.0), 1.0), math.nextafter(1.0, 0.0), 1.0,
+            math.nextafter(1.0, 2.0)]
+        t = np.concatenate([edges, np.random.default_rng(2402).uniform(
+            low, 1.0, 200_000)])
+        _assert_float_power_bits(t[t > low], 1.0 / 3.0)
 
 
 class TestSlots:

@@ -234,6 +234,37 @@ class TestIngest:
         with pytest.raises(ValueError):
             ingest(fixture_corpus.csv, hsl_scale="other")
 
+    # A line past the first block of rows, which ingest has parsed by then.
+    LATE_LINE = 2 + corpus._ROW_BLOCK + 500
+
+    def _late_line_corpus(self, path, bad_line: bytes) -> None:
+        """3,000 good rows, with bad_line in place of LATE_LINE."""
+        _write_quoted_csv(path, [_mini_row(idx=i) for i in range(3000)])
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[self.LATE_LINE - 1] = bad_line
+        path.write_bytes(b"".join(lines))
+
+    def test_overlong_field_past_the_first_block_names_its_line(
+            self, tmp_path):
+        path = tmp_path / "long.csv"
+        row = list(_mini_row())
+        row[2] = "a" * (csv.field_size_limit() + 1)
+        self._late_line_corpus(path, (
+            ",".join(f'"{v}"' for v in row) + "\r\n").encode())
+        with pytest.raises(SchemaError, match=re.escape(
+                f"{path}:{self.LATE_LINE}: field larger than field limit")):
+            ingest(path)
+
+    def test_non_utf8_byte_past_the_first_block_names_its_line(
+            self, tmp_path):
+        path = tmp_path / "bytes.csv"
+        row = ",".join(map(str, _mini_row())).encode()
+        self._late_line_corpus(path, row.replace(b"blue", b"bl\xffue")
+                               + b"\r\n")
+        with pytest.raises(SchemaError, match=re.escape(
+                f"{path}:{self.LATE_LINE}: not UTF-8: byte 0xff")):
+            ingest(path)
+
 
 class TestNormalizeUtterance:
     def test_lowercase_and_punctuation(self):
