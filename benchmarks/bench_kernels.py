@@ -9,7 +9,8 @@ per-group statistics against `reference_profile` and
 `reference_group_stats` in tests/test_regress.py; the batch colour
 conversion against hsl_to_srgb + srgb_to_lab over the whole integer
 HSL grid; the columnar `ingest`, `clean` and clean-rounds reader
-against the per-row code in tests/_rounds_oracle.py; the SVG plots
+against the per-row code in tests/_rounds_oracle.py, and the reader's
+chip key codes against its `oracle_chip_table`; the SVG plots
 against the per-point renderings in tests/_svg_oracle.py (equal
 bytes); and the cached random-intercept fit against `every_step_fit`
 in tests/test_regress.py, whose search profiles every step (equal
@@ -41,6 +42,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from _rounds_oracle import (  # noqa: E402
     CleanRow,
+    oracle_chip_table,
     oracle_clean,
     oracle_ingest,
     oracle_read_clean_rounds,
@@ -355,6 +357,29 @@ def bench_read_clean_rounds(n_rows: int, seed: int) -> None:
                     io.StringIO(text)))
 
 
+def bench_chip_keys(n_keys: int, seed: int) -> None:
+    """A target_key column of n_keys grid chips, nearly all distinct,
+    read as codes one reader block at a time and numbered, against the
+    per-key int() parse and lexsort."""
+    rng = np.random.default_rng(seed)
+    texts = list(map(corpus.format_chip_key, np.stack(
+        [rng.integers(0, 360, n_keys), rng.integers(0, 101, n_keys),
+         rng.integers(0, 101, n_keys)], axis=1).tolist()))
+    block = corpus._ROW_BLOCK
+
+    def numbered():
+        return corpus._numbered(np.concatenate([
+            corpus._key_codes(texts[i:i + block], lambda j: f"row {j}")
+            for i in range(0, n_keys, block)]))
+
+    (keys, ids), t_codes = _best(numbered, repeat=7)
+    (want_keys, want_ids), t_oracle = _best(
+        lambda: oracle_chip_table(texts), repeat=7)
+    assert keys.tolist() == want_keys.tolist() and (
+        ids == want_ids).all(), "chip key codes disagree with the oracle"
+    _line(f"chip key codes n={n_keys}", t_codes, t_oracle, "codes")
+
+
 def bench_hsl_grid() -> None:
     """Every integer-grid chip, converted 36 hues at a time."""
     t_batch = t_scalar = 0.0
@@ -432,6 +457,7 @@ def main() -> None:
     bench_denotation_plot(40_000, 14)
     # The vocab47k shape: 40k regression rows, nearly all singletons.
     bench_group_stats(39_000, 40_000, 9)
+    bench_chip_keys(40_000, 15)
     bench_read_clean_rounds(47_000, 10)
     bench_ingest(47_000, 12)
     bench_clean(47_000, 11)

@@ -103,8 +103,8 @@ def cmd_ingest(cfg: RunConfig, args) -> None:
     if not len(rounds):
         reason = ""
         if rejects:
-            text, n = Counter(r.reason for r in rejects).most_common(1)[0]
-            reason = f"; most common reject reason ({n} rows): {text}"
+            check, n = Counter(r.check for r in rejects).most_common(1)[0]
+            reason = f"; most common reject reason ({n} rows): {check}"
         raise ColorlexError(
             f"{cfg.input}: no round kept: {len(raw) + len(rejects)} rows, "
             f"{len(rejects)} rejected, {len(raw)} dropped as unsolved or "
@@ -124,8 +124,9 @@ def cmd_ingest(cfg: RunConfig, args) -> None:
           f"{len(rounds)} clean")
 
 
-def cmd_info(cfg: RunConfig, args) -> None:
-    rounds = _read_rounds(cfg)
+def _denotations(cfg: RunConfig, rounds: corpus.Rounds) -> dict:
+    """The denotations of the words that reach min_count; an error
+    naming the most frequent word when none does."""
     denotations = corpus.build_denotations(rounds, cfg.min_count)
     if not denotations:
         top = Counter(rounds.word_ids.tolist()).most_common(1)
@@ -133,6 +134,12 @@ def cmd_info(cfg: RunConfig, args) -> None:
             f"no word reaches min_count={cfg.min_count}: " + (
                 f"the most frequent, {rounds.vocab[top[0][0]]!r}, names "
                 f"{top[0][1]} rounds" if top else "no clean round"))
+    return denotations
+
+
+def cmd_info(cfg: RunConfig, args) -> None:
+    rounds = _read_rounds(cfg)
+    denotations = _denotations(cfg, rounds)
     del rounds  # freed before the spreads; the denotations own their chips
     infos = compute_word_infos(denotations, cfg.sampling)
     ordered = sorted(infos.values(), key=lambda w: (-w.i_w, w.word))
@@ -214,7 +221,7 @@ def cmd_plot(cfg: RunConfig, args) -> None:
     rounds = _read_rounds(cfg)
     header = header_line(cfg).lstrip("# ")
     if args.kind == "denotations":
-        denotations = corpus.build_denotations(rounds, cfg.min_count)
+        denotations = _denotations(cfg, rounds)
         del rounds
         if args.words is not None:
             words = [w for w in args.words.split(",") if w]

@@ -16,7 +16,9 @@ returns, and the stages after ingestion read back, one columnar
 Chip identity: source corpora draw chips on an integer HSL grid
 (hue in degrees, saturation/lightness in percent), so a chip's key is
 its grid triple, quantized before any color conversion. This makes
-"the same chip across rounds" well-defined.
+"the same chip across rounds" well-defined. Chips are numbered by one
+integer code per key, (h * 101 + s) * 101 + l, whether `clean` makes
+the table or `read_clean_rounds` reads it back.
 """
 
 from __future__ import annotations
@@ -99,12 +101,35 @@ class CleanRound:
     round_index: int
 
 
+# Each form of reject reason that quotes a value, and its check: the
+# reason without that value.
+_REASON_CHECKS = (
+    (re.compile(r"(hue|saturation|lightness) \S+ (outside .+)"), r"\1 \2"),
+    (re.compile(r"(game_id|speaker_id) .+ (holds a tab or line break)"),
+     r"\1 \2"),
+    (re.compile(r"row has \d+ fields, (header has \d+)"),
+     r"row width differs, \1"),
+    (re.compile(r"(.+?): .+"), r"\1"),  # int(), float() and booleans
+)
+
+
 @dataclass(frozen=True, slots=True)
 class RejectedRow:
     """A row that failed schema validation, with the file line it ends on."""
 
     line: int
     reason: str
+
+    @property
+    def check(self) -> str:
+        """The check the row failed: its reason without the value it
+        quotes, such as "saturation outside [0, 1]" for "saturation 88.0
+        outside [0, 1]", or "not a boolean" for "not a boolean: 'x'"."""
+        for pattern, check in _REASON_CHECKS:
+            match = pattern.fullmatch(self.reason)
+            if match:
+                return match.expand(check)
+        return self.reason
 
 
 _COLOR_FIELDS = ("target", "distractor1", "distractor2")
@@ -438,11 +463,9 @@ def clean(
     target, d1, d2 = lab
     e1, e2 = _lab_distance(target, d1), _lab_distance(target, d2)
     # chip_key of each target; rint rounds half to even, as round does
-    h, s, l = raw.target[kept].T
-    keys = np.column_stack([np.rint(h).astype(np.int64) % 360,
-                            np.rint(s * 100.0).astype(np.int64),
-                            np.rint(l * 100.0).astype(np.int64)])
-    chip_keys, chip_ids = _chip_table(keys)
+    h, s, l = np.rint(raw.target[kept].T * [[1.0], [100.0], [100.0]]).astype(
+        np.int64)
+    chip_keys, chip_ids = _numbered((h % 360 * 101 + s) * 101 + l)
     word_ids, vocab = _dense_ids(
         list(map(words.__getitem__, utterance_ids[kept].tolist())))
     return Rounds(
@@ -465,20 +488,6 @@ def _dense_ids(values: Sequence) -> tuple[np.ndarray, list]:
     index = dict(zip(distinct, range(len(distinct))))
     return (np.fromiter(map(index.__getitem__, values), dtype=np.intp,
                         count=len(values)), distinct)
-
-
-def _chip_table(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort (h, s, l) rows as integer triples and merge equal rows.
-
-    Returns the sorted distinct rows and each input row's index in them.
-    """
-    order = np.lexsort(keys.T[::-1])
-    ordered = keys[order]
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    ids = np.empty(len(keys), dtype=np.intp)
-    ids[order] = np.cumsum(first) - 1
-    return ordered[first], ids
 
 
 def _parse_column(convert, values: Sequence[str], column: str,
@@ -596,9 +605,11 @@ class Rounds:
     """Clean rounds as columns: entry i of every column is round i.
 
     - `vocab` holds the words and `word_ids[i]` indexes it;
-    - `chip_keys` is an (m, 3) int64 array of target chip keys, sorted
-      as (h, s, l) integer triples, and `chip_ids[i]` indexes it, so
-      ascending chip ids are ascending keys;
+    - `chip_keys` is an (m, 3) int64 array of the distinct target chip
+      keys (h, s, l), 0 <= h < 360 and 0 <= s, l <= 100, sorted as
+      integer triples, and `chip_ids[i]` indexes it, so ascending chip
+      ids are ascending keys. Both come from one np.unique of the
+      codes (h * 101 + s) * 101 + l;
     - `ease` is the float64 context ease;
     - `game_ids`, `speaker_ids` ("" when the corpus has none) and
       `round_indices` are lists. Equal ids are one shared string
@@ -853,18 +864,55 @@ def write_clean_rounds(
         handle.write(text)
 
 
-def _parse_keys(texts: Sequence[str],
-                where: Callable[[int], str]) -> np.ndarray:
-    """The (h, s, l) int64 rows of "h:s:l" chip key texts."""
-    for i, text in enumerate(texts):
-        if text.count(":") != 2:
-            raise ValueError(f"{where(i)}: target_key: expected h:s:l, "
-                             f"got {text!r}")
+def _chip_codes(texts: Sequence[str]) -> np.ndarray | None:
+    """The int64 code (h * 101 + s) * 101 + l of each chip key text,
+    read from the bytes of all the texts at once, or None when any is
+    not "h:s:l" as write_clean_rounds writes it: three ASCII integers
+    without a sign or a leading zero, 0 <= h < 360 and 0 <= s, l <= 100.
+    Codes order as (h, s, l) triples do."""
     if not texts:
-        return np.empty((0, 3), dtype=np.int64)
-    parts = ":".join(texts).split(":")
-    return _parse_column(int, parts, "target_key", lambda j: where(j // 3),
-                         np.int64).reshape(-1, 3)
+        return np.empty(0, dtype=np.int64)
+    data = np.frombuffer(("\n".join(texts) + "\n").encode(), dtype=np.uint8)
+    digits = data - np.uint8(ord("0"))  # a byte below "0" wraps above 9
+    ends = np.flatnonzero(digits > 9)
+    if (len(ends) != 3 * len(texts)
+            or (data[ends].reshape(-1, 3) != list(b"::\n")).any()):
+        return None
+    width = np.diff(ends, prepend=-1) - 1
+    first = digits[ends - width]
+    if ((width < 1) | (width > 3) | ((width > 1) & (first == 0))).any():
+        return None
+    # each field's last three digits, those before its start counted as 0
+    ones, tens, hundreds = (digits[ends - k].astype(np.int64)
+                            for k in (1, 2, 3))
+    parts = (ones + 10 * tens * (width > 1)
+             + 100 * hundreds * (width > 2)).reshape(-1, 3)
+    if (parts > [359, 100, 100]).any():
+        return None
+    h, s, l = parts.T
+    return (h * 101 + s) * 101 + l
+
+
+def _key_codes(texts: Sequence[str],
+               where: Callable[[int], str]) -> np.ndarray:
+    """The codes of a block's target_key texts; a text that is not a
+    chip key is a ValueError naming where(i) of the first such row."""
+    codes = _chip_codes(texts)
+    if codes is None:
+        i = next(i for i, text in enumerate(texts)
+                 if _chip_codes([text]) is None)
+        raise ValueError(f"{where(i)}: target_key: expected h:s:l with "
+                         f"0 <= h < 360 and 0 <= s, l <= 100, "
+                         f"got {texts[i]!r}")
+    return codes
+
+
+def _numbered(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct chip keys of the codes, ascending, as an (m, 3)
+    int64 array of (h, s, l) rows, and each code's index in them."""
+    distinct, ids = np.unique(codes, return_inverse=True)
+    h, sl = np.divmod(distinct, 101 * 101)
+    return np.column_stack([h, *np.divmod(sl, 101)]), ids
 
 
 def read_clean_rounds(handle: TextIO) -> Rounds:
@@ -872,17 +920,22 @@ def read_clean_rounds(handle: TextIO) -> Rounds:
     at a time.
 
     Each of a block's columns is converted with float() or int() as a
-    whole. Words and chip keys map to ids through tables that all
-    blocks share, and equal game and speaker ids become one shared
-    string. The Lab columns stay text, one string per column and block,
+    whole, except target_key: its "h:s:l" texts are read as integer
+    codes in one pass over their ASCII bytes, and the codes of all
+    blocks are numbered at the end (see Rounds). Words map to ids
+    through a table that all blocks share, and equal game and speaker
+    ids become one shared string. The Lab columns stay text, one string per column and block,
     until a stage reads them (see Rounds). A block's field strings are
     dropped before the next block is read, so no more than one block of
     them is alive at a time.
 
     A malformed line is a ValueError naming its "path:line". The first
     bad block wins, and within it a row that does not hold one field
-    per column comes first, then a bad round_index, target_key or ease
-    (one that is not a number in [0, _EASE_LIMIT]), in that order. A
+    per column comes first, then a bad round_index, target_key (one
+    that is not what write_clean_rounds writes: three ASCII integers
+    without a sign or a leading zero, 0 <= h < 360 and
+    0 <= s, l <= 100) or ease (one that is not a number in
+    [0, _EASE_LIMIT]), in that order, each naming its first bad row. A
     bad Lab value (one that is not a number in [-_LAB_LIMIT,
     _LAB_LIMIT]) is named when its block is first converted.
     """
@@ -891,10 +944,9 @@ def read_clean_rounds(handle: TextIO) -> Rounds:
     shared: dict[str, str] = {}  # each distinct game and speaker id
     round_indices: list[int] = []
     word_ids = [np.empty(0, dtype=np.intp)]
-    key_ids = [np.empty(0, dtype=np.intp)]
-    keys, ease = [np.empty((0, 3), dtype=np.int64)], [np.empty(0)]
+    codes = [np.empty(0, dtype=np.int64)]
+    ease = [np.empty(0)]
     words: dict[str, int] = {}
-    key_index: dict[str, int] = {}
     lab: list[list[str]] = [[] for _ in LAB_COLUMNS]
     wheres: list[Callable[[int], str]] = []
     for where, (games, round_text, speakers, word_text, key_text, ease_text,
@@ -906,15 +958,7 @@ def read_clean_rounds(handle: TextIO) -> Rounds:
         word_ids.append(np.array(
             [words.setdefault(w, len(words)) for w in word_text],
             dtype=np.intp))
-        known = len(key_index)
-        block_keys = [key_index.setdefault(k, len(key_index))
-                      for k in key_text]
-        key_ids.append(np.array(block_keys, dtype=np.intp))
-
-        def key_where(j: int) -> str:  # the first row holding new key j
-            return where(block_keys.index(known + j))
-
-        keys.append(_parse_keys(list(key_index)[known:], key_where))
+        codes.append(_key_codes(key_text, where))
         ease.append(_in_range(
             _parse_column(float, ease_text, "ease", where, np.float64),
             0.0, _EASE_LIMIT, "ease", where))
@@ -923,12 +967,12 @@ def read_clean_rounds(handle: TextIO) -> Rounds:
         # the block's fields, before the next block's are made
         del games, round_text, speakers, word_text, key_text, ease_text
         del lab_text, values
-    chip_keys, chip_ids = _chip_table(np.concatenate(keys))
+    chip_keys, chip_ids = _numbered(np.concatenate(codes))
     return Rounds(
         vocab=tuple(words),
         word_ids=np.concatenate(word_ids),
         chip_keys=chip_keys,
-        chip_ids=chip_ids[np.concatenate(key_ids)],
+        chip_ids=chip_ids,
         ease=np.concatenate(ease),
         game_ids=game_ids,
         speaker_ids=speaker_ids,

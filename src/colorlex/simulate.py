@@ -223,13 +223,26 @@ def run_all_variants(
     return {v: _play(arrays, v) for v in SystemVariant}
 
 
-def _assign_bins(values: Sequence[float], bins: int) -> list[int]:
-    lo = min(values)
-    hi = max(values)
-    if hi == lo:
-        return [0] * len(values)
+def _ease_pools(rounds: Rounds, eligible: np.ndarray,
+                bins: int) -> list[list[int]]:
+    """The eligible rows of each of `bins` equal-width ease bins, in row
+    order. Row i falls in bin int((ease[i] - lo) / width), the top edge
+    in the last bin, where lo and hi are the least and greatest eligible
+    ease and width = (hi - lo) / bins; all rows are in bin 0 when
+    lo == hi. A width that underflows to zero (hi - lo a few subnormal
+    steps) is divided out as (ease[i] - lo) / (hi - lo) * bins."""
+    ease = rounds.ease[eligible]
+    lo, hi = ease.min(), ease.max()
+    offset = ease - lo
     width = (hi - lo) / bins
-    return [min(int((v - lo) / width), bins - 1) for v in values]
+    if width > 0.0:
+        offset /= width
+    elif hi > lo:
+        offset = offset / (hi - lo) * bins
+    bin_of = np.minimum(offset.astype(np.intp), bins - 1)
+    rows = eligible[np.argsort(bin_of, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(bin_of, minlength=bins)).tolist()
+    return [rows[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
 
 def generate_stimuli(
@@ -257,14 +270,11 @@ def generate_stimuli(
         raise ValueError(f"bins must divide n evenly, got n={n} bins={bins}")
     by_key = {e.key: e for e in entries}
     known = np.array([w in infos for w in rounds.vocab], dtype=bool)
-    eligible = np.flatnonzero(known[rounds.word_ids]).tolist()
+    eligible = np.flatnonzero(known[rounds.word_ids])
     if len(eligible) < n:
         raise SimulationError(f"only {len(eligible)} eligible rounds, need {n}")
+    pools = _ease_pools(rounds, eligible, bins)
     ease = rounds.ease.tolist()
-    bin_of = _assign_bins([ease[i] for i in eligible], bins)
-    pools: list[list[int]] = [[] for _ in range(bins)]
-    for i, b in zip(eligible, bin_of):
-        pools[b].append(i)
     quota = n // bins
     take = [min(quota, len(p)) for p in pools]
     short = [b for b in range(bins) if take[b] < quota]

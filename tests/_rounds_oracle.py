@@ -9,7 +9,9 @@ functions, and write them line by line, as the package did before
 `clean` converted all chips in one batch and wrote a `Rounds` table.
 `oracle_read_clean_rounds` parses a clean_rounds.tsv table line by line
 into `CleanRow` tuples, as the package did before `read_clean_rounds`
-read it column by column. `rounds_rows` gives a `Rounds` table's rows in
+read it column by column. `oracle_chip_table` numbers chip key texts by
+parsing each distinct one with int() and sorting the triples, as the
+package did before it numbered chips by their integer codes. `rounds_rows` gives a `Rounds` table's rows in
 the same form, so that tests can compare tables by repr, which tells
 -0.0 from 0.0 and shows NaN; `rounds_from_rows` writes such rows and
 reads them back as a table.
@@ -19,6 +21,8 @@ import csv
 import io
 import math
 from typing import NamedTuple
+
+import numpy as np
 
 from colorlex.colorspace import (
     HslColor,
@@ -239,6 +243,24 @@ def oracle_read_clean_rounds(handle) -> list[CleanRow]:
             (int(kh), int(ks), int(kl)), float(ease),
             (tl, ta, tb), (d1l, d1a, d1b), (d2l, d2a, d2b)))
     return rows
+
+
+def oracle_chip_table(texts) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct chip keys of "h:s:l" texts, sorted as (h, s, l)
+    integer triples, as an (m, 3) int64 array, and each text's index in
+    them. Each distinct text is parsed once, part by part with int()."""
+    index: dict[str, int] = {}
+    ids = np.array([index.setdefault(t, len(index)) for t in texts],
+                   dtype=np.intp)
+    keys = np.array([[int(p) for p in t.split(":")] for t in index],
+                    dtype=np.int64).reshape(-1, 3)
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    numbers = np.empty(len(keys), dtype=np.intp)
+    numbers[order] = np.cumsum(first) - 1
+    return ordered[first], numbers[ids]
 
 
 def rounds_rows(rounds: Rounds) -> list[CleanRow]:

@@ -391,11 +391,17 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert code == 2
         n_rows = fixture_corpus.n_raw + fixture_corpus.n_rejects
-        assert re.fullmatch(
+        match = re.fullmatch(
             rf"error: {re.escape(str(fixture_corpus.csv))}: no round kept: "
             rf"{n_rows} rows, {n_rows} rejected, 0 dropped as unsolved or "
-            rf"not one token; most common reject reason \(\d+ rows\): "
-            rf"(saturation|lightness) \d+\.0 outside \[0, 1\]\n", err), err
+            rf"not one token; most common reject reason \((\d+) rows\): "
+            rf"(saturation|lightness) outside \[0, 1\]\n", err)
+        assert match, err
+        # the count is the check's, over every value it refused
+        _, rejects = ingest(fixture_corpus.csv, hsl_scale="fraction")
+        assert int(match[1]) == sum(
+            re.fullmatch(rf"{match[2]} \d+\.0 outside \[0, 1\]", r.reason)
+            is not None for r in rejects) > 64
         assert not out.exists()
 
     def test_info_without_a_word_at_min_count_fails(self, pipeline, tmp_path,
@@ -411,12 +417,17 @@ class TestErrorHandling:
         cfg = tmp_path / "run.ini"
         cfg.write_text(f"[run]\ninput = {pipeline.corpus.csv}\n"
                        f"min_count = {largest + 1}\n")
+        message = (f"error: no word reaches min_count={largest + 1}: the "
+                   f"most frequent, {word!r}, names {largest} rounds\n")
         code = main(["--config", str(cfg), "--out", str(out), "info"])
         assert code == 2
-        assert capsys.readouterr().err == (
-            f"error: no word reaches min_count={largest + 1}: the most "
-            f"frequent, {word!r}, names {largest} rounds\n")
+        assert capsys.readouterr().err == message
         assert not (out / "word_info.tsv").exists()
+        code = main(["--config", str(cfg), "--out", str(out), "plot",
+                     "--kind", "denotations"])
+        assert code == 2
+        assert capsys.readouterr().err == message
+        assert not (out / "plot_denotations.svg").exists()
 
     def test_missing_column_names_it(self, tmp_path, capsys):
         src = tmp_path / "narrow.csv"
@@ -591,13 +602,24 @@ class TestDegenerateCorpora:
         return SimpleNamespace(cfg=cfg, out=out)
 
     def test_empty_plots_still_render(self, failed_only):
-        for kind in ("denotations", "ease_vs_iw"):
-            code = main(["--config", str(failed_only.cfg),
-                         "--out", str(failed_only.out),
-                         "plot", "--kind", kind])
-            assert code == 0
-        text = (failed_only.out / "plot_denotations.svg").read_text()
+        # the ease plot only: the denotation plot fails as `info` does
+        code = main(["--config", str(failed_only.cfg),
+                     "--out", str(failed_only.out),
+                     "plot", "--kind", "ease_vs_iw"])
+        assert code == 0
+        text = (failed_only.out / "plot_ease_vs_iw.svg").read_text()
         assert "no data" in text
+
+    def test_denotation_plot_without_a_word_fails_like_info(
+            self, failed_only, capsys):
+        args = ["--config", str(failed_only.cfg),
+                "--out", str(failed_only.out)]
+        assert main(args + ["info"]) == 2
+        message = capsys.readouterr().err
+        assert message == "error: no word reaches min_count=1: no clean round\n"
+        assert main(args + ["plot", "--kind", "denotations"]) == 2
+        assert capsys.readouterr().err == message
+        assert not (failed_only.out / "plot_denotations.svg").exists()
 
     def test_simulation_needs_referents(self, failed_only, capsys):
         code = main(["--config", str(failed_only.cfg),

@@ -11,6 +11,7 @@ import pytest
 from _rounds_oracle import (
     CleanRow,
     lab_distance,
+    oracle_chip_table,
     oracle_clean,
     oracle_ingest,
     oracle_read_clean_rounds,
@@ -38,6 +39,7 @@ from colorlex.corpus import (
     build_denotations,
     chip_key,
     clean,
+    format_chip_key,
     ingest,
     normalize_utterance,
     read_clean_rounds,
@@ -89,6 +91,25 @@ class TestIngest:
         assert "saturation" in reasons
         assert "lightness" in reasons
         assert "boolean" in reasons
+
+    def test_reject_check_leaves_out_the_value(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        row = list(_mini_row())
+        edits = [(3, "nan"), (4, 150), (1, "x"), (6, "abc"), (12, "maybe"),
+                 (0, "g\t: 1"), (13, "s\tholds a tab or line break")]
+        rows = [row[:k] + [v] + row[k + 1:] for k, v in edits] + [row[:5]]
+        _write_quoted_csv(path, rows)
+        _, rejects = ingest(path)
+        assert [r.check for r in rejects] == [
+            "hue outside [0, 360)",
+            "saturation outside [0, 1]",
+            "invalid literal for int() with base 10",
+            "could not convert string to float",
+            "not a boolean",
+            "game_id holds a tab or line break",
+            "speaker_id holds a tab or line break",
+            "row width differs, header has 14",
+        ]
 
     def test_missing_mapped_column_is_schema_error(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -680,7 +701,7 @@ _CLEAN_ROUNDS = st.builds(
     st.integers(-10, 10**6),
     st.one_of(st.just(""), _ID_TEXT),
     st.one_of(st.sampled_from(["blue", "蓝", "bleu#", "é"]), _ID_TEXT),
-    st.tuples(st.integers(-5, 400), st.integers(0, 100), st.integers(0, 100)),
+    st.tuples(st.integers(0, 359), st.integers(0, 100), st.integers(0, 100)),
     _EASE,
     st.lists(_LAB_VALUE, min_size=9, max_size=9),
 )
@@ -719,7 +740,8 @@ _MALFORMED_FIELDS = [
     (5, "inf", "ease: inf outside [0.0, "),
     (1, "1.5", "round_index: invalid literal for int()"),
     (4, "1:2", "target_key: expected h:s:l"),
-    (4, "1:x:2", "target_key: invalid literal for int()"),
+    (4, "1:x:2", "target_key: expected h:s:l with 0 <= h < 360 and "
+                 "0 <= s, l <= 100, got '1:x:2'"),
 ]
 
 
@@ -830,6 +852,99 @@ class TestColumnarRead:
         monkeypatch.setattr(corpus, "_ROW_BLOCK", 2)
         _assert_named_on_read(tmp_path, fixture_clean, column, value,
                               message)
+
+
+# In-range chip keys: the bounds, and parts of one, two and three digits.
+_CHIP_KEYS = st.tuples(*(
+    st.one_of(st.sampled_from([0, 9, 10, 99, 100, top]),
+              st.integers(0, top))
+    for top in (359, 100, 100)))
+
+
+def _clean_of_keys(keys) -> corpus.Rounds:
+    """`clean` of one solved one-word round per key, each key's chip
+    the target."""
+    n = len(keys)
+    target = np.array(keys, dtype=np.float64).reshape(-1, 3) / [1, 100, 100]
+    return clean(RawRounds(
+        game_ids=["g"] * n, round_indices=list(range(n)),
+        utterances=["blue"] * n, speaker_ids=[""] * n,
+        listener_correct=np.ones(n, dtype=bool), target=target,
+        distractor1=target, distractor2=target))
+
+
+class TestChipNumbering:
+    """Chip keys numbered from their integer codes, against the per-key
+    int() parse and lexsort of oracle_chip_table."""
+
+    @pytest.mark.parametrize("block", [2, corpus._ROW_BLOCK])
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=200,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(keys=st.lists(_CHIP_KEYS, max_size=12))
+    def test_reader_and_clean_equal_oracle(self, monkeypatch, block, keys):
+        monkeypatch.setattr(corpus, "_ROW_BLOCK", block)
+        want_keys, want_ids = oracle_chip_table(list(map(format_chip_key,
+                                                         keys)))
+        text = _written([_round_with("blue", k, idx=i)
+                         for i, k in enumerate(keys)])
+        for rounds in (read_clean_rounds(io.StringIO(text)),
+                       _clean_of_keys(keys)):
+            assert rounds.chip_keys.dtype == np.int64
+            assert rounds.chip_keys.shape == want_keys.shape
+            assert rounds.chip_keys.tolist() == want_keys.tolist()
+            assert rounds.chip_ids.tolist() == want_ids.tolist()
+
+    # Keys that int() would parse, or that lie outside the grid: a
+    # chip key is only ever what write_clean_rounds writes.
+    @pytest.mark.parametrize("block", [2, corpus._ROW_BLOCK])
+    @pytest.mark.parametrize("key", [
+        "360:0:0", "0:101:0", "0:0:101", "-1:0:0", "+1:0:0", " 1:2:3",
+        "1:2:3 ", "\u0663:0:0", "1_0:0:0", "0001:0:0", "01:0:0",
+        "1::2", "1:2:3:4", "1:2", "", "1:2:3\x0b", "1000:0:0"])
+    def test_not_a_chip_key_named_on_read(self, tmp_path, monkeypatch,
+                                          fixture_clean, block, key):
+        monkeypatch.setattr(corpus, "_ROW_BLOCK", block)
+        _assert_named_on_read(
+            tmp_path, fixture_clean, 4, key,
+            f"target_key: expected h:s:l with 0 <= h < 360 and "
+            f"0 <= s, l <= 100, got {key!r}")
+
+    def test_first_bad_key_of_a_block_named(self, tmp_path, fixture_clean):
+        path = tmp_path / "clean_rounds.tsv"
+        lines = _written(fixture_clean[:5]).splitlines(keepends=True)
+        for line, key in ((4, "1:2:x"), (6, "360:0:0")):
+            fields = lines[line - 1].split("\t")
+            fields[4] = key
+            lines[line - 1] = "\t".join(fields)
+        path.write_text("".join(lines), encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{path}:4: target_key: expected h:s:l with 0 <= h < 360 "
+                    f"and 0 <= s, l <= 100, got '1:2:x'")):
+                read_clean_rounds(handle)
+
+    @pytest.mark.parametrize("edits, message", [
+        # round_index before target_key, target_key before ease, each
+        # whatever its line
+        ({3: (1, "x"), 5: (4, "1:2")}, "{path}:3: round_index:"),
+        ({3: (4, "1:2"), 5: (1, "x")}, "{path}:5: round_index:"),
+        ({3: (5, "x"), 5: (4, "1:2")}, "{path}:5: target_key:"),
+        ({3: (4, "1:2"), 5: (5, "x")}, "{path}:3: target_key:"),
+    ])
+    def test_block_checks_keep_their_order(self, tmp_path, fixture_clean,
+                                           edits, message):
+        path = tmp_path / "clean_rounds.tsv"
+        lines = _written(fixture_clean[:5]).splitlines(keepends=True)
+        for line, (column, value) in edits.items():
+            fields = lines[line - 1].split("\t")
+            fields[column] = value
+            lines[line - 1] = "\t".join(fields)
+        path.write_text("".join(lines), encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            with pytest.raises(ValueError, match=re.escape(
+                    message.format(path=path))):
+                read_clean_rounds(handle)
 
 
 class TestReadInBlocks:

@@ -34,11 +34,13 @@ N_ROWS = 20_000
 
 # 8,192-line blocks 5.5 times the file's bytes; 2,048-line blocks, each
 # block's fields freed before the next is read, 2.15 (2.6 when they are
-# not, or when ids are not shared)
-READ_PER_BYTE = 2.4
+# not, or when ids are not shared); chip keys read as integer codes,
+# not through a dict of one string per distinct key, 1.60
+READ_PER_BYTE = 1.9
 # one string per row for each id 1.65 times the file's bytes, one per
-# distinct id 1.17
-READ_KEEPS_PER_BYTE = 1.4
+# distinct id 1.17 (also with a dict of the distinct key strings, freed
+# on return; 1.67 if it were kept)
+READ_KEEPS_PER_BYTE = 1.3
 # 8,192-row blocks, one string per row and id 11.7 times the CSV's
 # bytes; 2,048-row blocks sharing repeated ids and utterances 5.8 (8.5
 # without the sharing)

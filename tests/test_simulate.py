@@ -6,14 +6,18 @@ tallies and mean informativeness below come from that enumeration and
 are asserted exactly where the arithmetic is exact.
 """
 
+import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from _rounds_oracle import CleanRow, rounds_from_rows
 from conftest import TOY_I_W, TOY_NAMES
 
+from colorlex import simulate
+from colorlex.corpus import _EASE_LIMIT
 from colorlex.informativeness import WordInfo
 from colorlex.simulate import (
     SimulationError,
@@ -85,6 +89,27 @@ def oracle_rebalance(sizes, quota):
             moved[best] = moved.get(best, 0) + 1
             deficit -= 1
     return take, short, moved
+
+
+def oracle_assign_bins(values, bins):
+    """Each value's equal-width bin, one value at a time."""
+    lo = min(values)
+    hi = max(values)
+    if hi == lo:
+        return [0] * len(values)
+    width = (hi - lo) / bins
+    return [min(int((v - lo) / width), bins - 1) for v in values]
+
+
+def oracle_ease_pools(rounds, eligible, bins):
+    """The eligible rows of each ease bin, appended row by row."""
+    ease = rounds.ease.tolist()
+    eligible = eligible.tolist()
+    bin_of = oracle_assign_bins([ease[i] for i in eligible], bins)
+    pools = [[] for _ in range(bins)]
+    for i, b in zip(eligible, bin_of):
+        pools[b].append(i)
+    return pools
 
 
 class TestBuildEntries:
@@ -427,6 +452,87 @@ class TestGenerateStimuli:
         for b in range(10):
             eases = [s.ease for s in stimuli if s.bin_index == b]
             assert eases == sorted(eases)
+
+
+# Eases anywhere in the range the reader takes, and eases on the edges
+# of equal-width bins over [lo, lo + 6 * step].
+_EASES = st.one_of(
+    st.lists(st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1.0, 2.5,
+                                        _EASE_LIMIT]),
+                       st.floats(0.0, _EASE_LIMIT)),
+             min_size=1, max_size=24),
+    st.builds(lambda lo, step, ks: [lo + k * step for k in ks],
+              st.sampled_from([0.0, 1.0, 3.7]),
+              st.sampled_from([0.1, 0.5, 1.0, 1e-3, 1 / 3]),
+              st.lists(st.integers(0, 6), min_size=1, max_size=24)),
+)
+
+
+def _ease_table(eases, known):
+    """One round per ease; the rounds where `known` is true name the
+    word of `_EASE_INFOS`, the others one without an entry."""
+    return _table([_round("w" if k else "x", (i % 360, 0, 0), ease=e, idx=i)
+                   for i, (e, k) in enumerate(zip(eases, known))])
+
+
+_EASE_INFOS = {"w": _info("w", 2.0)}
+_ALL = [True] * 24
+
+
+class TestEaseBins:
+    """The pools of generate_stimuli from arrays, against the per-row
+    bin assignment it replaced."""
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=300)
+    @given(eases=_EASES, bins=st.integers(1, 7),
+           known=st.lists(st.booleans(), min_size=24, max_size=24))
+    @example(eases=[2.0] * 5, bins=3, known=_ALL)  # all equal
+    @example(eases=[7.5], bins=1, known=_ALL)  # one eligible row
+    @example(eases=[7.5, 1.0, 3.0], bins=1, known=[False, True] + _ALL)
+    @example(eases=[float(k) for k in range(11)], bins=10, known=_ALL)
+    @example(eases=[0.1 * k for k in range(8)], bins=7, known=_ALL)
+    @example(eases=[1.0, math.nextafter(1.0, 2.0)] * 4, bins=7, known=_ALL)
+    @example(eases=[0.0, math.ulp(0.0) * 7] * 4, bins=7, known=_ALL)
+    def test_pools_and_stimuli_equal_oracle(self, eases, bins, known):
+        known = known[:len(eases)]
+        assume(any(known))
+        # a width under the smallest subnormal is covered below
+        assume((max(eases) - min(eases)) / bins > 0.0
+               or max(eases) == min(eases))
+        rounds = _ease_table(eases, known)
+        eligible = np.flatnonzero(known)
+        want = oracle_ease_pools(rounds, eligible, bins)
+        assert simulate._ease_pools(rounds, eligible, bins) == want
+        if len(eligible) >= bins:
+            got = generate_stimuli(rounds, [], _EASE_INFOS, n=bins,
+                                   bins=bins, seed=11)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(simulate, "_ease_pools", oracle_ease_pools)
+                assert got == generate_stimuli(rounds, [], _EASE_INFOS,
+                                               n=bins, bins=bins, seed=11)
+
+    @pytest.mark.parametrize("steps, bins, pools", [
+        ([0, 1] * 5, 10, [[0, 2, 4, 6, 8]] + [[]] * 8 + [[1, 3, 5, 7, 9]]),
+        # offsets 1/3, 0, 1 and 1/3 of the range, in 7 bins
+        ([2, 1, 4, 2, 1, 1, 1], 7, [[1, 4, 5, 6], [], [0, 3], [], [], [],
+                                    [2]]),
+    ])
+    def test_width_below_the_smallest_subnormal(self, steps, bins, pools):
+        # (hi - lo) / bins rounds to zero, which the per-row rule divides
+        # by; the bins are those of the exact offsets
+        eases = [k * math.ulp(0.0) for k in steps]
+        rounds = _ease_table(eases, [True] * len(eases))
+        eligible = np.arange(len(eases))
+        with pytest.raises(ZeroDivisionError):
+            oracle_ease_pools(rounds, eligible, bins)
+        assert simulate._ease_pools(rounds, eligible, bins) == pools
+        stimuli, report = generate_stimuli(rounds, [], _EASE_INFOS,
+                                           n=bins, bins=bins, seed=0)
+        assert len(stimuli) == sum(report["bin_counts"]) == bins
+        bin_of = {i: b for b, pool in enumerate(pools) for i in pool}
+        assert all(s.bin_index == bin_of[eases.index(s.ease)]
+                   for s in stimuli)
 
 
 class TestSerialization:
