@@ -4,9 +4,13 @@ Each case runs the kernel and the oracle on identical inputs, asserts
 that they agree exactly, and prints the best-of-repeat time of each.
 The spread and simulation kernels are checked against
 tests/test_kernels.py, the simulation once per lexicon of
-`lexicon_for_mode`; the random-intercept profile likelihood and the
-per-group statistics against `reference_profile` and
-`reference_group_stats` in tests/test_regress.py; the batch colour
+`lexicon_for_mode`; the random-intercept profile likelihood against
+`reference_profile` in tests/test_regress.py and the per-group
+statistics against `oracle_group_stats` in tests/_regress_oracle.py;
+the regression table from `rows_from_rounds` and both fits, over all
+rounds and the repeated-chip subset, against the row-per-tuple code
+in tests/_regress_oracle.py (equal fields; with the tracemalloc heap
+peak of each side); the batch colour
 conversion against hsl_to_srgb + srgb_to_lab over the whole integer
 HSL grid; the columnar `ingest`, `clean` and clean-rounds reader
 against the per-row code in tests/_rounds_oracle.py, and the reader's
@@ -40,6 +44,16 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
+from _regress_oracle import (  # noqa: E402
+    oracle_fit_ols,
+    oracle_fit_random_intercept,
+    oracle_group_stats,
+    oracle_rows_from_rounds,
+    regression_table,
+    repeated_chip_subset,
+    stats_repr,
+    table_rows,
+)
 from _rounds_oracle import (  # noqa: E402
     CleanRow,
     oracle_chip_table,
@@ -56,12 +70,7 @@ from test_kernels import (  # noqa: E402
     oracle_mean_pairwise,
     reference_simulate,
 )
-from test_regress import (  # noqa: E402
-    every_step_fit,
-    group_stats_tuples,
-    reference_group_stats,
-    reference_profile,
-)
+from test_regress import every_step_fit, reference_profile  # noqa: E402
 
 from colorlex import corpus, kernels, regress, svgplot  # noqa: E402
 from colorlex.colorspace import (  # noqa: E402
@@ -70,6 +79,7 @@ from colorlex.colorspace import (  # noqa: E402
     hsl_to_srgb,
     srgb_to_lab,
 )
+from colorlex.informativeness import WordInfo  # noqa: E402
 
 
 def _spread_case(n: int, seed: int):
@@ -107,8 +117,8 @@ def _profile_rows(n_groups: int, sizes: tuple[int, ...],
     ease = rng.uniform(0.0, 100.0, size=len(labels))
     i_w = (rng.normal(4.0, 0.5, size=len(labels)) - 0.02 * ease
            + rng.normal(0.0, 0.3, size=n_groups)[labels])
-    return [regress.RegressionRow(y, x, g) for y, x, g in
-            zip(i_w.tolist(), ease.tolist(), labels.tolist())]
+    return regression_table(zip(i_w.tolist(), ease.tolist(),
+                                labels.tolist()))
 
 
 def _profile_case(*shape):
@@ -126,8 +136,32 @@ def _group_rows(n_groups: int, n_rows: int, seed: int):
         [labels, rng.choice(labels, size=n_rows - n_groups, replace=False)]))
     ease = rng.uniform(0.0, 100.0, size=n_rows)
     i_w = rng.normal(4.0, 0.5, size=n_rows)
-    return [regress.RegressionRow(y, x, g) for y, x, g in
-            zip(i_w.tolist(), ease.tolist(), labels.tolist())]
+    return regression_table(zip(i_w.tolist(), ease.tolist(),
+                                labels.tolist()))
+
+
+def _regression_case(n_rows: int, n_chips: int, seed: int):
+    """A Rounds table of n_rows rounds whose target chips are drawn from
+    n_chips distinct grid chips, over 606 Zipf-weighted words, and an
+    info entry for each word said at least 10 times."""
+    rng = np.random.default_rng(seed)
+    weights = 1.0 / np.arange(1, 607)
+    word_ids = rng.choice(606, size=n_rows, p=weights / weights.sum())
+    codes = rng.choice(360 * 101 * 101, size=n_chips, replace=False)
+    chip_keys = np.stack(np.unravel_index(np.sort(codes), (360, 101, 101)),
+                         axis=1).astype(np.int64)
+    gray = np.zeros((n_rows, 3))
+    rounds = corpus.Rounds(
+        vocab=tuple(f"w{i}" for i in range(606)), word_ids=word_ids,
+        chip_keys=chip_keys, chip_ids=rng.integers(0, n_chips, n_rows),
+        ease=rng.uniform(0.0, 100.0, size=n_rows), game_ids=[""] * n_rows,
+        speaker_ids=[""] * n_rows, round_indices=list(range(n_rows)),
+        lab=(gray, gray, gray))
+    counts = np.bincount(word_ids, minlength=606).tolist()
+    i_w = rng.uniform(1.0, 10.0, size=606).tolist()
+    infos = {f"w{i}": WordInfo(f"w{i}", 100.0 / i_w[i], i_w[i], n, False)
+             for i, n in enumerate(counts) if n >= 10}
+    return rounds, infos
 
 
 def _clean_table(n_rows: int, seed: int) -> str:
@@ -333,10 +367,54 @@ def bench_denotation_plot(n: int, seed: int) -> None:
 
 def bench_group_stats(n_groups: int, n_rows: int, seed: int) -> None:
     rows = _group_rows(n_groups, n_rows, seed)
+    oracle_rows = table_rows(rows)
     got, t_kernel = _best(lambda: regress._group_stats(rows), repeat=5)
-    want, t_oracle = _best(lambda: reference_group_stats(rows), repeat=5)
-    assert repr(group_stats_tuples(got)) == repr(want), "group stats disagree"
+    want, t_oracle = _best(lambda: oracle_group_stats(oracle_rows),
+                           repeat=5)
+    assert stats_repr(got) == stats_repr(want), "group stats disagree"
     _line(f"_group_stats g={n_groups} n={n_rows}", t_kernel, t_oracle)
+
+
+def bench_regression_inputs(label: str, n_rows: int, n_chips: int,
+                            seed: int) -> None:
+    """The regression table and both fits, over all rounds and over the
+    repeated-chip subset, against the row oracle; then the part the
+    table changed alone: the rows, OLS and the per-group statistics."""
+    rounds, infos = _regression_case(n_rows, n_chips, seed)
+
+    def table_fits():
+        rows = regress.rows_from_rounds(rounds, infos)
+        return [fit(subset) for subset in
+                (rows, regress.repeated_chip_rows(rows, rounds))
+                for fit in (regress.fit_ols, regress.fit_random_intercept)]
+
+    def row_fits():
+        return [fit(oracle_rows_from_rounds(subset, infos)) for subset in
+                (rounds, repeated_chip_subset(rounds))
+                for fit in (oracle_fit_ols, oracle_fit_random_intercept)]
+
+    def table_inputs():
+        rows = regress.rows_from_rounds(rounds, infos)
+        return regress.fit_ols(rows), regress._group_stats(rows)
+
+    def row_inputs():
+        rows = oracle_rows_from_rounds(rounds, infos)
+        return oracle_fit_ols(rows), oracle_group_stats(rows)
+
+    got, t_table = _best(table_fits, repeat=3)
+    want, t_rows = _best(row_fits, repeat=3)
+    assert repr([asdict(f) for f in got]) == repr(
+        [asdict(f) for f in want]), f"fits {label} disagree with the rows"
+    _line(f"regression {label} n={n_rows}", t_table, t_rows, "table",
+          heap_peak(table_fits))
+    print(f"  row oracle heap peak {heap_peak(row_fits) / 1e6:7.1f} MB")
+    (ols, stats), t_table = _best(table_inputs, repeat=5)
+    (want_ols, want_stats), t_rows = _best(row_inputs, repeat=5)
+    assert asdict(ols) == asdict(want_ols) and stats_repr(
+        stats) == stats_repr(want_stats), f"inputs {label} disagree"
+    _line("  rows + OLS + group stats", t_table, t_rows, "table",
+          heap_peak(table_inputs))
+    print(f"  row oracle heap peak {heap_peak(row_inputs) / 1e6:7.1f} MB")
 
 
 def bench_read_clean_rounds(n_rows: int, seed: int) -> None:
@@ -457,6 +535,10 @@ def main() -> None:
     bench_denotation_plot(40_000, 14)
     # The vocab47k shape: 40k regression rows, nearly all singletons.
     bench_group_stats(39_000, 40_000, 9)
+    # The regression stages' two shapes: 40k rounds on 300k chips, about
+    # 37k of them distinct (vocab47k), and on a pool of 3,000 (pool47k).
+    bench_regression_inputs("distinct chips", 40_000, 300_000, 16)
+    bench_regression_inputs("pooled chips", 40_000, 3_000, 17)
     bench_chip_keys(40_000, 15)
     bench_read_clean_rounds(47_000, 10)
     bench_ingest(47_000, 12)

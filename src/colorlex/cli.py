@@ -152,9 +152,9 @@ def cmd_info(cfg: RunConfig, args) -> None:
 def cmd_regress(cfg: RunConfig, args) -> None:
     rounds = _read_rounds(cfg)
     infos = _read(cfg, "word_info.tsv", "info", read_word_infos)
-    if args.subset == "repeated":
-        rounds = corpus.repeated_chip_subset(rounds)
     rows = regress.rows_from_rounds(rounds, infos)
+    if args.subset == "repeated":
+        rows = regress.repeated_chip_rows(rows, rounds)
     del rounds  # freed before the fits; the rows suffice
     label = f"informativeness ~ ease, subset={args.subset}"
     ols = regress.fit_ols(rows)
@@ -242,13 +242,13 @@ def cmd_plot(cfg: RunConfig, args) -> None:
         rows = regress.rows_from_rounds(
             rounds, _read(cfg, "word_info.tsv", "info", read_word_infos))
         del rounds
-        ease = [row.ease for row in rows]
-        i_w = [row.i_w for row in rows]
         try:
             fit = regress.fit_ols(rows)
             line = (fit.intercept, fit.slope)
         except regress.FitError:  # too few rows, or no spread in ease
             line = None
+        # listed once the fit's temporaries are freed: a lower peak RSS
+        ease, i_w = rows.ease.tolist(), rows.i_w.tolist()
         del rows  # freed before the SVG text is built; the columns suffice
         svg = svgplot.ease_plot(ease, i_w, header, line)
     path = _write(cfg, f"plot_{args.kind}.svg", lambda h: h.write(svg))

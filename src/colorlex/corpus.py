@@ -51,7 +51,6 @@ __all__ = [
     "normalize_utterance",
     "clean",
     "build_denotations",
-    "repeated_chip_subset",
     "format_chip_key",
     "read_spellmap",
     "LAB_COLUMNS",
@@ -623,7 +622,7 @@ class Rounds:
 
     `clean` returns this table, and read_clean_rounds reads it back. A
     stage drops its table once it has what it needs from it (the
-    denotations, or the regression rows), before its heaviest work.
+    denotations, or the regression table), before its heaviest work.
     Iterating over it yields its rounds as CleanRound rows; no stage
     does, but the benchmark's ground-truth test still does.
     """
@@ -730,12 +729,6 @@ def build_denotations(rounds: Rounds,
         rounds.vocab[w]: chips[ends[w] - counts[w]:ends[w]]
         for w in kept
     }
-
-
-def repeated_chip_subset(rounds: Rounds) -> Rounds:
-    """Keep rounds whose target chip occurs at least twice in the data."""
-    counts = np.bincount(rounds.chip_ids, minlength=len(rounds.chip_keys))
-    return rounds.take(np.flatnonzero(counts[rounds.chip_ids] >= 2))
 
 
 def read_spellmap(path) -> dict[str, str]:

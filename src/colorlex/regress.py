@@ -11,6 +11,12 @@ golden-section search on the profile log-likelihood. Everything is
 deterministic: no starting values, no iterative solvers with
 data-dependent step counts.
 
+Both fits take the numpy record array that `rows_from_rounds` builds,
+one record per observation: `i_w` (response), `ease` (predictor) and
+`group` (the target chip's id). A record array, so that code walking
+it (the benchmark's trace counts groups) reads `r.group` on each row.
+Any labels `np.unique` sorts will do; groups are numbered by first row.
+
 The per-group statistics are float64 arrays, and each profile sum is a
 sequential numpy accumulation: `np.cumsum` adds the group terms one at
 a time in group order, so every sum has the bits of a plain Python
@@ -23,10 +29,11 @@ group size instead.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cache
 from math import fsum
-from typing import Hashable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -35,30 +42,18 @@ from .errors import ColorlexError
 from .informativeness import WordInfo
 
 __all__ = [
-    "RegressionRow",
     "FitResult",
     "FitError",
     "fit_ols",
     "fit_random_intercept",
     "rows_from_rounds",
+    "repeated_chip_rows",
     "format_fit",
 ]
 
 
 class FitError(ColorlexError):
     pass
-
-
-class RegressionRow(NamedTuple):
-    """One observation: informativeness of the word uttered in a round.
-
-    i_w is the response, ease the predictor, group the random-intercept
-    key (the target chip's id, or any other opaque hashable label).
-    """
-
-    i_w: float
-    ease: float
-    group: Hashable
 
 
 @dataclass(frozen=True)
@@ -91,14 +86,24 @@ def _t_stat(slope: float, se_slope: float) -> float:
     return slope / se_slope
 
 
-def _check_rows(rows: Sequence[RegressionRow]) -> int:
+def _check_rows(rows: np.recarray) -> int:
     n = len(rows)
     if n < 3:
         raise FitError(f"need at least 3 observations, got {n}")
     return n
 
 
-def fit_ols(rows: Sequence[RegressionRow]) -> FitResult:
+@contextmanager
+def _no_overflow(what: str):
+    """An overflow in numpy (which would give inf) or fsum as FitError."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except (FloatingPointError, OverflowError):
+        raise FitError(f"{what} overflow float64") from None
+
+
+def fit_ols(rows: np.recarray) -> FitResult:
     """Ordinary least squares of i_w on ease with an intercept.
 
     sigma2_residual is the maximum-likelihood estimate (RSS / n) so the
@@ -106,17 +111,18 @@ def fit_ols(rows: Sequence[RegressionRow]) -> FitResult:
     model's; standard errors use the classical n - 2 denominator.
     """
     n = _check_rows(rows)
-    x = [r.ease for r in rows]
-    y = [r.i_w for r in rows]
-    mean_x = fsum(x) / n
-    mean_y = fsum(y) / n
-    sxx = fsum((xi - mean_x) ** 2 for xi in x)
-    if sxx == 0.0:
-        raise FitError("predictor is constant; slope undefined")
-    sxy = fsum((xi - mean_x) * (yi - mean_y) for xi, yi in zip(x, y))
-    slope = sxy / sxx
-    intercept = mean_y - slope * mean_x
-    rss = fsum((yi - intercept - slope * xi) ** 2 for xi, yi in zip(x, y))
+    x, y = rows.ease, rows.i_w
+    with _no_overflow("least-squares terms"):
+        mean_x = fsum(x.tolist()) / n
+        mean_y = fsum(y.tolist()) / n
+        # pow(), as float ** calls it: d * d rounds apart about 1 in 1,000
+        sxx = fsum(np.float_power(x - mean_x, 2.0).tolist())
+        if sxx == 0.0:
+            raise FitError("predictor is constant; slope undefined")
+        sxy = fsum(((x - mean_x) * (y - mean_y)).tolist())
+        slope = sxy / sxx
+        intercept = mean_y - slope * mean_x
+        rss = fsum(np.float_power((y - intercept) - slope * x, 2.0).tolist())
     sigma2_ml = rss / n
     s2 = rss / (n - 2)
     se_slope = math.sqrt(s2 / sxx)
@@ -167,7 +173,7 @@ class _GroupStats(NamedTuple):
     size_index: np.ndarray
 
 
-def _group_stats(rows: Sequence[RegressionRow]) -> _GroupStats:
+def _group_stats(rows: np.recarray) -> _GroupStats:
     """Group the rows by label and sum each group's statistics.
 
     Labels become dense integer ids in first-appearance order, and each
@@ -175,20 +181,18 @@ def _group_stats(rows: Sequence[RegressionRow]) -> _GroupStats:
     takes one fsum per statistic; a single row's fsum is the value
     itself, except that fsum([-0.0]) is +0.0, so it is `0.0 + v`.
     """
-    ids: dict[Hashable, int] = {}
-    group = np.fromiter((ids.setdefault(r.group, len(ids)) for r in rows),
-                        dtype=np.intp, count=len(rows))
-    x = np.fromiter((r.ease for r in rows), dtype=np.float64, count=len(rows))
-    y = np.fromiter((r.i_w for r in rows), dtype=np.float64, count=len(rows))
-    counts = np.bincount(group, minlength=len(ids))
+    _, first, label = np.unique(rows.group, return_index=True,
+                                return_inverse=True)
+    group = np.argsort(np.argsort(first))[label]  # by first appearance
+    counts = np.bincount(group, minlength=len(first))
     order = np.argsort(group, kind="stable")
-    x, y = x[order], y[order]
-    terms = (x, y, x * x, x * y, y * y)
+    x, y = rows.ease[order], rows.i_w[order]
     ends = np.cumsum(counts)
     starts = ends - counts
-    sums = [0.0 + t[starts] for t in terms]
     multi = np.flatnonzero(counts > 1)
-    if len(multi):
+    with _no_overflow("per-group sums of squares"):
+        terms = (x, y, x * x, x * y, y * y)
+        sums = [0.0 + t[starts] for t in terms]
         spans = list(zip(starts[multi].tolist(), ends[multi].tolist()))
         for total, values in zip(sums, (t.tolist() for t in terms)):
             total[multi] = [fsum(values[a:b]) for a, b in spans]
@@ -237,7 +241,7 @@ def _profile(stats: _GroupStats, n: int, theta: float):
     return loglik, intercept, slope, sigma2, a11, a22, det
 
 
-def fit_random_intercept(rows: Sequence[RegressionRow]) -> FitResult:
+def fit_random_intercept(rows: np.recarray) -> FitResult:
     """ML fit of i_w on ease with a random intercept per row group.
 
     When every group is a singleton the group variance is not
@@ -316,22 +320,25 @@ def fit_random_intercept(rows: Sequence[RegressionRow]) -> FitResult:
 
 
 def rows_from_rounds(rounds: Rounds,
-                     infos: Mapping[str, WordInfo]) -> list[RegressionRow]:
+                     infos: Mapping[str, WordInfo]) -> np.recarray:
     """Pair each round's context ease with its word's informativeness.
 
-    Rounds whose word fell below the frequency threshold (no info
-    entry) are skipped. Rows are grouped by target chip id, so chips
-    that recur across rounds share a random intercept.
+    One record per round whose word has an info entry, in round order;
+    `group` is the target chip's id (int64), so chips that recur across
+    rounds share a random intercept.
     """
-    i_w = [infos[w].i_w if w in infos else None for w in rounds.vocab]
-    known = np.array([v is not None for v in i_w], dtype=bool)
-    kept = np.flatnonzero(known[rounds.word_ids])
-    return list(map(
-        RegressionRow,
-        [i_w[w] for w in rounds.word_ids[kept].tolist()],
-        rounds.ease[kept].tolist(),
-        rounds.chip_ids[kept].tolist(),
-    ))
+    known = [w in infos for w in rounds.vocab]
+    i_w = np.array([infos[w].i_w if k else 0.0
+                    for w, k in zip(rounds.vocab, known)])
+    kept = np.array(known, dtype=bool)[rounds.word_ids]
+    return np.rec.fromarrays(
+        [i_w[rounds.word_ids[kept]], rounds.ease[kept], rounds.chip_ids[kept]],
+        dtype=[("i_w", "<f8"), ("ease", "<f8"), ("group", "<i8")])
+
+
+def repeated_chip_rows(rows: np.recarray, rounds: Rounds) -> np.recarray:
+    """The rows whose chip is the target of 2+ rounds, of any word."""
+    return rows[np.bincount(rounds.chip_ids)[rows.group] >= 2]
 
 
 def format_fit(result: FitResult, label: str = "") -> str:

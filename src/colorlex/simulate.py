@@ -140,16 +140,16 @@ def build_entries(
         np.unique(rounds.chip_ids.astype(np.int64) * n_words
                   + rounds.word_ids),
         n_words)
+    n_chips = int(np.count_nonzero(np.diff(chips, prepend=-1)))
     named = np.array([w in infos for w in rounds.vocab], dtype=bool)[words]
     chips, words = chips[named], words[named]
     starts = np.flatnonzero(np.diff(chips, prepend=-1))
     ends = np.append(starts[1:], len(chips))
+    starts, ends = starts[ends - starts >= 2], ends[ends - starts >= 2]
     entries: list[ReferentEntry] = []
     ties = 0
     for chip, a, b in zip(chips[starts].tolist(), starts.tolist(),
                           ends.tolist()):
-        if b - a < 2:
-            continue
         ordered = tuple(
             (w, infos[w].i_w)
             for w in sorted((rounds.vocab[i] for i in words[a:b].tolist()),
@@ -162,7 +162,7 @@ def build_entries(
             ReferentEntry(tuple(rounds.chip_keys[chip].tolist()), ordered))
     report = {
         "n_referents": len(entries),
-        "skipped_few_names": len(np.unique(rounds.chip_ids)) - len(entries),
+        "skipped_few_names": n_chips - len(entries),
         "dropped_names": int(np.count_nonzero(~named)),
         "tie_entries": ties,
     }

@@ -350,7 +350,7 @@ def make_grouped_rows(
     residual_sd: float = 0.3,
 ):
     """Random-intercept regression data with known generating parameters."""
-    from colorlex.regress import RegressionRow
+    from _regress_oracle import regression_table
 
     rng = random.Random(seed)
     rows = []
@@ -359,8 +359,8 @@ def make_grouped_rows(
         for _ in range(group_size):
             x = rng.uniform(0.0, 100.0)
             y = intercept + offset + slope * x + rng.gauss(0.0, residual_sd)
-            rows.append(RegressionRow(y, x, f"g{g}"))
-    return rows
+            rows.append((y, x, f"g{g}"))
+    return regression_table(rows)
 
 
 # ------------------------------------------------------- published corpora

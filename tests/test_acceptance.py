@@ -16,9 +16,12 @@ from conftest import _locate_corpus, make_grouped_rows, run_stages
 from test_kernels import oracle_mean_pairwise
 
 from colorlex.colorspace import SrgbColor, srgb_to_lab
-from colorlex.corpus import repeated_chip_subset
 from colorlex.informativeness import SamplingConfig, informativeness
-from colorlex.regress import fit_random_intercept, rows_from_rounds
+from colorlex.regress import (
+    fit_random_intercept,
+    repeated_chip_rows,
+    rows_from_rounds,
+)
 from colorlex.simulate import (
     SystemVariant,
     build_entries,
@@ -119,9 +122,8 @@ def test_04_regression_signs_english(request):
         failures.append(
             f"full: slope {full.slope:.5f}, t {full.t_slope:.2f}"
         )
-    sub = fit_random_intercept(
-        rows_from_rounds(repeated_chip_subset(corpus.rounds), corpus.infos)
-    )
+    sub = fit_random_intercept(repeated_chip_rows(
+        rows_from_rounds(corpus.rounds, corpus.infos), corpus.rounds))
     if not sub.slope < 0:
         failures.append(f"repeated: slope {sub.slope:.5f}")
     _report(4, desc, failures)

@@ -818,23 +818,47 @@ class TestReadmeLibraryExample:
             ["actual", "general_only", "specific_only"]
 
 
+def _traced_counts(config, out, spans, *stage) -> dict:
+    """Run one stage under perfbench/traced_stage.py, which must exit 0;
+    the counts it wrote to `spans`."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "traced_stage.py"),
+         str(spans), "--config", str(config), "--out", str(out), *stage],
+        env=env, cwd=root, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return json.loads(spans.read_text("utf-8"))["counts"]
+
+
+def _chip_round_counts(out) -> tuple[Counter, Counter]:
+    """From clean_rounds.tsv and word_info.tsv as text: how many rounds
+    name each target chip, and how many of them use a word that has an
+    informativeness entry."""
+    known = {row["word"] for row in _tsv_rows(out / "word_info.tsv")}
+    every, with_info = Counter(), Counter()
+    for row in _tsv_rows(out / "clean_rounds.tsv"):
+        every[row["target_key"]] += 1
+        with_info[row["target_key"]] += row["word"] in known
+    return every, with_info
+
+
+def _tsv_rows(path):
+    with open(path, encoding="utf-8", newline="") as handle:
+        next(handle)  # the header comment
+        yield from csv.DictReader(handle, delimiter="\t")
+
+
 class TestTraceContract:
+    """perfbench/traced_stage.py wraps the package's functions from
+    outside and counts what they take and return; its counts must be
+    the stages' own."""
+
     def test_ingest_counts_match_ingest_json(self, fixture_corpus, tmp_path):
-        """perfbench/traced_stage.py wraps corpus.ingest and corpus.clean
-        from outside and counts what they return; the counts must be the
-        stage's own."""
-        root = Path(__file__).resolve().parents[1]
-        spans, out = tmp_path / "spans.json", tmp_path / "out"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (str(root / "src"), os.environ.get("PYTHONPATH"))
-            if p))
-        done = subprocess.run(
-            [sys.executable, str(root / "perfbench" / "traced_stage.py"),
-             str(spans), "--config", str(fixture_corpus.config),
-             "--out", str(out), "ingest"],
-            env=env, cwd=root, capture_output=True, text=True)
-        assert done.returncode == 0, done.stderr
-        counts = json.loads(spans.read_text("utf-8"))["counts"]
+        out = tmp_path / "out"
+        counts = _traced_counts(fixture_corpus.config, out,
+                                tmp_path / "spans.json", "ingest")
         report = json.loads((out / "ingest.json").read_text("utf-8"))
         assert {name: counts[name] for name in (
             "corpus.raw_rows", "corpus.rejected_rows", "corpus.clean_rows",
@@ -844,3 +868,34 @@ class TestTraceContract:
             "corpus.clean_rows": report["n_clean"],
             "colorspace.conversions": 3 * report["n_clean"],
         }
+
+    def test_regression_counts_match_fits(self, fixture_corpus, tmp_path):
+        """The groups the trace counts over the table each fit takes equal
+        the fit's own n_groups and a count made from the stage tables."""
+        out = tmp_path / "out"
+        for stage in (("ingest",), ("info",)):
+            assert main(["--config", str(fixture_corpus.config),
+                         "--out", str(out), *stage]) == 0
+        every, with_info = _chip_round_counts(out)
+        expected = {
+            "all": (sum(n > 0 for n in with_info.values()),
+                    sum(n >= 2 for n in with_info.values())),
+            "repeated": (
+                sum(n > 0 and every[k] >= 2 for k, n in with_info.items()),
+                sum(n >= 2 for n in with_info.values())),
+        }
+        for subset in ("all", "repeated"):
+            counts = _traced_counts(
+                fixture_corpus.config, out, tmp_path / f"{subset}.json",
+                "regress", "--subset", subset)
+            fit = json.loads(
+                (out / f"fit_{subset}.json").read_text("utf-8"))
+            assert counts["regress.groups"] == \
+                fit["random_intercept"]["n_groups"]
+            assert (counts["regress.groups"],
+                    counts["regress.multi_row_groups"]) == expected[subset]
+        assert expected["repeated"][0] < expected["all"][0]
+        counts = _traced_counts(fixture_corpus.config, out,
+                                tmp_path / "ease.json", *PLOT_EASE)
+        assert counts["svgplot.svg_bytes"] == len(
+            (out / "plot_ease_vs_iw.svg").read_bytes())

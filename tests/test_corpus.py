@@ -8,6 +8,7 @@ import re
 
 import numpy as np
 import pytest
+from _regress_oracle import repeated_chip_subset
 from _rounds_oracle import (
     CleanRow,
     lab_distance,
@@ -44,7 +45,6 @@ from colorlex.corpus import (
     normalize_utterance,
     read_clean_rounds,
     read_spellmap,
-    repeated_chip_subset,
     write_clean_rounds,
     write_rejects,
 )

@@ -329,6 +329,7 @@ def test_bench_kernels_cases_run(monkeypatch):
     bench.bench_ease_plot(100, 13)
     bench.bench_denotation_plot(100, 14)
     bench.bench_group_stats(40, 60, 9)
+    bench.bench_regression_inputs("pooled", 200, 40, 16)
     bench.bench_read_clean_rounds(60, 10)
     bench.bench_clean(60, 11)
     bench.bench_ingest(1_000, 12)

@@ -4,33 +4,43 @@ import json
 import math
 import random
 from dataclasses import asdict
-from operator import mul
 
 import numpy as np
 import pytest
+from _regress_oracle import (
+    Row,
+    oracle_fit_ols,
+    oracle_fit_random_intercept,
+    oracle_group_stats,
+    oracle_rows_from_rounds,
+    regression_table,
+    repeated_chip_subset,
+    stats_repr,
+    table_rows,
+)
+from _rounds_oracle import CleanRow, rounds_from_rows
 from conftest import make_grouped_rows
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from colorlex import regress
+from colorlex.informativeness import WordInfo
 from colorlex.regress import (
     FitError,
     FitResult,
-    RegressionRow,
     _group_stats,
     _profile,
     fit_ols,
     fit_random_intercept,
     format_fit,
+    repeated_chip_rows,
     rows_from_rounds,
 )
 
 
 def _line_rows(n=10, intercept=2.0, slope=-0.01):
-    return [
-        RegressionRow(intercept + slope * x, float(x), str(x))
-        for x in range(n)
-    ]
+    return regression_table(
+        (intercept + slope * x, float(x), str(x)) for x in range(n))
 
 
 def _noisy_rows(seed, n, intercept, slope, sd):
@@ -38,11 +48,8 @@ def _noisy_rows(seed, n, intercept, slope, sd):
     rows = []
     for i in range(n):
         x = rng.uniform(0.0, 100.0)
-        rows.append(
-            RegressionRow(intercept + slope * x + rng.gauss(0.0, sd), x,
-                          str(i))
-        )
-    return rows
+        rows.append((intercept + slope * x + rng.gauss(0.0, sd), x, str(i)))
+    return regression_table(rows)
 
 
 def reference_profile(groups, n, theta):
@@ -113,25 +120,23 @@ class TestOls:
     def test_matches_numpy_polyfit(self):
         rows = _noisy_rows(7, 200, 1.0, 0.5, 1.0)
         fit = fit_ols(rows)
-        slope, intercept = np.polyfit([r.ease for r in rows],
-                                      [r.i_w for r in rows], 1)
+        slope, intercept = np.polyfit(rows.ease, rows.i_w, 1)
         assert fit.slope == pytest.approx(slope, rel=1e-10)
         assert fit.intercept == pytest.approx(intercept, rel=1e-10)
 
     def test_null_slope_not_significant(self):
         rng = random.Random(55)
-        rows = [
-            RegressionRow(1.0 + rng.gauss(0.0, 0.5), rng.uniform(0.0, 10.0),
-                          str(i))
-            for i in range(500)
-        ]
+        rows = regression_table(
+            (1.0 + rng.gauss(0.0, 0.5), rng.uniform(0.0, 10.0), str(i))
+            for i in range(500))
         fit = fit_ols(rows)
         assert abs(fit.t_slope) < 2.0
         assert fit.p_slope > 0.05
 
     def test_shift_invariance(self):
         rows = _noisy_rows(11, 100, 2.0, -0.5, 0.2)
-        shifted = [RegressionRow(r.i_w, r.ease + 37.5, r.group) for r in rows]
+        shifted = rows.copy()
+        shifted.ease += 37.5
         a, b = fit_ols(rows), fit_ols(shifted)
         assert b.slope == pytest.approx(a.slope, abs=1e-9)
         assert b.intercept == pytest.approx(a.intercept - a.slope * 37.5,
@@ -145,7 +150,7 @@ class TestOls:
         assert fit.loglik == pytest.approx(expected, rel=1e-12)
 
     def test_constant_predictor_rejected(self):
-        rows = [RegressionRow(float(i), 5.0, str(i)) for i in range(10)]
+        rows = regression_table((float(i), 5.0, str(i)) for i in range(10))
         with pytest.raises(FitError, match="constant"):
             fit_ols(rows)
 
@@ -161,10 +166,8 @@ class TestRandomIntercept:
         for g in range(40):
             for _ in range(5):
                 x = rng.uniform(0.0, 100.0)
-                rows.append(
-                    RegressionRow(2.0 + 0.01 * x + rng.gauss(0.0, 0.2), x,
-                                  f"g{g}")
-                )
+                rows.append((2.0 + 0.01 * x + rng.gauss(0.0, 0.2), x, f"g{g}"))
+        rows = regression_table(rows)
         mixed = fit_random_intercept(rows)
         ols = fit_ols(rows)
         assert mixed.sigma2_group == pytest.approx(0.0, abs=1e-8)
@@ -218,10 +221,8 @@ class TestRandomIntercept:
             for _ in range(6):
                 x = rng.uniform(0.0, 100.0)
                 rows.append(
-                    RegressionRow(offset + 0.01 * x + rng.gauss(0.0, 1e-3),
-                                  x, f"g{g}")
-                )
-        fit = fit_random_intercept(rows)
+                    (offset + 0.01 * x + rng.gauss(0.0, 1e-3), x, f"g{g}"))
+        fit = fit_random_intercept(regression_table(rows))
         assert not fit.converged
         assert any("boundary" in w for w in fit.warnings)
 
@@ -231,9 +232,9 @@ class TestRandomIntercept:
 
     def test_group_labels_are_opaque(self):
         rows = make_grouped_rows(8, n_groups=50)
-        renamed = [
-            RegressionRow(r.i_w, r.ease, "x" + r.group) for r in rows
-        ]
+        renamed = regression_table(zip(
+            rows.i_w.tolist(), rows.ease.tolist(),
+            ["x" + g for g in rows.group.tolist()]))
         a, b = fit_random_intercept(rows), fit_random_intercept(renamed)
         assert a.slope == b.slope
         assert a.loglik == b.loglik
@@ -247,12 +248,11 @@ def _dense_profile(rows, theta):
     see Bates et al. 2015, "Fitting Linear Mixed-Effects Models Using
     lme4", JSS 67(1).
     """
-    labels = {}
-    g = np.array([labels.setdefault(r.group, len(labels)) for r in rows])
+    g = rows.group
     n = len(rows)
     v = np.eye(n) + theta * (g[:, None] == g[None, :])
-    x = np.column_stack([np.ones(n), [r.ease for r in rows]])
-    y = np.array([r.i_w for r in rows])
+    x = np.column_stack([np.ones(n), rows.ease])
+    y = rows.i_w
     vinv = np.linalg.inv(v)
     intercept, slope = np.linalg.solve(x.T @ vinv @ x, x.T @ vinv @ y)
     resid = y - intercept - slope * x[:, 1]
@@ -272,10 +272,9 @@ def _unequal_groups(seed):
         offset = rng.gauss(0.0, 0.7)
         for _ in range(size):
             x = rng.uniform(0.0, 50.0)
-            rows.append(RegressionRow(1.0 + offset - 0.03 * x
-                                      + rng.gauss(0.0, 0.4), x, (g, 0, 0)))
+            rows.append((1.0 + offset - 0.03 * x + rng.gauss(0.0, 0.4), x, g))
     rng.shuffle(rows)
-    return rows
+    return regression_table(rows)
 
 
 _DENSE_PROBLEMS = {
@@ -319,10 +318,10 @@ def _mixed_groups(seed, n_groups, singleton_share):
         offset = rng.gauss(0.0, 0.5)
         for _ in range(size):
             x = rng.uniform(0.0, 100.0)
-            rows.append(RegressionRow(4.0 + offset - 0.02 * x
-                                      + rng.gauss(0.0, 0.3), x, f"g{g}"))
+            rows.append((4.0 + offset - 0.02 * x + rng.gauss(0.0, 0.3), x,
+                         f"g{g}"))
     rng.shuffle(rows)
-    return rows
+    return regression_table(rows)
 
 
 _ORACLE_PROBLEMS = {
@@ -356,30 +355,7 @@ def _grouped_rows(draw):
     labels = draw(st.permutations(
         [g for g, size in enumerate(sizes) for _ in range(size)]))
     value = st.floats(-1e100, 1e100, allow_nan=False, allow_infinity=False)
-    return [RegressionRow(draw(value), draw(value), g) for g in labels]
-
-
-def reference_group_stats(rows):
-    """The grouping that `regress._group_stats` replaces: a dict of two
-    lists per label, then one fsum per statistic and group, groups in
-    first-appearance order. Returns one tuple per group."""
-    by_group = {}
-    for r in rows:
-        xs, ys = by_group.setdefault(r.group, ([], []))
-        xs.append(r.ease)
-        ys.append(r.i_w)
-    return [
-        (float(len(xs)), math.fsum(xs), math.fsum(ys),
-         math.fsum(map(mul, xs, xs)), math.fsum(map(mul, xs, ys)),
-         math.fsum(map(mul, ys, ys)))
-        for xs, ys in by_group.values()
-    ]
-
-
-def group_stats_tuples(stats):
-    """`_group_stats` output in the shape of reference_group_stats."""
-    return list(zip(*(a.tolist() for a in (stats.n, stats.sx, stats.sy,
-                                           stats.sxx, stats.sxy, stats.syy))))
+    return regression_table((draw(value), draw(value), g) for g in labels)
 
 
 _SIGNED_ZERO_OR_FINITE = st.one_of(
@@ -389,12 +365,13 @@ _SIGNED_ZERO_OR_FINITE = st.one_of(
 
 @st.composite
 def _interleaved_rows(draw):
-    """Rows of int and str labels in random order, with signed zeros."""
-    labels = draw(st.lists(st.one_of(st.integers(0, 5),
-                                     st.sampled_from(["a", "b", "c"])),
-                           min_size=1, max_size=30))
-    return [RegressionRow(draw(_SIGNED_ZERO_OR_FINITE),
-                          draw(_SIGNED_ZERO_OR_FINITE), g) for g in labels]
+    """A table of int or of str labels in random order, with signed
+    zeros."""
+    label = draw(st.sampled_from([st.integers(0, 5),
+                                  st.sampled_from(["b", "a", "c"])]))
+    labels = draw(st.lists(label, min_size=1, max_size=30))
+    return regression_table((draw(_SIGNED_ZERO_OR_FINITE),
+                             draw(_SIGNED_ZERO_OR_FINITE), g) for g in labels)
 
 
 class TestGroupStatsOracle:
@@ -402,14 +379,13 @@ class TestGroupStatsOracle:
               max_examples=300)
     @given(rows=_interleaved_rows())
     def test_equals_dict_and_fsum_grouping(self, rows):
-        # repr tells -0.0 from 0.0, which == does not.
-        assert repr(group_stats_tuples(_group_stats(rows))) == repr(
-            reference_group_stats(rows))
+        assert stats_repr(_group_stats(rows)) == stats_repr(
+            oracle_group_stats(table_rows(rows)))
 
     def test_single_negative_zero_sums_to_positive_zero(self):
-        stats = _group_stats([RegressionRow(-0.0, -0.0, "a"),
-                              RegressionRow(1.0, 2.0, "b"),
-                              RegressionRow(3.0, 4.0, "b")])
+        stats = _group_stats(regression_table([(-0.0, -0.0, "a"),
+                                               (1.0, 2.0, "b"),
+                                               (3.0, 4.0, "b")]))
         assert repr(stats.sx.tolist()) == "[0.0, 6.0]"
         assert repr(stats.sy.tolist()) == "[0.0, 4.0]"
 
@@ -418,8 +394,8 @@ class TestProfileOracle:
     """_profile against the scalar loop: all seven values bit for bit."""
 
     def test_group_stats_in_first_appearance_order(self):
-        rows = [RegressionRow(1.0, 2.0, "b"), RegressionRow(3.0, 5.0, "a"),
-                RegressionRow(0.1, 0.2, "b")]
+        rows = regression_table([(1.0, 2.0, "b"), (3.0, 5.0, "a"),
+                                 (0.1, 0.2, "b")])
         stats = _group_stats(rows)
         assert stats.n.tolist() == [2.0, 1.0]
         assert stats.sx.tolist() == [math.fsum([2.0, 0.2]), 5.0]
@@ -478,10 +454,131 @@ class TestProfileOracle:
             reference_profile, groups, len(rows), theta)
 
 
+def _fit_outcome(fit, rows):
+    """A fit's fields as one repr (exact, and NaN equals NaN), or the
+    error it raised."""
+    try:
+        return repr(asdict(fit(rows)))
+    except FitError as exc:
+        return f"FitError: {exc}"
+
+
+@st.composite
+def _fit_tables(draw):
+    """Tables of 0-40 rows: all singletons (the OLS fallback), or
+    groups of 1-8 rows interleaved; int or str labels; signed zeros."""
+    if draw(st.booleans()):
+        sizes = [1] * draw(st.integers(0, 40))
+    else:
+        sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=8))
+    groups = draw(st.permutations(
+        [g for g, size in enumerate(sizes) for _ in range(size)]))
+    if draw(st.booleans()):
+        groups = [f"chip{g:02d}" for g in groups]
+    values = st.one_of(_SIGNED_ZERO_OR_FINITE, st.floats(-10.0, 10.0))
+    return regression_table((draw(values), draw(values), g) for g in groups)
+
+
+# d * d and d ** 2 round apart: the two sums of squares differ.
+_POW_ROUNDS_APART = 37334686.26253329
+
+
+class TestFitsEqualRowOracle:
+    """Both fits of a table against the row code they replaced, field
+    for field (warnings included), or the same FitError."""
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=300)
+    @given(rows=_fit_tables())
+    @example(rows=regression_table([(1.0, -_POW_ROUNDS_APART, 0),
+                                    (2.0, 0.0, 1),
+                                    (4.0, _POW_ROUNDS_APART, 2)]))
+    @example(rows=regression_table([(-0.0, -0.0, "b"), (-0.0, 1.0, "a"),
+                                    (0.0, 2.0, "b"), (1.0, -0.0, "a")]))
+    def test_property(self, rows):
+        assert _fit_outcome(fit_ols, rows) == _fit_outcome(
+            oracle_fit_ols, table_rows(rows))
+        assert _fit_outcome(fit_random_intercept, rows) == _fit_outcome(
+            oracle_fit_random_intercept, table_rows(rows))
+
+    def test_square_rounds_as_pow(self):
+        assert _POW_ROUNDS_APART * _POW_ROUNDS_APART != \
+            _POW_ROUNDS_APART ** 2
+        rows = regression_table([(1.0, -_POW_ROUNDS_APART, 0),
+                                 (2.0, 0.0, 1), (4.0, _POW_ROUNDS_APART, 2)])
+        assert asdict(fit_ols(rows)) == asdict(oracle_fit_ols(
+            table_rows(rows)))
+
+    @pytest.mark.parametrize("problem", sorted(_FIT_PROBLEMS))
+    def test_problems(self, problem):
+        rows = _FIT_PROBLEMS[problem]()
+        for fit, oracle in ((fit_ols, oracle_fit_ols),
+                            (fit_random_intercept,
+                             oracle_fit_random_intercept)):
+            assert _fit_outcome(fit, rows) == _fit_outcome(
+                oracle, table_rows(rows))
+
+    @pytest.mark.parametrize("subset", ["all", "repeated"])
+    def test_fixture_corpus(self, fixture_rounds, fixture_infos, subset):
+        rows = rows_from_rounds(fixture_rounds, fixture_infos)
+        rounds = fixture_rounds
+        if subset == "repeated":
+            rows = repeated_chip_rows(rows, fixture_rounds)
+            rounds = repeated_chip_subset(fixture_rounds)
+        oracle_rows = oracle_rows_from_rounds(rounds, fixture_infos)
+        assert table_rows(rows) == oracle_rows
+        assert asdict(fit_ols(rows)) == asdict(oracle_fit_ols(oracle_rows))
+        assert asdict(fit_random_intercept(rows)) == asdict(
+            oracle_fit_random_intercept(oracle_rows))
+
+
+class TestOverflow:
+    """Terms that overflow float64 raise FitError, not a silent inf."""
+
+    def _huge(self, groups):
+        rng = random.Random(5)
+        return regression_table(
+            (1e200 * rng.uniform(0.5, 1.0), 1e200 * rng.uniform(-1.0, 1.0),
+             g) for g in groups)
+
+    def test_ols(self):
+        with pytest.raises(FitError, match="overflow"):
+            fit_ols(self._huge(range(10)))
+
+    def test_random_intercept_grouped(self):
+        with pytest.raises(FitError, match="overflow"):
+            fit_random_intercept(self._huge([0, 1, 0, 2, 1, 2]))
+
+    def test_random_intercept_singletons(self):
+        # the OLS fallback
+        with pytest.raises(FitError, match="overflow"):
+            fit_random_intercept(self._huge(range(10)))
+
+    @pytest.mark.parametrize("column", ["i_w", "ease"])
+    def test_one_column(self, column):
+        rows = _noisy_rows(4, 20, 1.0, 0.5, 0.1)
+        getattr(rows, column)[3] = 1e200
+        with pytest.raises(FitError, match="overflow"):
+            fit_ols(rows)
+
+    def test_sum_overflow(self):
+        # each centred ease and its square are finite; the sum is not
+        rows = regression_table((float(i), 1.0e154 * (1 - 2 * (i % 2)), i)
+                                for i in range(40))
+        with pytest.raises(FitError, match="overflow"):
+            fit_ols(rows)
+
+
+def _info(word, i_w):
+    return WordInfo(word, 100.0 / i_w, i_w, 10, False)
+
+
 class TestRowsFromRounds:
     def test_groups_by_target_chip(self, fixture_rounds, fixture_clean,
                                    fixture_infos):
         rows = rows_from_rounds(fixture_rounds, fixture_infos)
+        assert rows.dtype.descr == [
+            ("i_w", "<f8"), ("ease", "<f8"), ("group", "<i8")]
         with_info = [r for r in fixture_clean if r.word in fixture_infos]
         assert len(rows) == len(with_info)
         for row, r in zip(rows, with_info):
@@ -493,6 +590,23 @@ class TestRowsFromRounds:
     def test_skips_words_below_threshold(self, fixture_rounds, fixture_infos):
         rows = rows_from_rounds(fixture_rounds, fixture_infos)
         assert len(rows) < len(fixture_rounds)
+
+    def test_repeated_counts_rounds_of_every_word(self):
+        # Chip 1 is the target twice, once of a word without info, so its
+        # "a" round is kept; chip 2 is the target once.
+        gray = (50.0, 0.0, 0.0)
+        rounds = rounds_from_rows([
+            CleanRow("g", i, "", word, key, ease, gray, gray, gray)
+            for i, (word, key, ease) in enumerate([
+                ("a", (1, 0, 0), 1.0), ("rare", (1, 0, 0), 2.0),
+                ("b", (2, 0, 0), 3.0), ("a", (3, 0, 0), 4.0),
+                ("b", (3, 0, 0), 5.0)])])
+        infos = {"a": _info("a", 2.0), "b": _info("b", 3.0)}
+        rows = repeated_chip_rows(rows_from_rounds(rounds, infos), rounds)
+        assert table_rows(rows) == [Row(2.0, 1.0, 0), Row(2.0, 4.0, 2),
+                                    Row(3.0, 5.0, 2)]
+        assert table_rows(rows) == oracle_rows_from_rounds(
+            repeated_chip_subset(rounds), infos)
 
 
 class TestFixtureCorpusRegression:
@@ -515,10 +629,8 @@ class TestFixtureCorpusRegression:
 
     def test_repeated_subset_slope_negative(self, fixture_rounds,
                                             fixture_infos):
-        from colorlex.corpus import repeated_chip_subset
-
-        rows = rows_from_rounds(repeated_chip_subset(fixture_rounds),
-                                fixture_infos)
+        rows = repeated_chip_rows(
+            rows_from_rounds(fixture_rounds, fixture_infos), fixture_rounds)
         fit = fit_random_intercept(rows)
         assert fit.slope < 0
         assert fit.t_slope < -2.0

@@ -112,7 +112,62 @@ def oracle_ease_pools(rounds, eligible, bins):
     return pools
 
 
+def oracle_build_entries(rounds, infos):
+    """build_entries one chip at a time: every distinct target chip, in
+    key order, with its distinct words; words without an info entry
+    dropped, and chips left with fewer than two names skipped."""
+    keys = [tuple(k) for k in rounds.chip_keys.tolist()]
+    words_of = {}
+    for w, c in zip(rounds.word_ids.tolist(), rounds.chip_ids.tolist()):
+        words_of.setdefault(keys[c], set()).add(rounds.vocab[w])
+    entries, ties, dropped = [], 0, 0
+    for key in sorted(words_of):
+        named = [w for w in words_of[key] if w in infos]
+        dropped += len(words_of[key]) - len(named)
+        if len(named) < 2:
+            continue
+        named.sort(key=lambda w: (infos[w].i_w, w))
+        scores = [infos[w].i_w for w in named]
+        ties += len(set(scores)) != len(scores)
+        entries.append(simulate.ReferentEntry(
+            key, tuple((w, infos[w].i_w) for w in named)))
+    return entries, {
+        "n_referents": len(entries),
+        "skipped_few_names": len(words_of) - len(entries),
+        "dropped_names": dropped,
+        "tie_entries": ties,
+    }
+
+
+@st.composite
+def _named_rounds(draw):
+    """Up to 40 rounds over 8 chips and 6 words; the words' i_w drawn
+    from 3 values, so names tie, and some words have no entry."""
+    words = "abcdef"
+    scores = draw(st.lists(st.sampled_from([None, 1.0, 2.5, 4.0]),
+                           min_size=len(words), max_size=len(words)))
+    infos = {w: _info(w, i_w) for w, i_w in zip(words, scores)
+             if i_w is not None}
+    pairs = draw(st.lists(st.tuples(st.sampled_from(words),
+                                    st.integers(0, 7)),
+                          min_size=1, max_size=40))
+    return _table([_round(w, (c * 45, c % 3, 0), idx=i)
+                   for i, (w, c) in enumerate(pairs)]), infos
+
+
 class TestBuildEntries:
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=200)
+    @given(case=_named_rounds())
+    def test_equals_chip_by_chip_oracle(self, case):
+        rounds, infos = case
+        assert repr(build_entries(rounds, infos)) == repr(
+            oracle_build_entries(rounds, infos))
+
+    def test_fixture_equals_oracle(self, fixture_rounds, fixture_infos):
+        assert repr(build_entries(fixture_rounds, fixture_infos)) == repr(
+            oracle_build_entries(fixture_rounds, fixture_infos))
+
     def test_toy_structure(self, toy_system):
         assert toy_system.report == {
             "n_referents": 6,
