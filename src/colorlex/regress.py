@@ -115,11 +115,12 @@ def fit_ols(rows: np.recarray) -> FitResult:
     with _no_overflow("least-squares terms"):
         mean_x = fsum(x.tolist()) / n
         mean_y = fsum(y.tolist()) / n
+        dx = x - mean_x
         # pow(), as float ** calls it: d * d rounds apart about 1 in 1,000
-        sxx = fsum(np.float_power(x - mean_x, 2.0).tolist())
+        sxx = fsum(np.float_power(dx, 2.0).tolist())
         if sxx == 0.0:
             raise FitError("predictor is constant; slope undefined")
-        sxy = fsum(((x - mean_x) * (y - mean_y)).tolist())
+        sxy = fsum((dx * (y - mean_y)).tolist())
         slope = sxy / sxx
         intercept = mean_y - slope * mean_x
         rss = fsum(np.float_power((y - intercept) - slope * x, 2.0).tolist())
@@ -327,10 +328,9 @@ def rows_from_rounds(rounds: Rounds,
     `group` is the target chip's id (int64), so chips that recur across
     rounds share a random intercept.
     """
-    known = [w in infos for w in rounds.vocab]
-    i_w = np.array([infos[w].i_w if k else 0.0
-                    for w, k in zip(rounds.vocab, known)])
-    kept = np.array(known, dtype=bool)[rounds.word_ids]
+    known = np.array([w in infos for w in rounds.vocab], dtype=bool)
+    i_w = np.array([infos[w].i_w if w in infos else 0.0 for w in rounds.vocab])
+    kept = known[rounds.word_ids]
     return np.rec.fromarrays(
         [i_w[rounds.word_ids[kept]], rounds.ease[kept], rounds.chip_ids[kept]],
         dtype=[("i_w", "<f8"), ("ease", "<f8"), ("group", "<i8")])
