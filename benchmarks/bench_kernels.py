@@ -10,7 +10,10 @@ statistics against `oracle_group_stats` in tests/_regress_oracle.py;
 the regression table from `rows_from_rounds` and both fits, over all
 rounds and the repeated-chip subset, against the row-per-tuple code
 in tests/_regress_oracle.py (equal fields; with the tracemalloc heap
-peak of each side); the batch colour
+peak of each side); the referent table of `build_entries` and the
+three simulations of `run_all_variants` against the chip-by-chip
+referents and Python-built kernel inputs of tests/_simulate_oracle.py
+(equal referents, reports and results); the batch colour
 conversion against hsl_to_srgb + srgb_to_lab over the whole integer
 HSL grid; the columnar `ingest`, `clean` and clean-rounds reader
 against the per-row code in tests/_rounds_oracle.py, and the reader's
@@ -63,6 +66,11 @@ from _rounds_oracle import (  # noqa: E402
     oracle_write_clean_rounds,
     rounds_rows,
 )
+from _simulate_oracle import (  # noqa: E402
+    oracle_build_entries,
+    oracle_run_all_variants,
+    referent_rows,
+)
 from _svg_oracle import oracle_denotation_plot, oracle_ease_plot  # noqa: E402
 from test_heap_peaks import heap_kept, heap_peak  # noqa: E402
 from test_kernels import (  # noqa: E402
@@ -72,7 +80,7 @@ from test_kernels import (  # noqa: E402
 )
 from test_regress import every_step_fit, reference_profile  # noqa: E402
 
-from colorlex import corpus, kernels, regress, svgplot  # noqa: E402
+from colorlex import corpus, kernels, regress, simulate, svgplot  # noqa: E402
 from colorlex.colorspace import (  # noqa: E402
     HslColor,
     hsl_to_lab_array,
@@ -140,25 +148,26 @@ def _group_rows(n_groups: int, n_rows: int, seed: int):
                                 labels.tolist()))
 
 
-def _regression_case(n_rows: int, n_chips: int, seed: int):
+def _regression_case(n_rows: int, n_chips: int, seed: int,
+                     n_words: int = 606):
     """A Rounds table of n_rows rounds whose target chips are drawn from
-    n_chips distinct grid chips, over 606 Zipf-weighted words, and an
-    info entry for each word said at least 10 times."""
+    n_chips distinct grid chips, over n_words Zipf-weighted words, and
+    an info entry for each word said at least 10 times."""
     rng = np.random.default_rng(seed)
-    weights = 1.0 / np.arange(1, 607)
-    word_ids = rng.choice(606, size=n_rows, p=weights / weights.sum())
+    weights = 1.0 / np.arange(1, n_words + 1)
+    word_ids = rng.choice(n_words, size=n_rows, p=weights / weights.sum())
     codes = rng.choice(360 * 101 * 101, size=n_chips, replace=False)
     chip_keys = np.stack(np.unravel_index(np.sort(codes), (360, 101, 101)),
                          axis=1).astype(np.int64)
     gray = np.zeros((n_rows, 3))
     rounds = corpus.Rounds(
-        vocab=tuple(f"w{i}" for i in range(606)), word_ids=word_ids,
+        vocab=tuple(f"w{i}" for i in range(n_words)), word_ids=word_ids,
         chip_keys=chip_keys, chip_ids=rng.integers(0, n_chips, n_rows),
         ease=rng.uniform(0.0, 100.0, size=n_rows), game_ids=[""] * n_rows,
         speaker_ids=[""] * n_rows, round_indices=list(range(n_rows)),
         lab=(gray, gray, gray))
-    counts = np.bincount(word_ids, minlength=606).tolist()
-    i_w = rng.uniform(1.0, 10.0, size=606).tolist()
+    counts = np.bincount(word_ids, minlength=n_words).tolist()
+    i_w = rng.uniform(1.0, 10.0, size=n_words).tolist()
     infos = {f"w{i}": WordInfo(f"w{i}", 100.0 / i_w[i], i_w[i], n, False)
              for i, n in enumerate(counts) if n >= 10}
     return rounds, infos
@@ -417,6 +426,35 @@ def bench_regression_inputs(label: str, n_rows: int, n_chips: int,
     print(f"  row oracle heap peak {heap_peak(row_inputs) / 1e6:7.1f} MB")
 
 
+def bench_referents(label: str, n_rows: int, n_chips: int, n_words: int,
+                    seed: int) -> None:
+    """The referent table and the three simulations, against the
+    chip-by-chip referents played through Python-built kernel inputs;
+    then the table alone."""
+    rounds, infos = _regression_case(n_rows, n_chips, seed, n_words)
+
+    def table():
+        referents, report = simulate.build_entries(rounds, infos)
+        return referents, report, simulate.run_all_variants(referents)
+
+    def oracle():
+        rows, report = oracle_build_entries(rounds, infos)
+        return rows, report, oracle_run_all_variants(rows)
+
+    (referents, report, results), t_table = _best(table, repeat=3)
+    (rows, want_report, want), t_oracle = _best(oracle, repeat=3)
+    assert referent_rows(referents) == rows and report == want_report, (
+        f"referents {label} disagree")
+    assert repr(results) == repr(want), f"simulation {label} disagrees"
+    _line(f"referents {label} m={len(referents)}", t_table, t_oracle,
+          "table")
+    _, t_table = _best(lambda: simulate.build_entries(rounds, infos),
+                       repeat=5)
+    _, t_oracle = _best(lambda: oracle_build_entries(rounds, infos),
+                        repeat=5)
+    _line("  build_entries", t_table, t_oracle, "table")
+
+
 def bench_read_clean_rounds(n_rows: int, seed: int) -> None:
     text = _clean_table(n_rows, seed)
     got, t_read = _best(
@@ -539,6 +577,10 @@ def main() -> None:
     # 37k of them distinct (vocab47k), and on a pool of 3,000 (pool47k).
     bench_regression_inputs("distinct chips", 40_000, 300_000, 16)
     bench_regression_inputs("pooled chips", 40_000, 3_000, 17)
+    # The simulation's two shapes: 17 words over a pool of 3,000 chips
+    # (pool47k), and ~600 Zipf words over ~36k distinct chips (vocab47k).
+    bench_referents("pooled chips", 40_000, 3_000, 17, 18)
+    bench_referents("distinct chips", 40_000, 300_000, 606, 19)
     bench_chip_keys(40_000, 15)
     bench_read_clean_rounds(47_000, 10)
     bench_ingest(47_000, 12)

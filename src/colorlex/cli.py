@@ -176,8 +176,8 @@ def cmd_regress(cfg: RunConfig, args) -> None:
 def cmd_simulate(cfg: RunConfig, args) -> None:
     rounds = _read_rounds(cfg)
     infos = _read(cfg, "word_info.tsv", "info", read_word_infos)
-    entries, report = simulate.build_entries(rounds, infos)
-    results = simulate.run_all_variants(entries)
+    referents, report = simulate.build_entries(rounds, infos)
+    results = simulate.run_all_variants(referents)
     ordered = [results[v] for v in simulate.SystemVariant]
     _write(cfg, "simulation.tsv",
            lambda h: simulate.write_simulation(h, ordered, header_line(cfg)))
@@ -198,10 +198,10 @@ def cmd_simulate(cfg: RunConfig, args) -> None:
 def cmd_stimuli(cfg: RunConfig, args) -> None:
     rounds = _read_rounds(cfg)
     infos = _read(cfg, "word_info.tsv", "info", read_word_infos)
-    entries, _ = simulate.build_entries(rounds, infos)
+    referents, _ = simulate.build_entries(rounds, infos)
     stimuli, report = simulate.generate_stimuli(
         rounds,
-        entries,
+        referents,
         infos,
         n=args.n,
         bins=args.bins,

@@ -732,7 +732,9 @@ def build_denotations(rounds: Rounds,
 
 
 def read_spellmap(path) -> dict[str, str]:
-    """Read token corrections: one "wrong right" pair per line, # comments."""
+    """Read token corrections: one "wrong right" pair per line, # comments.
+    Each side must be one token as normalize_utterance leaves it, and
+    each wrong token is mapped once; else a ValueError names the line."""
     spellmap: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as handle:
         try:
@@ -748,6 +750,11 @@ def read_spellmap(path) -> dict[str, str]:
             raise ValueError(
                 f"{path}:{line_no}: expected 'wrong right', got {line!r}"
             )
+        bad = [t for t in parts if normalize_utterance(t) != [t]]
+        if bad or parts[0] in spellmap:
+            why = (f"{bad[0]!r} is not one lowercase token" if bad
+                   else f"{parts[0]!r} is mapped twice")
+            raise ValueError(f"{path}:{line_no}: {why}")
         spellmap[parts[0]] = parts[1]
     return spellmap
 

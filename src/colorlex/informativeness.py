@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from math import fsum
-from typing import Iterable, Mapping, TextIO
+from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -32,6 +32,7 @@ __all__ = [
     "spread",
     "informativeness",
     "compute_word_infos",
+    "vocab_scores",
     "write_word_infos",
     "read_word_infos",
 ]
@@ -159,6 +160,15 @@ def compute_word_infos(
         word: informativeness(chips, cfg, word=word)
         for word, chips in denotations.items()
     }
+
+
+def vocab_scores(vocab: Sequence[str], infos: Mapping[str, WordInfo]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Per vocab id: whether the word has an info entry (bool), and its
+    i_w (float64, 0.0 where it has none)."""
+    known = [w in infos for w in vocab]
+    i_w = [infos[w].i_w if k else 0.0 for w, k in zip(vocab, known)]
+    return np.array(known, dtype=bool), np.array(i_w, dtype=np.float64)
 
 
 _INFO_COLUMNS = ("word", "n_chips", "spread", "i_w", "sampled")

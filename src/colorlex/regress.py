@@ -39,7 +39,7 @@ import numpy as np
 
 from .corpus import Rounds
 from .errors import ColorlexError
-from .informativeness import WordInfo
+from .informativeness import WordInfo, vocab_scores
 
 __all__ = [
     "FitResult",
@@ -328,8 +328,7 @@ def rows_from_rounds(rounds: Rounds,
     `group` is the target chip's id (int64), so chips that recur across
     rounds share a random intercept.
     """
-    known = np.array([w in infos for w in rounds.vocab], dtype=bool)
-    i_w = np.array([infos[w].i_w if w in infos else 0.0 for w in rounds.vocab])
+    known, i_w = vocab_scores(rounds.vocab, infos)
     kept = known[rounds.word_ids]
     return np.rec.fromarrays(
         [i_w[rounds.word_ids[kept]], rounds.ease[kept], rounds.chip_ids[kept]],

@@ -19,6 +19,10 @@ Accuracy is tallied in integers (chance = 1, success = 2, out of two
 per interaction) and the mean informativeness of uttered words is a
 compensated sum over per-word tallies, so results are exact and
 independent of referent or word enumeration order.
+
+The referents are columns, one `Referents` table: their chip keys in
+ascending order, and their names as CSR word ids into the corpus
+vocabulary, least informative first.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from math import fsum
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import Iterable, Mapping, TextIO
 
 import numpy as np
 
@@ -42,11 +46,11 @@ from .corpus import (
     write_table,
 )
 from .errors import ColorlexError
-from .informativeness import WordInfo
+from .informativeness import WordInfo, vocab_scores
 
 __all__ = [
     "SystemVariant",
-    "ReferentEntry",
+    "Referents",
     "SimResult",
     "Stimulus",
     "SimulationError",
@@ -69,26 +73,23 @@ class SystemVariant(Enum):
     SPECIFIC_ONLY = "specific_only"
 
 
-@dataclass(frozen=True)
-class ReferentEntry:
-    """A referent chip and its (word, i_w) names, least informative first.
-
-    Names are sorted ascending by (i_w, word) and contain at least two
-    distinct words, so the general name (names[0]) and the specific
-    name (names[-1]) always differ as words; equal scores fall back to
-    lexicographic order.
+@dataclass(frozen=True, eq=False)
+class Referents:
+    """The referents as columns: `keys`, their (m, 3) int64 chip keys in
+    ascending order, and their names, referent r's being the int64
+    vocab ids words[offsets[r]:offsets[r + 1]], sorted by (i_w, word) so
+    that the general name comes first and the specific name last. `i_w`
+    is each vocab word's informativeness (0.0 for one without an entry).
     """
 
-    key: ChipKey
-    names: tuple[tuple[str, float], ...]
+    keys: np.ndarray
+    offsets: np.ndarray
+    words: np.ndarray
+    vocab: tuple[str, ...]
+    i_w: np.ndarray
 
-    @property
-    def general(self) -> str:
-        return self.names[0][0]
-
-    @property
-    def specific(self) -> str:
-        return self.names[-1][0]
+    def __len__(self) -> int:
+        return len(self.keys)
 
 
 @dataclass(frozen=True)
@@ -125,74 +126,59 @@ class Stimulus:
 
 def build_entries(
     rounds: Rounds, infos: Mapping[str, WordInfo]
-) -> tuple[list[ReferentEntry], dict]:
+) -> tuple[Referents, dict]:
     """Collect referents that received at least two distinct names.
 
     Words without an informativeness entry (below the frequency
     threshold) are dropped first; chips left with fewer than two
     distinct names are skipped. The report counts skipped chips,
-    dropped names, and entries whose name order needed a lexicographic
-    tie-break.
+    dropped names, and referents whose name order needed a
+    lexicographic tie-break.
     """
     n_words = len(rounds.vocab)
+    known, i_w = vocab_scores(rounds.vocab, infos)
     # Distinct (chip, word) pairs, by chip id (ascending key), then word.
     chips, words = np.divmod(
         np.unique(rounds.chip_ids.astype(np.int64) * n_words
                   + rounds.word_ids),
         n_words)
     n_chips = int(np.count_nonzero(np.diff(chips, prepend=-1)))
-    named = np.array([w in infos for w in rounds.vocab], dtype=bool)[words]
+    named = known[words]
     chips, words = chips[named], words[named]
+    kept = np.bincount(chips)[chips] >= 2
+    chips, words = chips[kept], words[kept]
+    rank = np.empty(n_words, dtype=np.int64)
+    rank[sorted(range(n_words), key=rounds.vocab.__getitem__)] = np.arange(
+        n_words)
+    # Chips stay in place: they are the primary key and already sorted.
+    words = words[np.lexsort((rank[words], i_w[words], chips))]
     starts = np.flatnonzero(np.diff(chips, prepend=-1))
-    ends = np.append(starts[1:], len(chips))
-    starts, ends = starts[ends - starts >= 2], ends[ends - starts >= 2]
-    entries: list[ReferentEntry] = []
-    ties = 0
-    for chip, a, b in zip(chips[starts].tolist(), starts.tolist(),
-                          ends.tolist()):
-        ordered = tuple(
-            (w, infos[w].i_w)
-            for w in sorted((rounds.vocab[i] for i in words[a:b].tolist()),
-                            key=lambda w: (infos[w].i_w, w))
-        )
-        scores = [i for _, i in ordered]
-        if len(set(scores)) != len(scores):
-            ties += 1
-        entries.append(
-            ReferentEntry(tuple(rounds.chip_keys[chip].tolist()), ordered))
+    scores = i_w[words]
+    tied = (scores[1:] == scores[:-1]) & (chips[1:] == chips[:-1])
+    referents = Referents(
+        keys=rounds.chip_keys[chips[starts]],
+        offsets=np.append(starts, len(chips)), words=words,
+        vocab=rounds.vocab, i_w=i_w)
     report = {
-        "n_referents": len(entries),
-        "skipped_few_names": n_chips - len(entries),
+        "n_referents": len(referents),
+        "skipped_few_names": n_chips - len(referents),
         "dropped_names": int(np.count_nonzero(~named)),
-        "tie_entries": ties,
+        "tie_entries": len(np.unique(chips[1:][tied])),
     }
-    return entries, report
+    return referents, report
 
 
-def _vocab_arrays(entries: Sequence[ReferentEntry]):
-    """Kernel inputs, which every variant shares; a word applies to the
-    referents it names. Also each word's informativeness, in vocab
-    order."""
-    if len(entries) < 2:
-        raise SimulationError(f"need at least 2 referents, got {len(entries)}")
-    i_w_of = {w: i_w for e in entries for w, i_w in e.names}
-    vocab = sorted(i_w_of)
-    index = {w: i for i, w in enumerate(vocab)}
-    offsets = np.zeros(len(entries) + 1, dtype=np.int64)
-    flat: list[int] = []
-    for i, e in enumerate(entries):
-        flat.extend(index[w] for w, _ in e.names)
-        offsets[i + 1] = len(flat)
-    words = np.array(flat, dtype=np.int64)
-    app = np.zeros((len(entries), len(vocab)), dtype=np.uint8)
-    app[np.repeat(np.arange(len(entries)), np.diff(offsets)), words] = 1
-    return vocab, [i_w_of[w] for w in vocab], offsets, words, app
-
-
-def _play(arrays, variant: SystemVariant) -> SimResult:
-    """One variant's result from the _vocab_arrays of its entries."""
-    vocab, i_ws, offsets, words, app = arrays
-    n = len(offsets) - 1
+def run_simulation(referents: Referents,
+                   variant: SystemVariant) -> SimResult:
+    """Play every ordered referent pair once over one variant's lexicon;
+    a word applies to the referents it names, whatever the variant."""
+    n = len(referents)
+    if n < 2:
+        raise SimulationError(f"need at least 2 referents, got {n}")
+    offsets = referents.offsets
+    used, words = np.unique(referents.words, return_inverse=True)
+    app = np.zeros((n, len(used)), dtype=np.uint8)
+    app[np.repeat(np.arange(n), np.diff(offsets)), words] = 1
     if variant is not SystemVariant.ACTUAL:
         # One name per referent; `app` still holds every name.
         general = variant is SystemVariant.GENERAL_ONLY
@@ -200,27 +186,16 @@ def _play(arrays, variant: SystemVariant) -> SimResult:
         offsets = np.arange(n + 1)
     acc_twice, counts = kernels.simulate_counts(offsets, words, app)
     n_inter = n * (n - 1)
-    accuracy = acc_twice / (2 * n_inter)
-    counts = counts.tolist()
-    i_l = fsum(c * i_w for c, i_w in zip(counts, i_ws)) / n_inter
-    tallies = {w: c for w, c in zip(vocab, counts) if c > 0}
-    return SimResult(variant, accuracy, i_l, n_inter, len(np.unique(words)),
-                     tallies)
+    i_l = fsum((counts * referents.i_w[used]).tolist()) / n_inter
+    tallies = dict(sorted((referents.vocab[w], c) for w, c in
+                          zip(used.tolist(), counts.tolist()) if c > 0))
+    return SimResult(variant, acc_twice / (2 * n_inter), i_l, n_inter,
+                     len(np.unique(words)), tallies)
 
 
-def run_simulation(
-    entries: Sequence[ReferentEntry], variant: SystemVariant
-) -> SimResult:
-    """Play every ordered referent pair once over one variant's lexicon."""
-    return _play(_vocab_arrays(entries), variant)
-
-
-def run_all_variants(
-    entries: Sequence[ReferentEntry],
-) -> dict[SystemVariant, SimResult]:
-    """run_simulation of each variant, the shared inputs built once."""
-    arrays = _vocab_arrays(entries)
-    return {v: _play(arrays, v) for v in SystemVariant}
+def run_all_variants(referents: Referents) -> dict[SystemVariant, SimResult]:
+    """run_simulation of each variant."""
+    return {v: run_simulation(referents, v) for v in SystemVariant}
 
 
 def _ease_pools(rounds: Rounds, eligible: np.ndarray,
@@ -247,7 +222,7 @@ def _ease_pools(rounds: Rounds, eligible: np.ndarray,
 
 def generate_stimuli(
     rounds: Rounds,
-    entries: Sequence[ReferentEntry],
+    referents: Referents,
     infos: Mapping[str, WordInfo],
     n: int = 100,
     bins: int = 10,
@@ -268,8 +243,7 @@ def generate_stimuli(
         raise ValueError(f"bins must be positive, got {bins}")
     if n % bins != 0:
         raise ValueError(f"bins must divide n evenly, got n={n} bins={bins}")
-    by_key = {e.key: e for e in entries}
-    known = np.array([w in infos for w in rounds.vocab], dtype=bool)
+    known, i_w = vocab_scores(rounds.vocab, infos)
     eligible = np.flatnonzero(known[rounds.word_ids])
     if len(eligible) < n:
         raise SimulationError(f"only {len(eligible)} eligible rounds, need {n}")
@@ -297,29 +271,35 @@ def generate_stimuli(
             key=lambda i: (ease[i], rounds.game_ids[i],
                            rounds.round_indices[i]),
         ))
+    rows = [i for _, i in picked]
+    keys = rounds.chip_keys[rounds.chip_ids[rows]]
+    # Each picked round's referent, found by key code (ascending keys,
+    # ascending codes): `referents` may come from another table.
+    codes, wanted = ((k[:, 0] * 101 + k[:, 1]) * 101 + k[:, 2]
+                     for k in (referents.keys, keys))
+    at = np.searchsorted(codes, wanted).tolist()
+    generals = referents.words[referents.offsets[:-1]].tolist()
+    specifics = referents.words[referents.offsets[1:] - 1].tolist()
+    ref_i_w = referents.i_w.tolist()
     # Only the picked rounds' Lab values are read.
-    chosen = rounds.take([i for _, i in picked])
-    lab = zip(chosen.target.tolist(), chosen.distractor1.tolist(),
-              chosen.distractor2.tolist())
+    chosen = rounds.take(rows)
     stimuli: list[Stimulus] = []
-    for (b, i), (target, d1, d2) in zip(picked, lab):
-        key = tuple(rounds.chip_keys[rounds.chip_ids[i]].tolist())
-        word = rounds.vocab[rounds.word_ids[i]]
-        entry = by_key.get(key)
-        actual_i_w = infos[word].i_w
+    for (b, i), key, hit, r, actual_i_w, target, d1, d2 in zip(
+            picked, keys.tolist(), np.isin(wanted, codes).tolist(), at,
+            i_w[rounds.word_ids[rows]].tolist(), chosen.target.tolist(),
+            chosen.distractor1.tolist(), chosen.distractor2.tolist()):
         general = specific = None
-        if entry is not None:
-            if entry.names[0][1] < actual_i_w:
-                general = entry.general
-            if entry.names[-1][1] > actual_i_w:
-                specific = entry.specific
+        if hit and ref_i_w[generals[r]] < actual_i_w:
+            general = referents.vocab[generals[r]]
+        if hit and ref_i_w[specifics[r]] > actual_i_w:
+            specific = referents.vocab[specifics[r]]
         stimuli.append(
             Stimulus(
                 target=LabColor(*target),
                 distractor1=LabColor(*d1),
                 distractor2=LabColor(*d2),
-                target_key=key,
-                actual_name=word,
+                target_key=tuple(key),
+                actual_name=rounds.vocab[rounds.word_ids[i]],
                 simulated_general=general,
                 simulated_specific=specific,
                 ease=ease[i],

@@ -26,6 +26,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from _rounds_oracle import CleanRow, rounds_from_rows, rounds_rows
+from _simulate_oracle import referent_rows
 
 from colorlex.cli import main
 from colorlex.corpus import Rounds, build_denotations, clean, ingest
@@ -330,13 +331,15 @@ def toy_system() -> SimpleNamespace:
         for ref, words in TOY_NAMES.items()
         for w in words
     ]
-    entries, report = build_entries(rounds_from_rows(rounds), infos)
-    by_key = {e.key[0]: e for e in entries}
+    referents, report = build_entries(rounds_from_rows(rounds), infos)
+    rows = referent_rows(referents)
     return SimpleNamespace(
-        entries=entries,
+        referents=referents,
         report=report,
         infos=infos,
-        by_referent=by_key,
+        # referent number -> its position in the table, and its names
+        position={key[0]: i for i, (key, _) in enumerate(rows)},
+        names={key[0]: names for key, names in rows},
     )
 
 

@@ -12,6 +12,7 @@ import random
 import numpy as np
 import pytest
 from _labref import srgb_to_lab_decimal
+from _simulate_oracle import referent_rows
 from conftest import _locate_corpus, make_grouped_rows, run_stages
 from test_kernels import oracle_mean_pairwise
 
@@ -59,7 +60,7 @@ def _within(value, target, tol, label):
 
 def test_01_toy_oracle(toy_system):
     desc = "toy-system accuracies exactly 29/30, 13/15, 14/15"
-    results = run_all_variants(toy_system.entries)
+    results = run_all_variants(toy_system.referents)
     expected = {ACTUAL: 29 / 30, GENERAL: 13 / 15, SPECIFIC: 14 / 15}
     failures = [
         f"{v.value}: {results[v].accuracy!r} != {acc!r}"
@@ -70,8 +71,8 @@ def test_01_toy_oracle(toy_system):
 
 
 def _check_table3(corpus, acc_targets, acc_tol, il_targets, il_tol):
-    entries, _ = build_entries(corpus.rounds, corpus.infos)
-    results = run_all_variants(entries)
+    referents, _ = build_entries(corpus.rounds, corpus.infos)
+    results = run_all_variants(referents)
     checks = []
     for variant, acc, il in zip((ACTUAL, GENERAL, SPECIFIC),
                                 acc_targets, il_targets):
@@ -101,10 +102,10 @@ def test_02_simulation_chinese(request):
 def test_03_orderings(fixture_rounds, fixture_infos, toy_system):
     desc = "accuracy(actual) >= both; I_L general <= actual <= specific"
     failures = []
-    fixture_entries, _ = build_entries(fixture_rounds, fixture_infos)
-    for label, entries in (("fixture", fixture_entries),
-                           ("toy", toy_system.entries)):
-        r = run_all_variants(entries)
+    fixture_referents, _ = build_entries(fixture_rounds, fixture_infos)
+    for label, referents in (("fixture", fixture_referents),
+                             ("toy", toy_system.referents)):
+        r = run_all_variants(referents)
         if not (r[ACTUAL].accuracy >= r[GENERAL].accuracy
                 and r[ACTUAL].accuracy >= r[SPECIFIC].accuracy):
             failures.append(f"{label}: accuracy ordering violated")
@@ -274,9 +275,9 @@ def test_09_pipeline_determinism(fixture_corpus, tmp_path):
 
 def test_note_stimulus_generation(fixture_rounds, fixture_infos):
     desc = "100 stimuli, uniform ease bins, simulated-name rules hold"
-    entries, _ = build_entries(fixture_rounds, fixture_infos)
-    by_key = {e.key: e for e in entries}
-    stimuli, report = generate_stimuli(fixture_rounds, entries,
+    referents, _ = build_entries(fixture_rounds, fixture_infos)
+    names_of = dict(referent_rows(referents))
+    stimuli, report = generate_stimuli(fixture_rounds, referents,
                                        fixture_infos, n=100, bins=10, seed=0)
     failures = []
     if len(stimuli) != 100:
@@ -290,18 +291,16 @@ def test_note_stimulus_generation(fixture_rounds, fixture_infos):
             failures.append(f"bin {b} holds {report['bin_counts'][b]}")
     for s in stimuli:
         actual = fixture_infos[s.actual_name].i_w
-        entry = by_key.get(s.target_key)
-        general = entry.names[0][1] if entry else None
-        specific = entry.names[-1][1] if entry else None
+        names = names_of.get(s.target_key)
         ok_general = (
             s.simulated_general is None
-            if entry is None or general >= actual
-            else s.simulated_general == entry.general
+            if names is None or names[0][1] >= actual
+            else s.simulated_general == names[0][0]
         )
         ok_specific = (
             s.simulated_specific is None
-            if entry is None or specific <= actual
-            else s.simulated_specific == entry.specific
+            if names is None or names[-1][1] <= actual
+            else s.simulated_specific == names[-1][0]
         )
         if not (ok_general and ok_specific):
             failures.append(f"stimulus at {s.target_key} breaks name rules")

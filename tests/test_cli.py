@@ -899,3 +899,18 @@ class TestTraceContract:
                                 tmp_path / "ease.json", *PLOT_EASE)
         assert counts["svgplot.svg_bytes"] == len(
             (out / "plot_ease_vs_iw.svg").read_bytes())
+
+    def test_simulation_counts_match_report(self, fixture_corpus, tmp_path):
+        """The referents the trace counts, and the ordered pairs the
+        kernel plays over the three lexicons, are the stage's own."""
+        out = tmp_path / "out"
+        for stage in (("ingest",), ("info",)):
+            assert main(["--config", str(fixture_corpus.config),
+                         "--out", str(out), *stage]) == 0
+        counts = _traced_counts(fixture_corpus.config, out,
+                                tmp_path / "spans.json", "simulate")
+        report = json.loads((out / "simulation.json").read_text("utf-8"))
+        assert counts["simulate.referents"] == \
+            report["report"]["n_referents"] > 2
+        assert counts["kernels.simulate_pairs"] == sum(
+            r["n_interactions"] for r in report["results"].values())

@@ -468,6 +468,30 @@ class TestSpellmapFile:
         with pytest.raises(ValueError, match="map.txt:1"):
             read_spellmap(path)
 
+    @pytest.mark.parametrize("line", [
+        "Blu blue",         # never looked up: tokens are lowercased first
+        "blu Blue",         # makes a word no utterance could produce
+        "blu blue-green",   # ... or one that tokenizing would split
+        "bl-u blue",
+        "blu blue_",
+    ])
+    def test_side_that_is_not_one_token_rejected(self, tmp_path, line):
+        path = tmp_path / "map.txt"
+        path.write_text("# comment\ngren green\n" + line + "\n")
+        with pytest.raises(ValueError, match=r"map\.txt:3: .*one lowercase"):
+            read_spellmap(path)
+
+    def test_wrong_token_mapped_twice_rejected(self, tmp_path):
+        path = tmp_path / "map.txt"
+        path.write_text("bleu blue\ngren green\nbleu blau\n")
+        with pytest.raises(ValueError, match=r"map\.txt:3: 'bleu' .*twice"):
+            read_spellmap(path)
+
+    def test_non_ascii_tokens_accepted(self, tmp_path):
+        path = tmp_path / "map.txt"
+        path.write_text("grün green\nbleu 蓝\n", encoding="utf-8")
+        assert read_spellmap(path) == {"grün": "green", "bleu": "蓝"}
+
 
 class TestPublishedCorpus:
     def test_english_clean_count(self, english_corpus):

@@ -14,6 +14,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from _rounds_oracle import CleanRow, rounds_from_rows
+from _simulate_oracle import (
+    no_referents,
+    oracle_build_entries,
+    referent_rows,
+    take_referents,
+)
 from conftest import TOY_I_W, TOY_NAMES
 
 from colorlex import simulate
@@ -112,47 +118,27 @@ def oracle_ease_pools(rounds, eligible, bins):
     return pools
 
 
-def oracle_build_entries(rounds, infos):
-    """build_entries one chip at a time: every distinct target chip, in
-    key order, with its distinct words; words without an info entry
-    dropped, and chips left with fewer than two names skipped."""
-    keys = [tuple(k) for k in rounds.chip_keys.tolist()]
-    words_of = {}
-    for w, c in zip(rounds.word_ids.tolist(), rounds.chip_ids.tolist()):
-        words_of.setdefault(keys[c], set()).add(rounds.vocab[w])
-    entries, ties, dropped = [], 0, 0
-    for key in sorted(words_of):
-        named = [w for w in words_of[key] if w in infos]
-        dropped += len(words_of[key]) - len(named)
-        if len(named) < 2:
-            continue
-        named.sort(key=lambda w: (infos[w].i_w, w))
-        scores = [infos[w].i_w for w in named]
-        ties += len(set(scores)) != len(scores)
-        entries.append(simulate.ReferentEntry(
-            key, tuple((w, infos[w].i_w) for w in named)))
-    return entries, {
-        "n_referents": len(entries),
-        "skipped_few_names": len(words_of) - len(entries),
-        "dropped_names": dropped,
-        "tie_entries": ties,
-    }
-
-
 @st.composite
 def _named_rounds(draw):
-    """Up to 40 rounds over 8 chips and 6 words; the words' i_w drawn
-    from 3 values, so names tie, and some words have no entry."""
-    words = "abcdef"
+    """4 to 30 rounds over 4 chips and 8 words; the words' i_w drawn
+    from 3 values, so names tie, and some words have no entry. The
+    words hold a prefix pair, an upper-case letter and non-ASCII ones,
+    so ties are broken by Python's string order."""
+    words = ("a", "ab", "b", "Z", "ä", "é", "ĳ", "中")
     scores = draw(st.lists(st.sampled_from([None, 1.0, 2.5, 4.0]),
                            min_size=len(words), max_size=len(words)))
     infos = {w: _info(w, i_w) for w, i_w in zip(words, scores)
              if i_w is not None}
     pairs = draw(st.lists(st.tuples(st.sampled_from(words),
-                                    st.integers(0, 7)),
-                          min_size=1, max_size=40))
+                                    st.integers(0, 3)),
+                          min_size=4, max_size=30))
     return _table([_round(w, (c * 45, c % 3, 0), idx=i)
                    for i, (w, c) in enumerate(pairs)]), infos
+
+
+def _words(referents):
+    """Each referent's names, least informative first."""
+    return [[w for w, _ in names] for _, names in referent_rows(referents)]
 
 
 class TestBuildEntries:
@@ -161,12 +147,27 @@ class TestBuildEntries:
     @given(case=_named_rounds())
     def test_equals_chip_by_chip_oracle(self, case):
         rounds, infos = case
-        assert repr(build_entries(rounds, infos)) == repr(
+        referents, report = build_entries(rounds, infos)
+        assert repr((referent_rows(referents), report)) == repr(
             oracle_build_entries(rounds, infos))
 
     def test_fixture_equals_oracle(self, fixture_rounds, fixture_infos):
-        assert repr(build_entries(fixture_rounds, fixture_infos)) == repr(
+        referents, report = build_entries(fixture_rounds, fixture_infos)
+        assert repr((referent_rows(referents), report)) == repr(
             oracle_build_entries(fixture_rounds, fixture_infos))
+
+    def test_table_layout(self, fixture_rounds, fixture_infos):
+        referents, _ = build_entries(fixture_rounds, fixture_infos)
+        m = len(referents)
+        assert referents.keys.shape == (m, 3)
+        assert referents.offsets.shape == (m + 1,)
+        for column in (referents.keys, referents.offsets, referents.words):
+            assert column.dtype == np.int64
+        assert referents.offsets[0] == 0
+        assert referents.offsets[-1] == len(referents.words)
+        assert (np.diff(referents.offsets) >= 2).all()
+        assert referents.vocab == fixture_rounds.vocab
+        assert referents.i_w.shape == (len(referents.vocab),)
 
     def test_toy_structure(self, toy_system):
         assert toy_system.report == {
@@ -176,12 +177,12 @@ class TestBuildEntries:
             "tie_entries": 0,
         }
         for ref, words in TOY_NAMES.items():
-            entry = toy_system.by_referent[ref]
-            assert {w for w, _ in entry.names} == set(words)
-            scores = [i for _, i in entry.names]
+            names = toy_system.names[ref]
+            assert {w for w, _ in names} == set(words)
+            scores = [i for _, i in names]
             assert scores == sorted(scores)
-            assert entry.general == min(words, key=TOY_I_W.get)
-            assert entry.specific == max(words, key=TOY_I_W.get)
+            assert names[0][0] == min(words, key=TOY_I_W.get)
+            assert names[-1][0] == max(words, key=TOY_I_W.get)
 
     def test_single_name_chips_skipped(self):
         infos = {"a": _info("a", 2.0), "b": _info("b", 3.0)}
@@ -190,8 +191,8 @@ class TestBuildEntries:
             _round("b", (1, 0, 0), idx=2),
             _round("a", (2, 0, 0), idx=3),
         ]
-        entries, report = build_entries(_table(rounds), infos)
-        assert [e.key for e in entries] == [(1, 0, 0)]
+        referents, report = build_entries(_table(rounds), infos)
+        assert referents.keys.tolist() == [[1, 0, 0]]
         assert report["skipped_few_names"] == 1
 
     def test_names_below_threshold_dropped(self):
@@ -201,8 +202,8 @@ class TestBuildEntries:
             _round("b", (1, 0, 0), idx=2),
             _round("rare", (1, 0, 0), idx=3),
         ]
-        entries, report = build_entries(_table(rounds), infos)
-        assert [w for w, _ in entries[0].names] == ["a", "b"]
+        referents, report = build_entries(_table(rounds), infos)
+        assert _words(referents) == [["a", "b"]]
         assert report["dropped_names"] == 1
 
     def test_three_names_ordered(self):
@@ -212,10 +213,9 @@ class TestBuildEntries:
                   for i, w in enumerate(infos)]
         rounds.append(_round("low", (2, 0, 0), idx=9))
         rounds.append(_round("mid", (2, 0, 0), idx=10))
-        entries, _ = build_entries(_table(rounds), infos)
-        assert [w for w, _ in entries[0].names] == ["low", "mid", "high"]
-        assert entries[0].general == "low"
-        assert entries[0].specific == "high"
+        referents, _ = build_entries(_table(rounds), infos)
+        assert _words(referents) == [["low", "mid", "high"],
+                                     ["low", "mid"]]
 
     def test_equal_scores_break_ties_alphabetically(self):
         infos = {"zeta": _info("zeta", 2.0), "alpha": _info("alpha", 2.0)}
@@ -223,23 +223,33 @@ class TestBuildEntries:
             _round("zeta", (1, 0, 0), idx=1),
             _round("alpha", (1, 0, 0), idx=2),
         ]
-        entries, report = build_entries(_table(rounds), infos)
-        assert [w for w, _ in entries[0].names] == ["alpha", "zeta"]
+        referents, report = build_entries(_table(rounds), infos)
+        assert _words(referents) == [["alpha", "zeta"]]
         assert report["tie_entries"] == 1
+
+    def test_equal_scores_of_two_referents_are_no_tie(self):
+        infos = {w: _info(w, i) for w, i in
+                 [("a", 1.0), ("b", 2.5), ("c", 2.5), ("d", 4.0)]}
+        rounds = [_round(w, key, idx=i) for i, (w, key) in enumerate(
+            [("a", (1, 0, 0)), ("b", (1, 0, 0)), ("c", (2, 0, 0)),
+             ("d", (2, 0, 0))])]
+        referents, report = build_entries(_table(rounds), infos)
+        assert _words(referents) == [["a", "b"], ["c", "d"]]
+        assert report["tie_entries"] == 0
 
     def test_duplicate_rounds_collapse(self):
         infos = {"a": _info("a", 2.0), "b": _info("b", 3.0)}
         rounds = [_round("a", (1, 0, 0), idx=i) for i in range(5)]
         rounds.append(_round("b", (1, 0, 0), idx=9))
-        entries, _ = build_entries(_table(rounds), infos)
-        assert len(entries) == 1
-        assert len(entries[0].names) == 2
+        referents, _ = build_entries(_table(rounds), infos)
+        assert len(referents) == 1
+        assert _words(referents) == [["a", "b"]]
 
     def test_entries_sorted_by_key(self, fixture_rounds, fixture_infos):
-        entries, report = build_entries(fixture_rounds, fixture_infos)
-        keys = [e.key for e in entries]
+        referents, report = build_entries(fixture_rounds, fixture_infos)
+        keys = referents.keys.tolist()
         assert keys == sorted(keys)
-        assert report["n_referents"] == len(entries) > 20
+        assert report["n_referents"] == len(referents) > 20
         assert report["skipped_few_names"] > 0
         assert report["dropped_names"] > 0
 
@@ -251,8 +261,9 @@ def _assert_pair(toy_system, t, d, variant, counts, accuracy):
     their mean listener credit (1 when the word excludes the
     distractor, 1/2 when it also applies to it).
     """
-    by = toy_system.by_referent
-    result = run_simulation([by[t], by[d]], variant)
+    at = toy_system.position
+    result = run_simulation(
+        take_referents(toy_system.referents, [at[t], at[d]]), variant)
     assert result.n_interactions == 2
     assert result.counts == counts
     assert result.accuracy == accuracy
@@ -305,7 +316,7 @@ class TestRunSimulation:
                              ids=lambda v: v.value)
     def test_toy_oracle(self, toy_system, variant):
         oracle = ORACLE[variant]
-        result = run_simulation(toy_system.entries, variant)
+        result = run_simulation(toy_system.referents, variant)
         assert result.accuracy == oracle["accuracy"]
         assert result.counts == oracle["counts"]
         assert result.i_l == pytest.approx(oracle["i_l_numerator"] / 30,
@@ -315,28 +326,31 @@ class TestRunSimulation:
         assert sum(result.counts.values()) == 30
 
     def test_entry_order_is_irrelevant(self, toy_system):
-        shuffled = list(toy_system.entries)
-        random.Random(5).shuffle(shuffled)
+        order = list(range(len(toy_system.referents)))
+        random.Random(5).shuffle(order)
+        shuffled = take_referents(toy_system.referents, order)
+        assert shuffled.keys.tolist() != toy_system.referents.keys.tolist()
         for variant in SystemVariant:
             assert run_simulation(shuffled, variant) == \
-                run_simulation(toy_system.entries, variant)
+                run_simulation(toy_system.referents, variant)
 
     def test_run_all_variants(self, toy_system):
-        results = run_all_variants(toy_system.entries)
+        results = run_all_variants(toy_system.referents)
         assert set(results) == set(SystemVariant)
         for variant, result in results.items():
-            assert result == run_simulation(toy_system.entries, variant)
+            assert result == run_simulation(toy_system.referents, variant)
 
     def test_needs_two_referents(self, toy_system):
         with pytest.raises(SimulationError, match="at least 2"):
-            run_simulation(toy_system.entries[:1], SystemVariant.ACTUAL)
+            run_simulation(take_referents(toy_system.referents, [0]),
+                           SystemVariant.ACTUAL)
 
     def test_fixture_orderings(self, fixture_rounds, fixture_infos):
         # the adaptive speaker never loses an interaction a fixed
         # system would win, and its utterances sit between the two
         # extremes in informativeness, so these hold exactly
-        entries, _ = build_entries(fixture_rounds, fixture_infos)
-        results = run_all_variants(entries)
+        referents, _ = build_entries(fixture_rounds, fixture_infos)
+        results = run_all_variants(referents)
         actual = results[SystemVariant.ACTUAL]
         general = results[SystemVariant.GENERAL_ONLY]
         specific = results[SystemVariant.SPECIFIC_ONLY]
@@ -346,11 +360,11 @@ class TestRunSimulation:
         for result in results.values():
             assert 0.5 <= result.accuracy <= 1.0
             assert result.n_interactions == \
-                len(entries) * (len(entries) - 1)
+                len(referents) * (len(referents) - 1)
 
     def test_fixture_vocab_sizes_nest(self, fixture_rounds, fixture_infos):
-        entries, _ = build_entries(fixture_rounds, fixture_infos)
-        results = run_all_variants(entries)
+        referents, _ = build_entries(fixture_rounds, fixture_infos)
+        results = run_all_variants(referents)
         assert results[SystemVariant.GENERAL_ONLY].vocab_size <= \
             results[SystemVariant.ACTUAL].vocab_size
         assert results[SystemVariant.SPECIFIC_ONLY].vocab_size <= \
@@ -367,15 +381,15 @@ def _stimulus_fixture_pieces(n_chips=12):
         key = (i, 0, 0)
         rounds.append(_round("broad", key, ease=0.5 + i, game="a", idx=i))
         rounds.append(_round(word, key, ease=0.5 + i, game="b", idx=i))
-    entries, _ = build_entries(_table(rounds), infos)
-    return rounds, entries, infos
+    referents, _ = build_entries(_table(rounds), infos)
+    return rounds, referents, infos
 
 
 class TestGenerateStimuli:
     def test_uniform_ease_fills_each_bin(self):
-        rounds, entries, infos = _stimulus_fixture_pieces(10)
+        rounds, referents, infos = _stimulus_fixture_pieces(10)
         picked = [r for r in rounds if r.game_id == "a"]
-        stimuli, report = generate_stimuli(_table(picked), entries, infos,
+        stimuli, report = generate_stimuli(_table(picked), referents, infos,
                                            n=10, bins=10, seed=0)
         assert [s.bin_index for s in stimuli] == list(range(10))
         assert report["bin_counts"] == [1] * 10
@@ -383,16 +397,16 @@ class TestGenerateStimuli:
         assert report["rebalanced"] == {}
 
     def test_divisibility_enforced(self):
-        rounds, entries, infos = _stimulus_fixture_pieces(10)
+        rounds, referents, infos = _stimulus_fixture_pieces(10)
         with pytest.raises(ValueError, match="divide"):
-            generate_stimuli(_table(rounds), entries, infos, n=10, bins=3)
+            generate_stimuli(_table(rounds), referents, infos, n=10, bins=3)
         with pytest.raises(ValueError, match="positive"):
-            generate_stimuli(_table(rounds), entries, infos, n=0, bins=1)
+            generate_stimuli(_table(rounds), referents, infos, n=0, bins=1)
 
     def test_too_few_eligible_rounds(self):
-        rounds, entries, infos = _stimulus_fixture_pieces(4)
+        rounds, referents, infos = _stimulus_fixture_pieces(4)
         with pytest.raises(SimulationError, match="eligible"):
-            generate_stimuli(_table(rounds), entries, infos, n=20, bins=4)
+            generate_stimuli(_table(rounds), referents, infos, n=20, bins=4)
 
     def test_deficits_move_to_nearest_bins(self):
         infos = {"broad": _info("broad", 1.5), "w": _info("w", 3.0)}
@@ -401,9 +415,9 @@ class TestGenerateStimuli:
         for i, ease in enumerate(eases):
             rounds.append(_round("broad", (i, 0, 0), ease=ease, idx=i))
             rounds.append(_round("w", (i, 0, 0), ease=ease, idx=i + 100))
-        entries, _ = build_entries(_table(rounds), infos)
+        referents, _ = build_entries(_table(rounds), infos)
         picked = [r for r in rounds if r.round_index < 100]
-        stimuli, report = generate_stimuli(_table(picked), entries, infos,
+        stimuli, report = generate_stimuli(_table(picked), referents, infos,
                                            n=8, bins=4, seed=1)
         assert report["bin_counts"] == [6, 0, 0, 2]
         assert report["underpopulated_bins"] == [1, 2]
@@ -427,7 +441,7 @@ class TestGenerateStimuli:
         rows = [_round("w", (i, 0, 0), ease=e, idx=i)
                 for i, e in enumerate(eases)]
         stimuli, report = generate_stimuli(
-            _table(rows), [], {"w": _info("w", 2.0)}, n=quota * bins,
+            _table(rows), no_referents(), {"w": _info("w", 2.0)}, n=quota * bins,
             bins=bins, seed=5)
         take, short, moved = oracle_rebalance(sizes, quota)
         assert report["bin_counts"] == take
@@ -437,56 +451,72 @@ class TestGenerateStimuli:
             b for b, k in enumerate(take) for _ in range(k)]
 
     def test_deterministic_in_seed(self, fixture_rounds, fixture_infos):
-        entries, _ = build_entries(fixture_rounds, fixture_infos)
-        a = generate_stimuli(fixture_rounds, entries, fixture_infos, seed=3)
-        b = generate_stimuli(fixture_rounds, entries, fixture_infos, seed=3)
-        c = generate_stimuli(fixture_rounds, entries, fixture_infos, seed=4)
+        referents, _ = build_entries(fixture_rounds, fixture_infos)
+        a = generate_stimuli(fixture_rounds, referents, fixture_infos, seed=3)
+        b = generate_stimuli(fixture_rounds, referents, fixture_infos, seed=3)
+        c = generate_stimuli(fixture_rounds, referents, fixture_infos, seed=4)
         assert a == b
         assert a != c
 
     def test_simulated_name_rules(self, fixture_rounds, fixture_infos):
-        entries, _ = build_entries(fixture_rounds, fixture_infos)
-        by_key = {e.key: e for e in entries}
-        stimuli, _ = generate_stimuli(fixture_rounds, entries, fixture_infos,
-                                      n=100, bins=10, seed=0)
+        referents, _ = build_entries(fixture_rounds, fixture_infos)
+        names_of = dict(referent_rows(referents))
+        stimuli, _ = generate_stimuli(fixture_rounds, referents,
+                                      fixture_infos, n=100, bins=10, seed=0)
         assert len(stimuli) == 100
         saw_general = saw_specific = 0
         for s in stimuli:
             actual = fixture_infos[s.actual_name].i_w
-            entry = by_key.get(s.target_key)
-            if entry is None:
+            names = names_of.get(s.target_key)
+            if names is None:
                 assert s.simulated_general is None
                 assert s.simulated_specific is None
                 continue
             if s.simulated_general is not None:
                 saw_general += 1
-                assert s.simulated_general == entry.general
+                assert s.simulated_general == names[0][0]
                 assert fixture_infos[s.simulated_general].i_w < actual
             else:
-                assert fixture_infos[entry.general].i_w >= actual
+                assert names[0][1] >= actual
             if s.simulated_specific is not None:
                 saw_specific += 1
-                assert s.simulated_specific == entry.specific
+                assert s.simulated_specific == names[-1][0]
                 assert fixture_infos[s.simulated_specific].i_w > actual
             else:
-                assert fixture_infos[entry.specific].i_w <= actual
+                assert names[-1][1] <= actual
         assert saw_general > 0
         assert saw_specific > 0
 
     def test_single_name_chip_gets_no_alternatives(self):
-        rounds, entries, infos = _stimulus_fixture_pieces(10)
+        rounds, referents, infos = _stimulus_fixture_pieces(10)
         lone = _round("broad", (99, 0, 0), ease=5.0, game="c", idx=999)
-        stimuli, _ = generate_stimuli(_table([lone] + rounds), entries, infos,
-                                      n=21, bins=1, seed=0)
+        stimuli, _ = generate_stimuli(_table([lone] + rounds), referents,
+                                      infos, n=21, bins=1, seed=0)
         solo = [s for s in stimuli if s.target_key == (99, 0, 0)]
         assert len(solo) == 1
         assert solo[0].simulated_general is None
         assert solo[0].simulated_specific is None
 
+    def test_referents_from_another_table(self):
+        # Referents whose vocab ids (the words in reverse order) and chip
+        # ids (no chip (0, 50, 50)) are not those of the picked table.
+        rounds, _, infos = _stimulus_fixture_pieces(10)
+        referents, _ = build_entries(_table(rounds[::-1]), infos)
+        lone = _round("broad", (0, 50, 50), ease=5.0, game="c", idx=999)
+        table = _table([lone] + rounds)
+        assert referents.vocab != table.vocab
+        own, _ = build_entries(table, infos)
+        stimuli, _ = generate_stimuli(table, referents, infos, n=21, bins=1,
+                                      seed=0)
+        assert (stimuli, _) == generate_stimuli(table, own, infos, n=21,
+                                                bins=1, seed=0)
+        assert {s.simulated_general for s in stimuli} == {None, "broad"}
+        assert len({s.simulated_specific for s in stimuli}) == 11
+
     def test_bins_partition_the_ease_range(self, fixture_rounds,
                                            fixture_clean, fixture_infos):
-        entries, _ = build_entries(fixture_rounds, fixture_infos)
-        stimuli, report = generate_stimuli(fixture_rounds, entries,
+        referents, _ = build_entries(fixture_rounds, fixture_infos)
+        stimuli, report = generate_stimuli(fixture_rounds, referents,
                                            fixture_infos, n=100, bins=10,
                                            seed=0)
         eligible = [r.ease for r in fixture_clean
@@ -501,9 +531,9 @@ class TestGenerateStimuli:
 
     def test_within_bin_order_is_by_ease(self, fixture_rounds,
                                          fixture_infos):
-        entries, _ = build_entries(fixture_rounds, fixture_infos)
-        stimuli, _ = generate_stimuli(fixture_rounds, entries, fixture_infos,
-                                      n=100, bins=10, seed=0)
+        referents, _ = build_entries(fixture_rounds, fixture_infos)
+        stimuli, _ = generate_stimuli(fixture_rounds, referents,
+                                      fixture_infos, n=100, bins=10, seed=0)
         for b in range(10):
             eases = [s.ease for s in stimuli if s.bin_index == b]
             assert eases == sorted(eases)
@@ -552,19 +582,20 @@ class TestEaseBins:
     def test_pools_and_stimuli_equal_oracle(self, eases, bins, known):
         known = known[:len(eases)]
         assume(any(known))
-        # a width under the smallest subnormal is covered below
-        assume((max(eases) - min(eases)) / bins > 0.0
-               or max(eases) == min(eases))
+        # a width under the smallest subnormal is covered below; the
+        # width is that of the eligible eases
+        lo, hi = (f(e for e, k in zip(eases, known) if k) for f in (min, max))
+        assume((hi - lo) / bins > 0.0 or hi == lo)
         rounds = _ease_table(eases, known)
         eligible = np.flatnonzero(known)
         want = oracle_ease_pools(rounds, eligible, bins)
         assert simulate._ease_pools(rounds, eligible, bins) == want
         if len(eligible) >= bins:
-            got = generate_stimuli(rounds, [], _EASE_INFOS, n=bins,
+            got = generate_stimuli(rounds, no_referents(), _EASE_INFOS, n=bins,
                                    bins=bins, seed=11)
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(simulate, "_ease_pools", oracle_ease_pools)
-                assert got == generate_stimuli(rounds, [], _EASE_INFOS,
+                assert got == generate_stimuli(rounds, no_referents(), _EASE_INFOS,
                                                n=bins, bins=bins, seed=11)
 
     @pytest.mark.parametrize("steps, bins, pools", [
@@ -582,7 +613,7 @@ class TestEaseBins:
         with pytest.raises(ZeroDivisionError):
             oracle_ease_pools(rounds, eligible, bins)
         assert simulate._ease_pools(rounds, eligible, bins) == pools
-        stimuli, report = generate_stimuli(rounds, [], _EASE_INFOS,
+        stimuli, report = generate_stimuli(rounds, no_referents(), _EASE_INFOS,
                                            n=bins, bins=bins, seed=0)
         assert len(stimuli) == sum(report["bin_counts"]) == bins
         bin_of = {i: b for b, pool in enumerate(pools) for i in pool}
@@ -592,7 +623,7 @@ class TestEaseBins:
 
 class TestSerialization:
     def test_simulation_table(self, toy_system, tmp_path):
-        results = run_all_variants(toy_system.entries)
+        results = run_all_variants(toy_system.referents)
         path = tmp_path / "sim.tsv"
         with open(path, "w") as handle:
             write_simulation(handle, results.values(), "# hdr")
@@ -606,9 +637,9 @@ class TestSerialization:
         assert int(row["n_interactions"]) == 30
 
     def test_stimuli_table(self, fixture_rounds, fixture_infos, tmp_path):
-        entries, _ = build_entries(fixture_rounds, fixture_infos)
-        stimuli, _ = generate_stimuli(fixture_rounds, entries, fixture_infos,
-                                      n=20, bins=10, seed=0)
+        referents, _ = build_entries(fixture_rounds, fixture_infos)
+        stimuli, _ = generate_stimuli(fixture_rounds, referents,
+                                      fixture_infos, n=20, bins=10, seed=0)
         path = tmp_path / "stimuli.tsv"
         with open(path, "w") as handle:
             write_stimuli(handle, stimuli, "# hdr")
