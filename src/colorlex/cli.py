@@ -1,14 +1,10 @@
 """Command-line pipeline.
 
 Stages communicate through files in the output directory, so each can
-be rerun independently:
-
-  colorlex --config run.ini ingest      corpus -> clean_rounds.tsv
-  colorlex --config run.ini info        -> word_info.tsv
-  colorlex --config run.ini regress     -> fit_<subset>.txt / .json
-  colorlex --config run.ini simulate    -> simulation.tsv / .json
-  colorlex --config run.ini stimuli     -> stimuli.tsv / .json
-  colorlex --config run.ini plot        -> plot_<kind>.svg
+be rerun independently. `STAGES` is the one list of the stage
+invocations, in pipeline order: each entry gives the command line, the
+stage tables it reads and the files it writes. The parser and the
+tests' stage lists are built from it.
 
 All outputs are deterministic for a given configuration and seed; the
 header of every file records both.
@@ -24,6 +20,7 @@ import sys
 from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 # Before numpy is imported: its bundled OpenBLAS starts a worker thread
 # pool at import, and that idle pool costs every stage process CPU.
@@ -50,7 +47,10 @@ from .informativeness import (
     write_word_infos,
 )
 
-__all__ = ["main"]
+__all__ = ["STAGES", "Stage", "main"]
+
+ROUNDS = "clean_rounds.tsv"
+INFOS = "word_info.tsv"
 
 
 def _write(cfg: RunConfig, name: str, fill) -> Path:
@@ -70,35 +70,17 @@ def _write(cfg: RunConfig, name: str, fill) -> Path:
     return path
 
 
-def _write_json(cfg: RunConfig, name: str, payload: dict) -> None:
+def _write_json(cfg: RunConfig, name: str, payload: dict) -> Path:
     body = {"_config": config_hash(cfg), "_seed": cfg.seed, **payload}
     text = json.dumps(body, indent=2, sort_keys=True) + "\n"
-    _write(cfg, name, lambda handle: handle.write(text))
+    return _write(cfg, name, lambda handle: handle.write(text))
 
 
-def _read(cfg: RunConfig, name: str, stage: str, reader):
-    path = Path(cfg.out) / name
-    if not path.exists():
-        raise ColorlexError(f"{path} not found; run `colorlex {stage}` first")
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            return reader(handle)
-        except UnicodeDecodeError:
-            raise ValueError(not_utf8(path)) from None
-
-
-def _read_rounds(cfg: RunConfig) -> corpus.Rounds:
-    return _read(cfg, "clean_rounds.tsv", "ingest", corpus.read_clean_rounds)
-
-
-def cmd_ingest(cfg: RunConfig, args) -> None:
+def _ingest(cfg: RunConfig, args, read):
     spellmap = corpus.read_spellmap(cfg.spellmap) if cfg.spellmap else None
-    raw, rejects = corpus.ingest(
-        cfg.input,
-        cfg.schema,
-        delimiter=cfg.delimiter,
-        hsl_scale=cfg.hsl_scale,
-    )
+    raw, rejects = corpus.ingest(cfg.input, cfg.schema,
+                                 delimiter=cfg.delimiter,
+                                 hsl_scale=cfg.hsl_scale)
     rounds = corpus.clean(raw, spellmap)
     if not len(rounds):
         reason = ""
@@ -110,18 +92,13 @@ def cmd_ingest(cfg: RunConfig, args) -> None:
             f"{len(rejects)} rejected, {len(raw)} dropped as unsolved or "
             f"not one token{reason}")
     header = header_line(cfg)
-    _write(cfg, "clean_rounds.tsv",
-           lambda h: corpus.write_clean_rounds(h, rounds, header))
-    _write(cfg, "rejects.tsv",
-           lambda h: corpus.write_rejects(h, rejects, header))
-    _write_json(cfg, "ingest.json", {
-        "n_raw": len(raw),
-        "n_rejected": len(rejects),
-        "n_clean": len(rounds),
-        "n_chips": len(rounds.chip_keys),
-    })
-    print(f"ingested {len(raw)} rounds ({len(rejects)} rejected), "
-          f"{len(rounds)} clean")
+    return (
+        lambda h: corpus.write_clean_rounds(h, rounds, header),
+        lambda h: corpus.write_rejects(h, rejects, header),
+        {"n_raw": len(raw), "n_rejected": len(rejects),
+         "n_clean": len(rounds), "n_chips": len(rounds.chip_keys)},
+    ), (f"ingested {len(raw)} rounds ({len(rejects)} rejected), "
+        f"{len(rounds)} clean\n")
 
 
 def _denotations(cfg: RunConfig, rounds: corpus.Rounds) -> dict:
@@ -137,111 +114,81 @@ def _denotations(cfg: RunConfig, rounds: corpus.Rounds) -> dict:
     return denotations
 
 
-def cmd_info(cfg: RunConfig, args) -> None:
-    rounds = _read_rounds(cfg)
-    denotations = _denotations(cfg, rounds)
-    del rounds  # freed before the spreads; the denotations own their chips
+def _info(cfg: RunConfig, args, read):
+    # the rounds, read in the call, are freed before the spreads: the
+    # denotations own their chips
+    denotations = _denotations(cfg, read(ROUNDS))
     infos = compute_word_infos(denotations, cfg.sampling)
     ordered = sorted(infos.values(), key=lambda w: (-w.i_w, w.word))
-    _write(cfg, "word_info.tsv",
-           lambda h: write_word_infos(h, ordered, header_line(cfg)))
-    print(f"{len(ordered)} words at min_count={cfg.min_count} "
-          f"({sum(1 for w in ordered if w.sampled)} subsampled)")
+    return (lambda h: write_word_infos(h, ordered, header_line(cfg)),), (
+        f"{len(ordered)} words at min_count={cfg.min_count} "
+        f"({sum(1 for w in ordered if w.sampled)} subsampled)\n")
 
 
-def cmd_regress(cfg: RunConfig, args) -> None:
-    rounds = _read_rounds(cfg)
-    infos = _read(cfg, "word_info.tsv", "info", read_word_infos)
-    rows = regress.rows_from_rounds(rounds, infos)
+def _regress(cfg: RunConfig, args, read):
+    rounds = read(ROUNDS)
+    rows = regress.rows_from_rounds(rounds, read(INFOS))
     if args.subset == "repeated":
         rows = regress.repeated_chip_rows(rows, rounds)
     del rounds  # freed before the fits; the rows suffice
     label = f"informativeness ~ ease, subset={args.subset}"
     ols = regress.fit_ols(rows)
     mixed = regress.fit_random_intercept(rows)
-    text = (
-        header_line(cfg) + "\n"
-        + regress.format_fit(ols, label) + "\n"
-        + regress.format_fit(mixed, label)
-    )
-    _write(cfg, f"fit_{args.subset}.txt", lambda h: h.write(text))
-    _write_json(cfg, f"fit_{args.subset}.json", {
-        "subset": args.subset,
-        "ols": asdict(ols),
+    text = (header_line(cfg) + "\n" + regress.format_fit(ols, label)
+            + "\n" + regress.format_fit(mixed, label))
+    return (lambda h: h.write(text), {
+        "subset": args.subset, "ols": asdict(ols),
         "random_intercept": asdict(mixed),
-    })
-    print(regress.format_fit(mixed, label), end="")
+    }), regress.format_fit(mixed, label)
 
 
-def cmd_simulate(cfg: RunConfig, args) -> None:
-    rounds = _read_rounds(cfg)
-    infos = _read(cfg, "word_info.tsv", "info", read_word_infos)
-    referents, report = simulate.build_entries(rounds, infos)
+def _simulate(cfg: RunConfig, args, read):
+    referents, report = simulate.build_entries(read(ROUNDS), read(INFOS))
     results = simulate.run_all_variants(referents)
     ordered = [results[v] for v in simulate.SystemVariant]
-    _write(cfg, "simulation.tsv",
-           lambda h: simulate.write_simulation(h, ordered, header_line(cfg)))
-    _write_json(cfg, "simulation.json", {
-        "report": report,
-        "results": {
+    return (
+        lambda h: simulate.write_simulation(h, ordered, header_line(cfg)),
+        {"report": report, "results": {
             r.variant.value: {
-                k: v for k, v in asdict(r).items() if k != "variant"
-            }
-            for r in ordered
-        },
-    })
-    for r in ordered:
-        print(f"{r.variant.value}: accuracy={r.accuracy:.4f} "
-              f"i_l={r.i_l:.4f} vocab={r.vocab_size}")
+                k: v for k, v in asdict(r).items() if k != "variant"}
+            for r in ordered}},
+    ), "".join(f"{r.variant.value}: accuracy={r.accuracy:.4f} "
+               f"i_l={r.i_l:.4f} vocab={r.vocab_size}\n" for r in ordered)
 
 
-def cmd_stimuli(cfg: RunConfig, args) -> None:
-    rounds = _read_rounds(cfg)
-    infos = _read(cfg, "word_info.tsv", "info", read_word_infos)
+def _stimuli(cfg: RunConfig, args, read):
+    rounds = read(ROUNDS)
+    infos = read(INFOS)
     referents, _ = simulate.build_entries(rounds, infos)
     stimuli, report = simulate.generate_stimuli(
-        rounds,
-        referents,
-        infos,
-        n=args.n,
-        bins=args.bins,
-        seed=derive_seed(cfg.seed, "stimuli"),
-    )
-    _write(cfg, "stimuli.tsv",
-           lambda h: simulate.write_stimuli(h, stimuli, header_line(cfg)))
-    _write_json(cfg, "stimuli.json", {
-        "n": args.n,
-        "bins": args.bins,
-        "report": report,
-    })
-    print(f"{len(stimuli)} stimuli across {args.bins} ease bins")
+        rounds, referents, infos, n=args.n, bins=args.bins,
+        seed=derive_seed(cfg.seed, "stimuli"))
+    return (
+        lambda h: simulate.write_stimuli(h, stimuli, header_line(cfg)),
+        {"n": args.n, "bins": args.bins, "report": report},
+    ), f"{len(stimuli)} stimuli across {args.bins} ease bins\n"
 
 
-def cmd_plot(cfg: RunConfig, args) -> None:
-    rounds = _read_rounds(cfg)
+def _plot(cfg: RunConfig, args, read):
     header = header_line(cfg).lstrip("# ")
     if args.kind == "denotations":
-        denotations = _denotations(cfg, rounds)
-        del rounds
+        denotations = _denotations(cfg, read(ROUNDS))
         if args.words is not None:
             words = [w for w in args.words.split(",") if w]
             if not words:
-                raise ColorlexError(
-                    f"--words names no word: {args.words!r}")
+                raise ColorlexError(f"--words names no word: {args.words!r}")
             missing = [w for w in words if w not in denotations]
             if missing:
-                raise ColorlexError(
-                    f"no denotation for {missing}; "
-                    f"available: {sorted(denotations)}"
-                )
+                raise ColorlexError(f"no denotation for {missing}; "
+                                    f"available: {sorted(denotations)}")
         else:
             words = sorted(
                 denotations, key=lambda w: (-len(denotations[w]), w))[:6]
         svg = svgplot.denotation_plot(denotations, words, header)
+    elif args.words is not None:
+        raise ColorlexError("--words applies only to --kind denotations")
     else:
-        rows = regress.rows_from_rounds(
-            rounds, _read(cfg, "word_info.tsv", "info", read_word_infos))
-        del rounds
+        rows = regress.rows_from_rounds(read(ROUNDS), read(INFOS))
         try:
             fit = regress.fit_ols(rows)
             line = (fit.intercept, fit.slope)
@@ -251,8 +198,55 @@ def cmd_plot(cfg: RunConfig, args) -> None:
         ease, i_w = rows.ease.tolist(), rows.i_w.tolist()
         del rows  # freed before the SVG text is built; the columns suffice
         svg = svgplot.ease_plot(ease, i_w, header, line)
-    path = _write(cfg, f"plot_{args.kind}.svg", lambda h: h.write(svg))
-    print(f"wrote {path}")
+    return (lambda h: h.write(svg),), None
+
+
+class Stage(NamedTuple):
+    """One stage invocation: `argv` is its command and option variant.
+
+    run(cfg, args, read) reads its tables through read(name), so it can
+    free each before its heaviest call, and returns one output per name
+    in `writes` (a fill(handle) callable or a JSON payload dict) and the
+    text to print (None: "wrote <path>"). A command's first entry gives
+    its help and argparse options; a variant option's choices are its
+    entries' values, the first the default.
+    """
+
+    argv: tuple[str, ...]
+    reads: tuple[str, ...]
+    writes: tuple[str, ...]
+    run: Callable
+    help: str = ""
+    options: dict = {}
+
+
+STAGES = (
+    Stage(("ingest",), (), (ROUNDS, "rejects.tsv", "ingest.json"), _ingest,
+          "read, validate and clean the corpus"),
+    Stage(("info",), (ROUNDS,), (INFOS,), _info,
+          "compute word informativeness"),
+    Stage(("regress", "--subset", "all"), (ROUNDS, INFOS),
+          ("fit_all.txt", "fit_all.json"), _regress,
+          "informativeness-on-ease random-intercept fit", {"--subset": {
+              "help": "all rounds, or only targets named at least twice"}}),
+    Stage(("regress", "--subset", "repeated"), (ROUNDS, INFOS),
+          ("fit_repeated.txt", "fit_repeated.json"), _regress),
+    Stage(("simulate",), (ROUNDS, INFOS),
+          ("simulation.tsv", "simulation.json"), _simulate,
+          "compare actual/general/specific lexicons"),
+    Stage(("stimuli",), (ROUNDS, INFOS), ("stimuli.tsv", "stimuli.json"),
+          _stimuli, "sample rounds evenly across context ease",
+          {"--n": {"type": int, "default": 100,
+                   "help": "number of stimuli (default 100)"},
+           "--bins": {"type": int, "default": 10,
+                      "help": "number of ease bins (default 10)"}}),
+    Stage(("plot", "--kind", "denotations"), (ROUNDS,),
+          ("plot_denotations.svg",), _plot, "render an SVG figure",
+          {"--kind": {}, "--words": {
+              "help": "comma-separated words for the denotation plot"}}),
+    Stage(("plot", "--kind", "ease_vs_iw"), (ROUNDS, INFOS),
+          ("plot_ease_vs_iw.svg",), _plot),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -268,38 +262,43 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None,
                         help="override the configured output directory")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="read, validate and clean the corpus")
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("info", help="compute word informativeness")
-    p.set_defaults(func=cmd_info)
-
-    p = sub.add_parser("regress",
-                       help="informativeness-on-ease random-intercept fit")
-    p.add_argument("--subset", choices=("all", "repeated"), default="all",
-                   help="all rounds, or only targets named at least twice")
-    p.set_defaults(func=cmd_regress)
-
-    p = sub.add_parser("simulate",
-                       help="compare actual/general/specific lexicons")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("stimuli",
-                       help="sample rounds evenly across context ease")
-    p.add_argument("--n", type=int, default=100,
-                   help="number of stimuli (default 100)")
-    p.add_argument("--bins", type=int, default=10,
-                   help="number of ease bins (default 10)")
-    p.set_defaults(func=cmd_stimuli)
-
-    p = sub.add_parser("plot", help="render an SVG figure")
-    p.add_argument("--kind", choices=("denotations", "ease_vs_iw"),
-                   default="denotations")
-    p.add_argument("--words", default=None,
-                   help="comma-separated words for the denotation plot")
-    p.set_defaults(func=cmd_plot)
+    for stage in STAGES:
+        command, *variant = stage.argv
+        if command in sub.choices:
+            continue
+        p = sub.add_parser(command, help=stage.help)
+        for flag, kwargs in stage.options.items():
+            if variant and flag == variant[0]:
+                values = [s.argv[2] for s in STAGES if s.argv[0] == command]
+                kwargs = {**kwargs, "choices": values, "default": values[0]}
+            p.add_argument(flag, **kwargs)
     return parser
+
+
+def _run(cfg: RunConfig, args) -> None:
+    """Run the STAGES entry that `args` names; write its outputs."""
+    stage = next(s for s in STAGES if s.argv[0] == args.command and (
+        len(s.argv) == 1 or getattr(args, s.argv[1][2:]) == s.argv[2]))
+
+    def read(name: str):
+        path = Path(cfg.out) / name
+        if not path.exists():
+            producer = next(s for s in STAGES if name in s.writes)
+            raise ColorlexError(
+                f"{path} not found; run `colorlex {producer.argv[0]}` first")
+        # looked up when called, so a wrapper set after import is used
+        reader = read_word_infos if name == INFOS else corpus.read_clean_rounds
+        with open(path, "r", encoding="utf-8") as handle:
+            try:
+                return reader(handle)
+            except UnicodeDecodeError:
+                raise ValueError(not_utf8(path)) from None
+
+    outputs, summary = stage.run(cfg, args, read)
+    for name, out in zip(stage.writes, outputs, strict=True):
+        write = _write_json if isinstance(out, dict) else _write
+        path = write(cfg, name, out)
+    print(f"wrote {path}\n" if summary is None else summary, end="")
 
 
 def main(argv=None) -> int:
@@ -314,7 +313,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         cfg = with_overrides(cfg, args.seed, args.out)
-        args.func(cfg, args)
+        _run(cfg, args)
     except (ColorlexError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

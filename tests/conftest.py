@@ -28,6 +28,7 @@ import pytest
 from _rounds_oracle import CleanRow, rounds_from_rows, rounds_rows
 from _simulate_oracle import referent_rows
 
+from colorlex.cli import STAGES as STAGE_TABLE
 from colorlex.cli import main
 from colorlex.corpus import Rounds, build_denotations, clean, ingest
 from colorlex.informativeness import SamplingConfig, WordInfo, compute_word_infos
@@ -265,22 +266,16 @@ def fixture_infos(fixture_denotations) -> dict[str, WordInfo]:
 
 # ----------------------------------------------------------------- stages
 
-REGRESS_ALL = ("regress", "--subset", "all")
-REGRESS_REPEATED = ("regress", "--subset", "repeated")
-PLOT_DENOTATIONS = ("plot", "--kind", "denotations")
-PLOT_EASE = ("plot", "--kind", "ease_vs_iw")
-
 # The eight stage invocations of a full pass, in pipeline order, with
-# the default options of `stimuli`.
-STAGES = (("ingest",), ("info",), REGRESS_ALL, REGRESS_REPEATED,
-          ("simulate",), ("stimuli",), PLOT_DENOTATIONS, PLOT_EASE)
+# the default options of `stimuli`: the package's stage table.
+STAGES = tuple(stage.argv for stage in STAGE_TABLE)
+_, _, REGRESS_ALL, REGRESS_REPEATED, _, _, PLOT_DENOTATIONS, PLOT_EASE = STAGES
 
 # The stages that read each stage table, in pipeline order: `info`
 # rewrites word_info.tsv from clean_rounds.tsv before the others read it.
 READERS = {
-    "clean_rounds.tsv": STAGES[1:],
-    "word_info.tsv": (REGRESS_ALL, REGRESS_REPEATED, ("simulate",),
-                      ("stimuli",), PLOT_EASE),
+    table: tuple(stage.argv for stage in STAGE_TABLE if table in stage.reads)
+    for stage in STAGE_TABLE for table in stage.reads
 }
 
 

@@ -1,12 +1,14 @@
 """End-to-end runs of the command-line pipeline."""
 
 import csv
+import importlib.util
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
@@ -19,10 +21,11 @@ from conftest import (
     READERS,
     REGRESS_ALL,
     REGRESS_REPEATED,
+    STAGE_TABLE,
     run_stages,
 )
 
-from colorlex import simulate
+from colorlex import cli, corpus, regress, simulate, svgplot
 from colorlex.cli import main
 from colorlex.config import (
     ConfigError,
@@ -468,6 +471,18 @@ class TestErrorHandling:
                      "--out", str(tmp_path / "fresh2"), "simulate"])
         assert code == 2
 
+    def test_words_only_for_the_denotation_plot(self, pipeline, tmp_path,
+                                                capsys):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline.out, out)
+        (out / "plot_ease_vs_iw.svg").unlink()
+        code = main(["--config", str(pipeline.corpus.config),
+                     "--out", str(out), *PLOT_EASE, "--words", "zzz"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --words applies only to --kind denotations\n")
+        assert not (out / "plot_ease_vs_iw.svg").exists()
+
     def test_unknown_plot_word(self, pipeline, capsys):
         code = main(["--config", str(pipeline.corpus.config),
                      "--out", str(pipeline.out),
@@ -544,6 +559,94 @@ class TestErrorHandling:
         assert capsys.readouterr().err.startswith(
             f"error: {table}:2: not UTF-8: byte 0xff")
         assert (out / "word_info.tsv").read_bytes() == before
+
+
+def _argv_id(argv) -> str:
+    return " ".join(argv)
+
+
+class TestStageTable:
+    """The reads and writes each `cli.STAGES` entry declares are the
+    files the stage reads and writes, and the stages that free their
+    rounds table do so before their heaviest call."""
+
+    def _run(self, pipeline, out, tables, argv) -> int:
+        out.mkdir()
+        for table in tables:
+            shutil.copy(pipeline.out / table, out)
+        return main(["--config", str(pipeline.corpus.config),
+                     "--out", str(out), *argv])
+
+    @pytest.mark.parametrize("stage", STAGE_TABLE,
+                             ids=lambda s: _argv_id(s.argv))
+    def test_reads_and_writes_are_facts(self, pipeline, tmp_path, stage):
+        out = tmp_path / "out"
+        assert self._run(pipeline, out, stage.reads, stage.argv) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            stage.reads + stage.writes)
+
+    @pytest.mark.parametrize("stage, table", [
+        (stage, table) for stage in STAGE_TABLE for table in stage.reads
+    ], ids=lambda v: v if isinstance(v, str) else _argv_id(v.argv))
+    def test_missing_table_names_its_stage(self, pipeline, tmp_path, capsys,
+                                           stage, table):
+        out = tmp_path / "out"
+        kept = [t for t in stage.reads if t != table]
+        assert self._run(pipeline, out, kept, stage.argv) == 2
+        producer, = (s.argv[0] for s in STAGE_TABLE if table in s.writes)
+        assert capsys.readouterr().err == (
+            f"error: {out / table} not found; run `colorlex {producer}` "
+            f"first\n")
+        assert sorted(p.name for p in out.iterdir()) == sorted(kept)
+
+    @pytest.mark.parametrize("argv, module, name", [
+        (("info",), cli, "compute_word_infos"),
+        (REGRESS_ALL, regress, "fit_ols"),
+        (REGRESS_REPEATED, regress, "fit_ols"),
+        (PLOT_DENOTATIONS, svgplot, "denotation_plot"),
+        (PLOT_EASE, regress, "fit_ols"),
+    ], ids=["info", "regress-all", "regress-repeated", "plot-denotations",
+            "plot-ease_vs_iw"])
+    def test_rounds_freed_before_heaviest_call(self, pipeline, tmp_path,
+                                               monkeypatch, argv, module,
+                                               name):
+        tables, alive = [], []
+        read, heaviest = corpus.read_clean_rounds, getattr(module, name)
+
+        def reading(handle):
+            table = read(handle)
+            tables.append(weakref.ref(table))
+            return table
+
+        def entering(*args, **kwargs):
+            alive.append([ref() is not None for ref in tables])
+            return heaviest(*args, **kwargs)
+
+        monkeypatch.setattr(corpus, "read_clean_rounds", reading)
+        monkeypatch.setattr(module, name, entering)
+        out = tmp_path / "out"
+        shutil.copytree(pipeline.out, out)
+        assert main(["--config", str(pipeline.corpus.config),
+                     "--out", str(out), *argv]) == 0
+        assert alive == [[False]]
+
+    def test_perfbench_stage_list_matches_the_table(self, monkeypatch):
+        """perfbench/run.py keeps its own copy of the stage list: the
+        same invocations, where options past an entry's argv are the
+        defaults, and the same files written."""
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+        monkeypatch.setattr(sys, "path", list(sys.path))  # run.py adds one
+        spec = importlib.util.spec_from_file_location("perfbench_run", path)
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        parser = cli._build_parser()
+        assert len(bench.STAGES) == len(STAGE_TABLE)
+        assert list(bench.STAGE_FILES) == [name for name, _ in bench.STAGES]
+        for (name, argv), stage in zip(bench.STAGES, STAGE_TABLE):
+            assert argv[:len(stage.argv)] == stage.argv, name
+            assert parser.parse_args(["--config", "c", *argv]) == \
+                parser.parse_args(["--config", "c", *stage.argv]), name
+            assert bench.STAGE_FILES[name] == stage.writes, name
 
 
 class TestAtomicWrites:
@@ -868,6 +971,25 @@ class TestTraceContract:
             "corpus.clean_rows": report["n_clean"],
             "colorspace.conversions": 3 * report["n_clean"],
         }
+
+    def test_info_counts_match_word_info(self, fixture_corpus, tmp_path):
+        """The words the trace counts from `cli.compute_word_infos`, and
+        those it subsampled, are the rows of word_info.tsv."""
+        # a max_exact at which some of the fixture's words are subsampled
+        config = tmp_path / "run.ini"
+        config.write_text(fixture_corpus.config.read_text("utf-8")
+                          + "[sampling]\nmax_exact = 60\nsample_size = 20\n",
+                          encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--config", str(config), "--out", str(out),
+                     "ingest"]) == 0
+        counts = _traced_counts(config, out, tmp_path / "spans.json", "info")
+        rows = list(_tsv_rows(out / "word_info.tsv"))
+        sampled = sum(row["sampled"] == "1" for row in rows)
+        assert (counts["informativeness.words"],
+                counts["informativeness.sampled_words"]) == (len(rows),
+                                                             sampled)
+        assert 0 < sampled < len(rows)
 
     def test_regression_counts_match_fits(self, fixture_corpus, tmp_path):
         """The groups the trace counts over the table each fit takes equal

@@ -34,24 +34,35 @@ def _run_info(config, out):
     return cli.main(["--config", str(config), "--out", str(out), "info"])
 
 
+def _replace_info(monkeypatch, body):
+    """Make the info stage table entry's function call body(), then
+    write an empty word_info.tsv and print nothing."""
+    def run(cfg, args, read):
+        body()
+        return (lambda handle: None,), ""
+
+    monkeypatch.setattr(cli, "STAGES", tuple(
+        stage._replace(run=run) if stage.argv == ("info",) else stage
+        for stage in cli.STAGES))
+
+
 class TestMainRestoresCollector:
     """Each test replaces the info stage's function."""
 
     def test_stage_runs_with_collector_off(self, fixture_corpus, tmp_path,
                                            collector_on, monkeypatch):
         seen = []
-        monkeypatch.setattr(cli, "cmd_info",
-                            lambda cfg, args: seen.append(gc.isenabled()))
+        _replace_info(monkeypatch, lambda: seen.append(gc.isenabled()))
         assert _run_info(fixture_corpus.config, tmp_path) == 0
         assert seen == [False]
         assert gc.isenabled()
 
     def test_on_again_after_exit_2(self, fixture_corpus, tmp_path,
                                    collector_on, monkeypatch, capsys):
-        def failing(cfg, args):
+        def failing():
             raise ColorlexError("stage failed")
 
-        monkeypatch.setattr(cli, "cmd_info", failing)
+        _replace_info(monkeypatch, failing)
         assert _run_info(fixture_corpus.config, tmp_path) == 2
         assert "error: stage failed" in capsys.readouterr().err
         assert gc.isenabled()
@@ -63,10 +74,10 @@ class TestMainRestoresCollector:
     def test_on_again_after_uncaught_exception(self, fixture_corpus,
                                                tmp_path, collector_on,
                                                monkeypatch):
-        def crashing(cfg, args):
+        def crashing():
             raise RuntimeError("not a stage error")
 
-        monkeypatch.setattr(cli, "cmd_info", crashing)
+        _replace_info(monkeypatch, crashing)
         with pytest.raises(RuntimeError):
             _run_info(fixture_corpus.config, tmp_path)
         assert gc.isenabled()
@@ -74,7 +85,7 @@ class TestMainRestoresCollector:
     def test_stays_off_when_caller_turned_it_off(self, fixture_corpus,
                                                  tmp_path, collector_on,
                                                  monkeypatch):
-        monkeypatch.setattr(cli, "cmd_info", lambda cfg, args: None)
+        _replace_info(monkeypatch, lambda: None)
         gc.disable()
         assert _run_info(fixture_corpus.config, tmp_path) == 0
         assert not gc.isenabled()
