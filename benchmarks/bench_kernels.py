@@ -23,9 +23,9 @@ bytes); and the cached random-intercept fit against `every_step_fit`
 in tests/test_regress.py, whose search profiles every step (equal
 fields), with the number of profile evaluations of each. The
 clean-rounds and ingest cases also print the tracemalloc heap peak of
-one call (ingest, read, read with the target block, clean, write), and
-the read case the heap its table keeps. Usage, from the root of a
-checkout:
+one call (ingest, read, clean, write), the read case the heap its table
+keeps, and the clean-rounds cases the bytes per row of the table
+written. Usage, from the root of a checkout:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py
 
@@ -58,7 +58,6 @@ from _regress_oracle import (  # noqa: E402
     table_rows,
 )
 from _rounds_oracle import (  # noqa: E402
-    CleanRow,
     oracle_chip_table,
     oracle_clean,
     oracle_ingest,
@@ -160,9 +159,11 @@ def _regression_case(n_rows: int, n_chips: int, seed: int,
     chip_keys = np.stack(np.unravel_index(np.sort(codes), (360, 101, 101)),
                          axis=1).astype(np.int64)
     gray = np.zeros((n_rows, 3))
+    chip_ids = rng.integers(0, n_chips, n_rows)
     rounds = corpus.Rounds(
         vocab=tuple(f"w{i}" for i in range(n_words)), word_ids=word_ids,
-        chip_keys=chip_keys, chip_ids=rng.integers(0, n_chips, n_rows),
+        codes=np.repeat(np.sort(codes)[chip_ids, None], 3, axis=1),
+        chip_keys=chip_keys, chip_ids=chip_ids,
         ease=rng.uniform(0.0, 100.0, size=n_rows), game_ids=[""] * n_rows,
         speaker_ids=[""] * n_rows, round_indices=list(range(n_rows)),
         lab=(gray, gray, gray))
@@ -175,22 +176,18 @@ def _regression_case(n_rows: int, n_chips: int, seed: int,
 
 def _clean_table(n_rows: int, seed: int) -> str:
     """A clean_rounds.tsv text of n_rows rounds: 606 Zipf-weighted
-    words, chips drawn from the integer HSL grid, uniform Lab values."""
+    words, chips drawn from the integer HSL grid."""
     rng = np.random.default_rng(seed)
     weights = 1.0 / np.arange(1, 607)
     words = rng.choice(606, size=n_rows, p=weights / weights.sum())
-    keys = np.stack([rng.integers(0, 360, n_rows),
-                     rng.integers(0, 101, n_rows),
-                     rng.integers(0, 101, n_rows)], axis=1).tolist()
-    lab = rng.uniform(-100.0, 100.0, size=(n_rows, 9)).tolist()
-    ease = rng.uniform(0.0, 100.0, size=n_rows).tolist()
-    rows = [
-        CleanRow(f"g{i // 50}", i % 50 + 1, f"s{i // 50}", f"w{w}", tuple(k),
-                 e, tuple(v[0:3]), tuple(v[3:6]), tuple(v[6:9]))
-        for i, (w, k, v, e) in enumerate(zip(words.tolist(), keys, lab, ease))
-    ]
+    keys = np.stack([rng.integers(0, 360, (n_rows, 3)),
+                     rng.integers(0, 101, (n_rows, 3)),
+                     rng.integers(0, 101, (n_rows, 3))], axis=2).tolist()
     buffer = io.StringIO()
-    oracle_write_clean_rounds(buffer, rows, "# colorlex bench")
+    corpus.write_table(buffer, "# colorlex bench", corpus._CLEAN_COLUMNS, (
+        [f"g{i // 50}", str(i % 50 + 1), f"s{i // 50}", f"w{w}",
+         *map(corpus.format_chip_key, k)]
+        for i, (w, k) in enumerate(zip(words.tolist(), keys))))
     return buffer.getvalue()
 
 
@@ -261,12 +258,13 @@ def _best(fn, repeat: int, number: int = 1) -> float:
 
 def _line(label: str, t_kernel: float, t_oracle: float,
           kernel: str = "numpy", peak: int | None = None,
-          kept: int | None = None) -> None:
+          kept: int | None = None, row_bytes: float | None = None) -> None:
     print(f"{label:<34} {kernel:<7} {t_kernel * 1e3:10.3f} ms"
           f"   oracle {t_oracle * 1e3:10.1f} ms"
           f"   {t_oracle / t_kernel:8.1f}x"
           + ("" if peak is None else f"   heap peak {peak / 1e6:7.1f} MB")
-          + ("" if kept is None else f"   keeps {kept / 1e6:7.1f} MB"))
+          + ("" if kept is None else f"   keeps {kept / 1e6:7.1f} MB")
+          + ("" if row_bytes is None else f"   {row_bytes:5.1f} B/row"))
 
 
 def bench_spread(n: int, seed: int) -> None:
@@ -456,21 +454,19 @@ def bench_referents(label: str, n_rows: int, n_chips: int, n_words: int,
 
 
 def bench_read_clean_rounds(n_rows: int, seed: int) -> None:
+    """The reader, Lab and ease derived from the keys, against the
+    per-row reader that converts each key with the scalar functions."""
     text = _clean_table(n_rows, seed)
     got, t_read = _best(
         lambda: corpus.read_clean_rounds(io.StringIO(text)), repeat=5)
-    _, t_lab = _best(
-        lambda: corpus.read_clean_rounds(io.StringIO(text)).target, repeat=5)
     want, t_oracle = _best(
-        lambda: oracle_read_clean_rounds(io.StringIO(text)), repeat=3)
+        lambda: oracle_read_clean_rounds(io.StringIO(text)), repeat=1)
     assert repr(rounds_rows(got)) == repr(want), (
         "read_clean_rounds disagrees with the per-row reader")
     _line(f"read_clean_rounds n={n_rows}", t_read, t_oracle, "columns",
           heap_peak(corpus.read_clean_rounds, io.StringIO(text)),
-          heap_kept(corpus.read_clean_rounds, io.StringIO(text))[1])
-    _line("  and its target Lab block", t_lab, t_oracle, "columns",
-          heap_peak(lambda handle: corpus.read_clean_rounds(handle).target,
-                    io.StringIO(text)))
+          heap_kept(corpus.read_clean_rounds, io.StringIO(text))[1],
+          len(text.encode()) / n_rows)
 
 
 def bench_chip_keys(n_keys: int, seed: int) -> None:
@@ -485,7 +481,7 @@ def bench_chip_keys(n_keys: int, seed: int) -> None:
 
     def numbered():
         return corpus._numbered(np.concatenate([
-            corpus._key_codes(texts[i:i + block], lambda j: f"row {j}")
+            corpus._chip_codes(texts[i:i + block])
             for i in range(0, n_keys, block)]))
 
     (keys, ids), t_codes = _best(numbered, repeat=7)
@@ -547,7 +543,8 @@ def bench_clean(n_rows: int, seed: int) -> None:
           heap_peak(corpus.clean, raw))
     with open(os.devnull, "w", encoding="utf-8") as sink:
         _line("  write_clean_rounds", t_write, t_oracle_write, "columns",
-              heap_peak(corpus.write_clean_rounds, sink, got, "# bench"))
+              heap_peak(corpus.write_clean_rounds, sink, got, "# bench"),
+              row_bytes=len(written.encode()) / len(got))
 
 
 def _write(writer, rounds) -> str:

@@ -5,30 +5,30 @@ an utterance, three HSL chips (target plus two distractors) and whether
 the listener picked the target. A schema maps our canonical field names
 to the file's column names so published corpora can be ingested without
 reshaping. Cleaning keeps rounds that were solved with a single
-normalized token, converts chips to CIELAB and computes context ease
-(distance from the target to its closest distractor: the smaller, the
-harder the round).
+normalized token, quantizes each chip to its grid key, converts the
+keys to CIELAB and computes context ease (distance from the target to
+its closest distractor: the smaller, the harder the round).
 
 Ingestion returns one columnar `RawRounds` table, and cleaning
 returns, and the stages after ingestion read back, one columnar
 `Rounds` table, rather than one object per round.
 
 Chip identity: source corpora draw chips on an integer HSL grid
-(hue in degrees, saturation/lightness in percent), so a chip's key is
-its grid triple, quantized before any color conversion. This makes
-"the same chip across rounds" well-defined. Chips are numbered by one
-integer code per key, (h * 101 + s) * 101 + l, whether `clean` makes
-the table or `read_clean_rounds` reads it back.
+(hue in degrees, saturation/lightness in percent), so every chip,
+target or distractor, is its grid key, quantized before any color
+conversion: input off the grid gets its grid point's Lab. This makes
+"the same chip across rounds" well-defined. A key is held as one
+integer code, (h * 101 + s) * 101 + l. clean_rounds.tsv stores each
+round's three keys, not their Lab or the ease; `clean` and
+`read_clean_rounds` both derive those from the codes, in `_rounds`.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 import operator
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, compress, islice
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -53,8 +53,6 @@ __all__ = [
     "build_denotations",
     "format_chip_key",
     "read_spellmap",
-    "LAB_COLUMNS",
-    "lab_fields",
     "write_table",
     "read_table",
     "write_clean_rounds",
@@ -213,8 +211,9 @@ class RawRounds:
                            speaker or None)
 
 
-# Rows parsed, converted, formatted or held as text at a time by ingest,
-# clean, write_clean_rounds and read_table.
+# Rows parsed, formatted or held as text at a time by ingest,
+# write_clean_rounds and read_table, and chips converted at a time by
+# _rounds.
 _ROW_BLOCK = 2048
 
 
@@ -425,6 +424,13 @@ def chip_key(c: HslColor) -> ChipKey:
     )
 
 
+def _grid_codes(hsl: np.ndarray) -> np.ndarray:
+    """The code of chip_key of each row of an (n, 3) array of HslColor
+    fields; rint rounds half to even, as round does."""
+    h, s, l = np.rint(hsl.T * [[1.0], [100.0], [100.0]]).astype(np.int64)
+    return (h % 360 * 101 + s) * 101 + l
+
+
 def _lab_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The CIELAB (Euclidean) distance of each row pair of two (n, 3)
     arrays."""
@@ -436,12 +442,9 @@ def _lab_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def clean(
     raw: RawRounds, spellmap: Mapping[str, str] | None = None
 ) -> Rounds:
-    """Keep rounds solved with exactly one token; convert colors to Lab.
-
-    Context ease is the distance from the target to its closest
-    (hardest) distractor. The kept chips are converted by
-    hsl_to_lab_array _ROW_BLOCK rounds at a time, and each distinct
-    utterance is normalized once.
+    """Keep rounds solved with exactly one token, each chip as its grid
+    key; their Lab and context ease come from the keys (see _rounds).
+    Each distinct utterance is normalized once.
     """
     utterance_ids, utterances = _dense_ids(raw.utterances)
     words = []  # each distinct utterance's one token, or None
@@ -451,33 +454,41 @@ def clean(
     one_token = np.array([w is not None for w in words], dtype=bool)
     kept = np.flatnonzero(raw.listener_correct & one_token[utterance_ids])
     rows = kept.tolist()
-    n = len(rows)
-    lab = np.empty((3, n, 3))
-    for start in range(0, n, _ROW_BLOCK):
-        block = kept[start:start + _ROW_BLOCK]
-        h, s, l = np.concatenate([raw.target[block], raw.distractor1[block],
-                                  raw.distractor2[block]]).T
-        lab[:, start:start + len(block)] = hsl_to_lab_array(
-            h, s, l).reshape(3, -1, 3)
-    target, d1, d2 = lab
-    e1, e2 = _lab_distance(target, d1), _lab_distance(target, d2)
-    # chip_key of each target; rint rounds half to even, as round does
-    h, s, l = np.rint(raw.target[kept].T * [[1.0], [100.0], [100.0]]).astype(
-        np.int64)
-    chip_keys, chip_ids = _numbered((h % 360 * 101 + s) * 101 + l)
+    game_ids, speaker_ids, round_indices = (
+        list(map(column.__getitem__, rows))
+        for column in (raw.game_ids, raw.speaker_ids, raw.round_indices))
     word_ids, vocab = _dense_ids(
         list(map(words.__getitem__, utterance_ids[kept].tolist())))
-    return Rounds(
-        vocab=tuple(vocab),
-        word_ids=word_ids,
-        chip_keys=chip_keys,
-        chip_ids=chip_ids,
-        ease=np.where(e2 < e1, e2, e1),  # min(e1, e2)
-        game_ids=list(map(raw.game_ids.__getitem__, rows)),
-        speaker_ids=list(map(raw.speaker_ids.__getitem__, rows)),
-        round_indices=list(map(raw.round_indices.__getitem__, rows)),
-        lab=(target, d1, d2),
-    )
+    codes = np.column_stack([_grid_codes(chips[kept]) for chips in (
+        raw.target, raw.distractor1, raw.distractor2)])
+    del rows, utterance_ids, kept  # freed before the chips are converted
+    return _rounds(codes, vocab=tuple(vocab), word_ids=word_ids,
+                   game_ids=game_ids, speaker_ids=speaker_ids,
+                   round_indices=round_indices)
+
+
+def _rounds(codes: np.ndarray, **columns) -> Rounds:
+    """The Rounds table of rounds whose chips have the given (n, 3) codes
+    (target, d1, d2) and whose other columns are given by name.
+
+    Each distinct code is converted once, at its grid point, by
+    hsl_to_lab_array _ROW_BLOCK codes at a time, and the target chips
+    are numbered (see Rounds).
+    """
+    distinct, inverse = np.unique(codes, return_inverse=True)
+    lab = np.empty((len(distinct), 3))
+    for start in range(0, len(distinct), _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK)
+        h, s, l = (_key_array(distinct[block]) / [1.0, 100.0, 100.0]).T
+        lab[block] = hsl_to_lab_array(h, s, l)
+    del distinct
+    target, d1, d2 = lab[inverse.reshape(codes.shape).T]
+    del lab, inverse
+    e1, e2 = _lab_distance(target, d1), _lab_distance(target, d2)
+    chip_keys, chip_ids = _numbered(codes[:, 0])
+    return Rounds(codes=codes, chip_keys=chip_keys, chip_ids=chip_ids,
+                  ease=np.where(e2 < e1, e2, e1),  # min(e1, e2)
+                  lab=(target, d1, d2), **columns)
 
 
 def _dense_ids(values: Sequence) -> tuple[np.ndarray, list]:
@@ -509,15 +520,6 @@ def _parse_column(convert, values: Sequence[str], column: str,
     raise error
 
 
-# Every hsl_to_lab_array output lies within _LAB_LIMIT in each of L*, a*
-# and b*: over the sRGB cube each f(t) of the CIELAB formulas is in
-# [4/29, 1] (up to rounding), so L* is in [0, 100], |a*| at most about 431
-# and |b*| about 172. A stage-table value beyond it was not written here.
-_LAB_LIMIT = 500.0
-# The largest CIELAB distance between two such colours.
-_EASE_LIMIT = 2.0 * math.sqrt(3.0) * _LAB_LIMIT
-
-
 def _in_range(values: np.ndarray, low: float, high: float, column: str,
               where: Callable[[int], str], open_low: bool = False
               ) -> np.ndarray:
@@ -534,117 +536,48 @@ def _in_range(values: np.ndarray, low: float, high: float, column: str,
     return values
 
 
-class _LabText:
-    """The LAB_COLUMNS text of a stage table's rows (all of them, or
-    those at `rows`), converted to floats one block of three columns at
-    a time. A value that is not a number in [-_LAB_LIMIT, _LAB_LIMIT]
-    is a ValueError naming its row and column.
-
-    Each column is held as one tab-joined text per block of _ROW_BLOCK
-    rows that read_table gave, and `wheres` holds each block's where():
-    row r is field r % _ROW_BLOCK of text r // _ROW_BLOCK of its column.
-    """
-
-    def __init__(self, columns: Sequence[list[str]],
-                 wheres: Sequence[Callable[[int], str]],
-                 rows: np.ndarray | None = None):
-        self.columns = columns
-        self.wheres = wheres
-        self.rows = rows
-
-    def take(self, index: np.ndarray) -> _LabText:
-        rows = index if self.rows is None else self.rows[index]
-        return _LabText(self.columns, self.wheres, rows)
-
-    def block(self, k: int) -> np.ndarray:
-        """Block k (target, d1, d2) as an (n, 3) float64 array."""
-        return np.column_stack([
-            self._column(texts, name)
-            for texts, name in zip(self.columns[3 * k:3 * k + 3],
-                                   LAB_COLUMNS[3 * k:3 * k + 3])])
-
-    def _column(self, texts: list[str], name: str) -> np.ndarray:
-        """One column's rows as float64: all rows text by text, or the
-        rows at `rows`, cut from each text they need."""
-        if self.rows is None:
-            return np.concatenate([np.empty(0)] + [
-                _lab_values(text.split("\t"), name, where)
-                for text, where in zip(texts, self.wheres)])
-        blocks, offsets = np.divmod(self.rows, _ROW_BLOCK)
-        values = np.empty(len(self.rows), dtype=object)
-        for b in np.unique(blocks).tolist():
-            at = blocks == b
-            values[at] = _fields(texts[b], offsets[at])
-        return _lab_values(values.tolist(), name,
-                           lambda i: self.wheres[blocks[i]](int(offsets[i])))
-
-
-def _lab_values(texts: Sequence[str], column: str,
-                where: Callable[[int], str]) -> np.ndarray:
-    """One Lab column's texts as float64, each checked to lie within
-    _LAB_LIMIT; a bad one is a ValueError naming where(i) and the
-    column."""
-    return _in_range(_parse_column(float, texts, column, where, np.float64),
-                     -_LAB_LIMIT, _LAB_LIMIT, column, where)
-
-
-def _fields(text: str, offsets: np.ndarray) -> list[str]:
-    """The fields at `offsets` of a tab-joined text, cut out of its UTF-8
-    bytes (a tab byte is never part of another character), which costs
-    a few times less than splitting the text when only a few are
-    needed."""
-    data = text.encode()
-    tabs = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 9)
-    starts = np.concatenate([[0], tabs + 1])[offsets].tolist()
-    ends = np.append(tabs, len(data))[offsets].tolist()
-    return [data[a:z].decode() for a, z in zip(starts, ends)]
-
-
 class Rounds:
     """Clean rounds as columns: entry i of every column is round i.
 
     - `vocab` holds the words and `word_ids[i]` indexes it;
+    - `codes` is an (n, 3) int64 array of each round's target, d1 and
+      d2 chip codes (h * 101 + s) * 101 + l, 0 <= h < 360 and
+      0 <= s, l <= 100;
     - `chip_keys` is an (m, 3) int64 array of the distinct target chip
-      keys (h, s, l), 0 <= h < 360 and 0 <= s, l <= 100, sorted as
-      integer triples, and `chip_ids[i]` indexes it, so ascending chip
-      ids are ascending keys. Both come from one np.unique of the
-      codes (h * 101 + s) * 101 + l;
-    - `ease` is the float64 context ease;
+      keys (h, s, l), sorted as integer triples, and `chip_ids[i]`
+      indexes it, so ascending chip ids are ascending keys. Both come
+      from one np.unique of the target codes;
+    - `target`, `distractor1` and `distractor2` are (n, 3) float64
+      arrays of the (L*, a*, b*) rows of the chips' grid points, and
+      `ease` is the float64 context ease computed from them;
     - `game_ids`, `speaker_ids` ("" when the corpus has none) and
       `round_indices` are lists. Equal ids are one shared string
       object, in a table from read_clean_rounds and in one that `clean`
-      made from an `ingest` table;
-    - `target`, `distractor1` and `distractor2` are (n, 3) float64
-      arrays of (L*, a*, b*) rows. A table read by read_clean_rounds
-      keeps them as text, one string per Lab column and block of
-      _ROW_BLOCK rows, and converts a block of three columns on its
-      first access, so a stage that reads no Lab converts none.
+      made from an `ingest` table.
 
-    `clean` returns this table, and read_clean_rounds reads it back. A
-    stage drops its table once it has what it needs from it (the
+    `clean` returns this table, and read_clean_rounds reads it back;
+    both derive the Lab, the ease and the chip numbering from the codes.
+    A stage drops its table once it has what it needs from it (the
     denotations, or the regression table), before its heaviest work.
     Iterating over it yields its rounds as CleanRound rows; no stage
     does, but the benchmark's ground-truth test still does.
     """
 
     def __init__(self, *, vocab: tuple[str, ...], word_ids: np.ndarray,
-                 chip_keys: np.ndarray, chip_ids: np.ndarray,
-                 ease: np.ndarray, game_ids: list[str],
-                 speaker_ids: list[str], round_indices: list[int],
-                 lab: _LabText | Sequence[np.ndarray]):
+                 codes: np.ndarray, chip_keys: np.ndarray,
+                 chip_ids: np.ndarray, ease: np.ndarray,
+                 game_ids: list[str], speaker_ids: list[str],
+                 round_indices: list[int], lab: Sequence[np.ndarray]):
         self.vocab = vocab
         self.word_ids = word_ids
+        self.codes = codes
         self.chip_keys = chip_keys
         self.chip_ids = chip_ids
         self.ease = ease
         self.game_ids = game_ids
         self.speaker_ids = speaker_ids
         self.round_indices = round_indices
-        if isinstance(lab, _LabText):
-            self._lab = lab
-        else:  # the three blocks as arrays: fill the cached properties
-            self._lab = None
-            self.target, self.distractor1, self.distractor2 = lab
+        self.target, self.distractor1, self.distractor2 = lab
 
     def __len__(self) -> int:
         return len(self.word_ids)
@@ -670,38 +603,22 @@ class Rounds:
                 round_index=index,
             )
 
-    @cached_property
-    def target(self) -> np.ndarray:
-        return self._lab.block(0)
-
-    @cached_property
-    def distractor1(self) -> np.ndarray:
-        return self._lab.block(1)
-
-    @cached_property
-    def distractor2(self) -> np.ndarray:
-        return self._lab.block(2)
-
     def take(self, index) -> Rounds:
-        """The rounds at the given row positions, as a new table; Lab
-        read as text stays text, converted on the new table's first
-        access."""
-        # positions from the start, which _LabText.take needs
-        index = np.arange(len(self))[np.asarray(index, dtype=np.intp)]
+        """The rounds at the given row positions, as a new table."""
+        index = np.asarray(index, dtype=np.intp)
         rows = index.tolist()
-        lab = self._lab
         return Rounds(
             vocab=self.vocab,
             word_ids=self.word_ids[index],
+            codes=self.codes[index],
             chip_keys=self.chip_keys,
             chip_ids=self.chip_ids[index],
             ease=self.ease[index],
             game_ids=[self.game_ids[i] for i in rows],
             speaker_ids=[self.speaker_ids[i] for i in rows],
             round_indices=[self.round_indices[i] for i in rows],
-            lab=((self.target[index], self.distractor1[index],
-                  self.distractor2[index]) if lab is None
-                 else lab.take(index)),
+            lab=(self.target[index], self.distractor1[index],
+                 self.distractor2[index]),
         )
 
 
@@ -819,44 +736,32 @@ def read_table(handle: TextIO, columns: Sequence[str]
         line += n
 
 
-LAB_COLUMNS = tuple(f"{c}_{ch}" for c in ("target", "d1", "d2")
-                    for ch in "lab")
-
-
-def lab_fields(*colors: LabColor) -> list[str]:
-    """The LAB_COLUMNS text of a target and its two distractors."""
-    return [repr(v) for c in colors
-            for v in (c.l_star, c.a_star, c.b_star)]
-
-
-_CLEAN_COLUMNS = ("game_id", "round_index", "speaker_id", "word",
-                  "target_key", "ease") + LAB_COLUMNS
+_KEY_COLUMNS = ("target_key", "d1_key", "d2_key")
+_CLEAN_COLUMNS = ("game_id", "round_index", "speaker_id",
+                  "word") + _KEY_COLUMNS
+_KEY_TEXT = "{}:{}:{}".format
 
 
 def format_chip_key(key: ChipKey) -> str:
     """A chip key as written in output tables: "h:s:l"."""
-    return f"{key[0]}:{key[1]}:{key[2]}"
+    return _KEY_TEXT(*key)
 
 
 def write_clean_rounds(
     handle: TextIO, rounds: Rounds, header_comment: str
 ) -> None:
-    """Write clean rounds as a stage table, repr-precision floats,
+    """Write clean rounds as a stage table, each chip as its "h:s:l" key,
     formatting and writing _ROW_BLOCK rows at a time as one text."""
     write_table(handle, header_comment, _CLEAN_COLUMNS, ())
-    keys = [format_chip_key(k) for k in rounds.chip_keys.tolist()]
     for start in range(0, len(rounds), _ROW_BLOCK):
         block = slice(start, start + _ROW_BLOCK)
-        lab = np.concatenate([rounds.target[block], rounds.distractor1[block],
-                              rounds.distractor2[block]], axis=1)
         lines = list(map("\t".join, zip(
             rounds.game_ids[block],
             map(str, rounds.round_indices[block]),
             rounds.speaker_ids[block],
             map(rounds.vocab.__getitem__, rounds.word_ids[block].tolist()),
-            map(keys.__getitem__, rounds.chip_ids[block].tolist()),
-            map(repr, rounds.ease[block].tolist()),
-            *(map(repr, column) for column in lab.T.tolist()),
+            *(map(_KEY_TEXT, *_key_array(codes).T.tolist())
+              for codes in rounds.codes[block].T),
         )))
         lines.append("")  # the last line's line break
         text = "\n".join(lines)
@@ -893,65 +798,66 @@ def _chip_codes(texts: Sequence[str]) -> np.ndarray | None:
     return (h * 101 + s) * 101 + l
 
 
-def _key_codes(texts: Sequence[str],
+def _key_codes(columns: Sequence[Sequence[str]],
                where: Callable[[int], str]) -> np.ndarray:
-    """The codes of a block's target_key texts; a text that is not a
-    chip key is a ValueError naming where(i) of the first such row."""
-    codes = _chip_codes(texts)
+    """The (n, 3) codes of a block's target_key, d1_key and d2_key
+    texts, read in one pass; a text that is not a chip key is a
+    ValueError naming where(i) of the first such row of the first
+    column that has one, and the column."""
+    codes = _chip_codes(list(chain.from_iterable(columns)))
     if codes is None:
-        i = next(i for i, text in enumerate(texts)
-                 if _chip_codes([text]) is None)
-        raise ValueError(f"{where(i)}: target_key: expected h:s:l with "
-                         f"0 <= h < 360 and 0 <= s, l <= 100, "
-                         f"got {texts[i]!r}")
-    return codes
+        for column, texts in zip(_KEY_COLUMNS, columns):
+            for i, text in enumerate(texts):
+                if _chip_codes([text]) is None:
+                    raise ValueError(
+                        f"{where(i)}: {column}: expected h:s:l with "
+                        f"0 <= h < 360 and 0 <= s, l <= 100, got {text!r}")
+    return codes.reshape(3, -1).T
+
+
+def _key_array(codes: np.ndarray) -> np.ndarray:
+    """The chip keys of the codes, as an (m, 3) int64 array of (h, s, l)
+    rows."""
+    h, sl = np.divmod(codes, 101 * 101)
+    return np.column_stack([h, *np.divmod(sl, 101)])
 
 
 def _numbered(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct chip keys of the codes, ascending, as an (m, 3)
     int64 array of (h, s, l) rows, and each code's index in them."""
     distinct, ids = np.unique(codes, return_inverse=True)
-    h, sl = np.divmod(distinct, 101 * 101)
-    return np.column_stack([h, *np.divmod(sl, 101)]), ids
+    return _key_array(distinct), ids
 
 
 def read_clean_rounds(handle: TextIO) -> Rounds:
     """Read a file written by write_clean_rounds, one read_table block
     at a time.
 
-    Each of a block's columns is converted with float() or int() as a
-    whole, except target_key: its "h:s:l" texts are read as integer
-    codes in one pass over their ASCII bytes, and the codes of all
-    blocks are numbered at the end (see Rounds). Words map to ids
-    through a table that all blocks share, and equal game and speaker
-    ids become one shared string. The Lab columns stay text, one string per column and block,
-    until a stage reads them (see Rounds). A block's field strings are
+    round_index is converted with int() as a whole column, and the
+    three key columns are read as integer codes in one pass over their
+    ASCII bytes. The Lab, the ease and the chip numbering are derived
+    from the codes of all blocks at the end (see _rounds). Words map to
+    ids through a table that all blocks share, and equal game and
+    speaker ids become one shared string. A block's field strings are
     dropped before the next block is read, so no more than one block of
     them is alive at a time.
 
     A malformed line is a ValueError naming its "path:line". The first
     bad block wins, and within it a row that does not hold one field
-    per column comes first, then a bad round_index, target_key (one
-    that is not what write_clean_rounds writes: three ASCII integers
-    without a sign or a leading zero, 0 <= h < 360 and
-    0 <= s, l <= 100) or ease (one that is not a number in
-    [0, _EASE_LIMIT]), in that order, each naming its first bad row. A
-    bad Lab value (one that is not a number in [-_LAB_LIMIT,
-    _LAB_LIMIT]) is named when its block is first converted.
+    per column comes first, then a bad round_index, target_key, d1_key
+    or d2_key, in that order, each naming its first bad row. A key must
+    be what write_clean_rounds writes: three ASCII integers without a
+    sign or a leading zero, 0 <= h < 360 and 0 <= s, l <= 100.
     """
     game_ids: list[str] = []
     speaker_ids: list[str] = []
     shared: dict[str, str] = {}  # each distinct game and speaker id
     round_indices: list[int] = []
     word_ids = [np.empty(0, dtype=np.intp)]
-    codes = [np.empty(0, dtype=np.int64)]
-    ease = [np.empty(0)]
+    codes = [np.empty((0, 3), dtype=np.int64)]
     words: dict[str, int] = {}
-    lab: list[list[str]] = [[] for _ in LAB_COLUMNS]
-    wheres: list[Callable[[int], str]] = []
-    for where, (games, round_text, speakers, word_text, key_text, ease_text,
-                *lab_text) in read_table(handle, _CLEAN_COLUMNS):
-        wheres.append(where)
+    for where, (games, round_text, speakers, word_text,
+                *key_text) in read_table(handle, _CLEAN_COLUMNS):
         game_ids += _shared(games, shared)
         round_indices += _parse_column(int, round_text, "round_index", where)
         speaker_ids += _shared(speakers, shared)
@@ -959,25 +865,15 @@ def read_clean_rounds(handle: TextIO) -> Rounds:
             [words.setdefault(w, len(words)) for w in word_text],
             dtype=np.intp))
         codes.append(_key_codes(key_text, where))
-        ease.append(_in_range(
-            _parse_column(float, ease_text, "ease", where, np.float64),
-            0.0, _EASE_LIMIT, "ease", where))
-        for column, values in zip(lab, lab_text):
-            column.append("\t".join(values))
         # the block's fields, before the next block's are made
-        del games, round_text, speakers, word_text, key_text, ease_text
-        del lab_text, values
-    chip_keys, chip_ids = _numbered(np.concatenate(codes))
-    return Rounds(
+        del games, round_text, speakers, word_text, key_text
+    return _rounds(
+        np.concatenate(codes),
         vocab=tuple(words),
         word_ids=np.concatenate(word_ids),
-        chip_keys=chip_keys,
-        chip_ids=chip_ids,
-        ease=np.concatenate(ease),
         game_ids=game_ids,
         speaker_ids=speaker_ids,
         round_indices=round_indices,
-        lab=_LabText(lab, wheres),
     )
 
 

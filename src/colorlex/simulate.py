@@ -37,14 +37,7 @@ import numpy as np
 
 from . import kernels
 from .colorspace import LabColor
-from .corpus import (
-    LAB_COLUMNS,
-    ChipKey,
-    Rounds,
-    format_chip_key,
-    lab_fields,
-    write_table,
-)
+from .corpus import ChipKey, Rounds, format_chip_key, write_table
 from .errors import ColorlexError
 from .informativeness import WordInfo, vocab_scores
 
@@ -281,13 +274,12 @@ def generate_stimuli(
     generals = referents.words[referents.offsets[:-1]].tolist()
     specifics = referents.words[referents.offsets[1:] - 1].tolist()
     ref_i_w = referents.i_w.tolist()
-    # Only the picked rounds' Lab values are read.
-    chosen = rounds.take(rows)
     stimuli: list[Stimulus] = []
     for (b, i), key, hit, r, actual_i_w, target, d1, d2 in zip(
             picked, keys.tolist(), np.isin(wanted, codes).tolist(), at,
-            i_w[rounds.word_ids[rows]].tolist(), chosen.target.tolist(),
-            chosen.distractor1.tolist(), chosen.distractor2.tolist()):
+            i_w[rounds.word_ids[rows]].tolist(),
+            rounds.target[rows].tolist(), rounds.distractor1[rows].tolist(),
+            rounds.distractor2[rows].tolist()):
         general = specific = None
         if hit and ref_i_w[generals[r]] < actual_i_w:
             general = referents.vocab[generals[r]]
@@ -330,7 +322,8 @@ def write_simulation(
 
 
 _STIMULUS_COLUMNS = ("bin", "ease", "target_key", "actual",
-                     "simulated_general", "simulated_specific") + LAB_COLUMNS
+                     "simulated_general", "simulated_specific") + tuple(
+    f"{c}_{ch}" for c in ("target", "d1", "d2") for ch in "lab")
 
 
 def write_stimuli(
@@ -340,6 +333,7 @@ def write_stimuli(
         [str(s.bin_index), repr(s.ease), format_chip_key(s.target_key),
          s.actual_name, s.simulated_general or "",
          s.simulated_specific or "",
-         *lab_fields(s.target, s.distractor1, s.distractor2)]
+         *(repr(v) for c in (s.target, s.distractor1, s.distractor2)
+           for v in (c.l_star, c.a_star, c.b_star))]
         for s in stimuli
     ))

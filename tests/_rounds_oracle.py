@@ -4,21 +4,24 @@
 its own checks and reject reasons, as the package did before `ingest`
 parsed blocks of rows column by column into a `RawRounds` table.
 `oracle_clean` and `oracle_write_clean_rounds` clean raw rounds into
-`CleanRow` tuples, converting each chip with the scalar colorspace
-functions, and write them line by line, as the package did before
-`clean` converted all chips in one batch and wrote a `Rounds` table.
-`oracle_read_clean_rounds` parses a clean_rounds.tsv table line by line
-into `CleanRow` tuples, as the package did before `read_clean_rounds`
-read it column by column. `oracle_chip_table` numbers chip key texts by
-parsing each distinct one with int() and sorting the triples, as the
-package did before it numbered chips by their integer codes. `rounds_rows` gives a `Rounds` table's rows in
-the same form, so that tests can compare tables by repr, which tells
--0.0 from 0.0 and shows NaN; `rounds_from_rows` writes such rows and
-reads them back as a table.
+`CleanRow` tuples row by row, quantizing each chip to its grid key and
+converting that grid point with the scalar colorspace functions, and
+write their keys line by line: the per-row counterparts of `clean`,
+which converts each distinct chip code once into a `Rounds` table, and
+of `write_clean_rounds`. `oracle_read_clean_rounds` parses a
+clean_rounds.tsv table line by line into `CleanRow` tuples, converting
+each key the same way, where `read_clean_rounds` reads it column by
+column.
+`oracle_chip_table` numbers chip key texts by parsing each distinct one
+with int() and sorting the triples, as the package did before it
+numbered chips by their integer codes. `rounds_rows` gives a `Rounds`
+table's rows in the same form, so that tests can compare tables by
+repr, which tells -0.0 from 0.0 and shows NaN; `rounds_from_rows`
+builds a table from such rows as they are, their Lab and ease not
+derived from their keys.
 """
 
 import csv
-import io
 import math
 from typing import NamedTuple
 
@@ -36,30 +39,33 @@ from colorlex.corpus import (
     RejectedRow,
     Rounds,
     SchemaError,
+    _numbered,
     chip_key,
     format_chip_key,
     normalize_utterance,
-    read_clean_rounds,
     write_table,
 )
 from colorlex.errors import not_utf8
 
 _CLEAN_COLUMNS = ("game_id", "round_index", "speaker_id", "word",
-                  "target_key", "ease") + tuple(
-    f"{c}_{ch}" for c in ("target", "d1", "d2") for ch in "lab")
+                  "target_key", "d1_key", "d2_key")
 
 Lab = tuple[float, float, float]
+Key = tuple[int, int, int]
 
 
 class CleanRow(NamedTuple):
-    """One clean round, as a clean_rounds.tsv line holds it: speaker_id
-    is "" when the corpus has none, and each Lab value is (L*, a*, b*)."""
+    """One clean round: the fields of its clean_rounds.tsv line, with
+    speaker_id "" when the corpus has none, then its context ease and
+    each chip's (L*, a*, b*)."""
 
     game_id: str
     round_index: int
     speaker_id: str
     word: str
-    target_key: tuple[int, int, int]
+    target_key: Key
+    d1_key: Key
+    d2_key: Key
     ease: float
     target: Lab
     d1: Lab
@@ -170,8 +176,10 @@ def oracle_ingest(path, schema=None, *, delimiter=",", hsl_scale="percent"):
     return rounds, rejects
 
 
-def _to_lab(c):
-    return srgb_to_lab(hsl_to_srgb(c))
+def key_lab(key: Key) -> LabColor:
+    """The CIELAB point of a chip key: its grid point, converted."""
+    h, s, l = key
+    return srgb_to_lab(hsl_to_srgb(HslColor(h, s / 100.0, l / 100.0)))
 
 
 def lab_distance(a: LabColor, b: LabColor) -> float:
@@ -199,21 +207,26 @@ def oracle_clean(rounds, spellmap=None) -> list[CleanRow]:
         tokens = normalize_utterance(r.utterance, spellmap)
         if len(tokens) != 1:
             continue
-        target = _to_lab(r.target)
-        d1 = _to_lab(r.distractor1)
-        d2 = _to_lab(r.distractor2)
-        out.append(CleanRow(
+        out.append(clean_row(
             r.game_id, r.round_index, r.speaker_id or "", tokens[0],
-            chip_key(r.target), context_ease(target, d1, d2),
-            _lab(target), _lab(d1), _lab(d2)))
+            *map(chip_key, (r.target, r.distractor1, r.distractor2))))
     return out
+
+
+def clean_row(game_id, round_index, speaker_id, word, target_key, d1_key,
+              d2_key) -> CleanRow:
+    """The round of a clean_rounds.tsv line's fields, its Lab and ease
+    derived from its keys."""
+    target, d1, d2 = map(key_lab, (target_key, d1_key, d2_key))
+    return CleanRow(game_id, round_index, speaker_id, word, target_key,
+                    d1_key, d2_key, context_ease(target, d1, d2),
+                    _lab(target), _lab(d1), _lab(d2))
 
 
 def oracle_write_clean_rounds(handle, rows, header_comment) -> None:
     write_table(handle, header_comment, _CLEAN_COLUMNS, (
         [r.game_id, str(r.round_index), r.speaker_id, r.word,
-         format_chip_key(r.target_key), repr(r.ease),
-         *(repr(v) for lab in (r.target, r.d1, r.d2) for v in lab)]
+         *map(format_chip_key, (r.target_key, r.d1_key, r.d2_key))]
         for r in rows
     ))
 
@@ -234,14 +247,11 @@ def _table_rows(handle, columns):
 
 def oracle_read_clean_rounds(handle) -> list[CleanRow]:
     rows = []
-    for (game_id, round_index, speaker, word, key, ease,
-         *lab) in _table_rows(handle, _CLEAN_COLUMNS):
-        tl, ta, tb, d1l, d1a, d1b, d2l, d2a, d2b = map(float, lab)
-        kh, ks, kl = key.split(":")
-        rows.append(CleanRow(
+    for game_id, round_index, speaker, word, *keys in _table_rows(
+            handle, _CLEAN_COLUMNS):
+        rows.append(clean_row(
             game_id, int(round_index), speaker, word,
-            (int(kh), int(ks), int(kl)), float(ease),
-            (tl, ta, tb), (d1l, d1a, d1b), (d2l, d2a, d2b)))
+            *(tuple(map(int, key.split(":"))) for key in keys)))
     return rows
 
 
@@ -263,8 +273,15 @@ def oracle_chip_table(texts) -> tuple[np.ndarray, np.ndarray]:
     return ordered[first], numbers[ids]
 
 
+def _code_key(code: int) -> Key:
+    h, sl = divmod(code, 101 * 101)
+    return (h, *divmod(sl, 101))
+
+
 def rounds_rows(rounds: Rounds) -> list[CleanRow]:
-    """A Rounds table's rounds as CleanRow tuples (converts all Lab)."""
+    """A Rounds table's rounds as CleanRow tuples. The target keys are
+    read through chip_keys and chip_ids, the distractor keys from the
+    codes."""
     keys = [tuple(k) for k in rounds.chip_keys.tolist()]
     return list(map(CleanRow._make, zip(
         rounds.game_ids,
@@ -272,6 +289,8 @@ def rounds_rows(rounds: Rounds) -> list[CleanRow]:
         rounds.speaker_ids,
         [rounds.vocab[w] for w in rounds.word_ids.tolist()],
         [keys[c] for c in rounds.chip_ids.tolist()],
+        *([_code_key(c) for c in column]
+          for column in rounds.codes[:, 1:].T.tolist()),
         rounds.ease.tolist(),
         map(tuple, rounds.target.tolist()),
         map(tuple, rounds.distractor1.tolist()),
@@ -280,9 +299,23 @@ def rounds_rows(rounds: Rounds) -> list[CleanRow]:
 
 
 def rounds_from_rows(rows) -> Rounds:
-    """The Rounds table of the given CleanRow tuples, in their order:
-    written by oracle_write_clean_rounds, read by read_clean_rounds."""
-    buffer = io.StringIO()
-    oracle_write_clean_rounds(buffer, rows, "# rows")
-    buffer.seek(0)
-    return read_clean_rounds(buffer)
+    """The Rounds table of the given CleanRow tuples, in their order,
+    with their own ease and Lab, which need not be their keys'."""
+    words: dict[str, int] = {}
+    word_ids = np.array([words.setdefault(r.word, len(words)) for r in rows],
+                        dtype=np.intp)
+    codes = np.array([[(h * 101 + s) * 101 + l for h, s, l in keys]
+                      for keys in (r[4:7] for r in rows)],
+                     dtype=np.int64).reshape(-1, 3)
+    chip_keys, chip_ids = _numbered(codes[:, 0])
+    return Rounds(
+        vocab=tuple(words),
+        word_ids=word_ids,
+        codes=codes, chip_keys=chip_keys, chip_ids=chip_ids,
+        ease=np.array([r.ease for r in rows], dtype=np.float64),
+        game_ids=[r.game_id for r in rows],
+        speaker_ids=[r.speaker_id for r in rows],
+        round_indices=[r.round_index for r in rows],
+        lab=tuple(np.array([r[k] for r in rows],
+                           dtype=np.float64).reshape(-1, 3)
+                  for k in (8, 9, 10)))

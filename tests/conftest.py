@@ -322,7 +322,8 @@ def toy_system() -> SimpleNamespace:
     }
     gray = (50.0, 0.0, 0.0)
     rounds = [
-        CleanRow("toy", ref, "", w, _toy_key(ref), 1.0, gray, gray, gray)
+        CleanRow("toy", ref, "", w, *[_toy_key(ref)] * 3, 1.0, gray, gray,
+                 gray)
         for ref, words in TOY_NAMES.items()
         for w in words
     ]

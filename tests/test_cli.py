@@ -211,11 +211,12 @@ class TestOverrides:
 
 def _corrupt(path, column, rows, value="nanx"):
     """Write `value` into `column` of the given data rows of a stage
-    table (every row when rows is None); returns their file lines."""
+    table (every row when rows is None, the last when a row is -1);
+    returns their file lines."""
     lines = path.read_text(encoding="utf-8").split("\n")
     col = lines[1].split("\t").index(column)
-    if rows is None:
-        rows = range(len(lines) - 3)  # the text ends with a line break
+    n = len(lines) - 3  # the text ends with a line break
+    rows = range(n) if rows is None else [r % n for r in rows]
     for r in rows:
         fields = lines[2 + r].split("\t")
         fields[col] = value
@@ -224,22 +225,30 @@ def _corrupt(path, column, rows, value="nanx"):
     return {3 + r for r in rows}
 
 
+# The reader's refusal of a chip key, and keys it refuses: empty, not
+# numbers, a hue of 360, a saturation above 100, a leading zero.
+_KEY_ERROR = ("{column}: expected h:s:l with 0 <= h < 360 and "
+              "0 <= s, l <= 100, got {value!r}")
+_BAD_KEYS = ("", "x:y:z", "360:0:0", "1:101:0", "01:2:3")
+_KEY_COLUMNS = ("target_key", "d1_key", "d2_key")
+
+
 class TestReadErrorsNameTheLine:
     """A malformed value in a stage table stops every stage that reads
-    it with `error: <path>:<line>: ...` and exit status 2, whether the
-    value is parsed on read or, for Lab values, on first use."""
+    it with `error: <path>:<line>: ...` and exit status 2: every value
+    is parsed and checked on read."""
 
     @pytest.mark.parametrize("stage, table, column, rows", [
-        (["info"], "clean_rounds.tsv", "ease", [7]),
-        (["info"], "clean_rounds.tsv", "target_l", [7, 9]),
-        (REGRESS_ALL, "clean_rounds.tsv", "ease", [7]),
-        (REGRESS_REPEATED, "clean_rounds.tsv", "ease", [7]),
-        (["simulate"], "clean_rounds.tsv", "ease", [7]),
-        (["stimuli"], "clean_rounds.tsv", "ease", [7]),
-        (["stimuli"], "clean_rounds.tsv", "d1_a", None),
-        (PLOT_DENOTATIONS, "clean_rounds.tsv", "ease", [7]),
-        (PLOT_DENOTATIONS, "clean_rounds.tsv", "target_b", [7]),
-        (PLOT_EASE, "clean_rounds.tsv", "ease", [7]),
+        (["info"], "clean_rounds.tsv", "d1_key", [7]),
+        (["info"], "clean_rounds.tsv", "target_key", [7, 9]),
+        (REGRESS_ALL, "clean_rounds.tsv", "d2_key", [7]),
+        (REGRESS_REPEATED, "clean_rounds.tsv", "d1_key", [7]),
+        (["simulate"], "clean_rounds.tsv", "d2_key", [7]),
+        (["stimuli"], "clean_rounds.tsv", "target_key", [7]),
+        (["stimuli"], "clean_rounds.tsv", "d1_key", None),
+        (PLOT_DENOTATIONS, "clean_rounds.tsv", "d1_key", [7]),
+        (PLOT_DENOTATIONS, "clean_rounds.tsv", "d2_key", [7]),
+        (PLOT_EASE, "clean_rounds.tsv", "target_key", [7]),
         (REGRESS_ALL, "word_info.tsv", "i_w", [2]),
         (REGRESS_REPEATED, "word_info.tsv", "i_w", [2]),
         (["simulate"], "word_info.tsv", "i_w", [2]),
@@ -261,7 +270,31 @@ class TestReadErrorsNameTheLine:
         assert int(found[1]) == min(lines) or rows is None
         assert int(found[1]) in lines
         assert found[2] == (
+            _KEY_ERROR.format(column=column, value="nanx")
+            if column.endswith("_key") else
             f"{column}: could not convert string to float: 'nanx'")
+
+    # A chip key that write_clean_rounds never writes, in any key
+    # column of the last row, stops every stage that reads
+    # clean_rounds.tsv.
+    @pytest.mark.parametrize("stage", READERS["clean_rounds.tsv"])
+    @pytest.mark.parametrize("column", _KEY_COLUMNS)
+    def test_malformed_chip_key(self, pipeline, tmp_path, capsys, stage,
+                                column):
+        # across the stages, each column meets every bad key
+        k = (READERS["clean_rounds.tsv"].index(stage)
+             + _KEY_COLUMNS.index(column))
+        value = _BAD_KEYS[k % len(_BAD_KEYS)]
+        out = tmp_path / "out"
+        shutil.copytree(pipeline.out, out)
+        table = out / "clean_rounds.tsv"
+        line, = _corrupt(table, column, [-1], value)
+        code = main(["--config", str(pipeline.corpus.config),
+                     "--out", str(out), *stage])
+        assert capsys.readouterr().err == (
+            f"error: {table}:{line}: "
+            f"{_KEY_ERROR.format(column=column, value=value)}\n")
+        assert code == 2
 
     # A finite value that no stage writes would overflow in the fits or
     # the Lab-to-sRGB conversion; the readers refuse it instead.
@@ -269,16 +302,6 @@ class TestReadErrorsNameTheLine:
         (REGRESS_ALL, "word_info.tsv", "i_w", "1e308", "(0, 1e+100]"),
         (REGRESS_REPEATED, "word_info.tsv", "i_w", "1e308", "(0, 1e+100]"),
         (PLOT_EASE, "word_info.tsv", "i_w", "1e308", "(0, 1e+100]"),
-        (REGRESS_ALL, "clean_rounds.tsv", "ease", "1e308",
-         "[0.0, 1732.0508075688772]"),
-        (REGRESS_REPEATED, "clean_rounds.tsv", "ease", "1e308",
-         "[0.0, 1732.0508075688772]"),
-        (PLOT_EASE, "clean_rounds.tsv", "ease", "1e308",
-         "[0.0, 1732.0508075688772]"),
-        (PLOT_DENOTATIONS, "clean_rounds.tsv", "target_l", "1e200",
-         "[-500.0, 500.0]"),
-        (["info"], "clean_rounds.tsv", "target_a", "1e200",
-         "[-500.0, 500.0]"),
     ])
     def test_huge_finite_value(self, pipeline, tmp_path, capsys, stage,
                                table, column, value, bounds):
@@ -732,17 +755,17 @@ class TestDegenerateCorpora:
 
     def test_ease_plot_without_a_fit_draws_no_line(self, pipeline, tmp_path,
                                                    capsys):
-        # Distinct eases within the read bounds whose squared deviations
-        # underflow to zero: the fit is undefined, so the plot draws
-        # every point and no line, while `regress` says why it cannot fit.
+        # Each round's first distractor made its target, so every ease
+        # is 0: the fit is undefined, so the plot draws every point and
+        # no line, while `regress` says why it cannot fit.
         out = tmp_path / "out"
         shutil.copytree(pipeline.out, out)
         path = out / "clean_rounds.tsv"
         lines = path.read_text(encoding="utf-8").split("\n")
-        col = lines[1].split("\t").index("ease")
+        target, d1 = map(lines[1].split("\t").index, ("target_key", "d1_key"))
         for r in range(2, len(lines) - 1):
             fields = lines[r].split("\t")
-            fields[col] = repr(r * 1e-170)
+            fields[d1] = fields[target]
             lines[r] = "\t".join(fields)
         path.write_text("\n".join(lines), encoding="utf-8")
         args = ["--config", str(pipeline.corpus.config), "--out", str(out)]

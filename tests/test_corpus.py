@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from _regress_oracle import repeated_chip_subset
 from _rounds_oracle import (
-    CleanRow,
+    clean_row,
+    key_lab,
     lab_distance,
     oracle_chip_table,
     oracle_clean,
@@ -27,6 +28,7 @@ from colorlex import corpus
 from colorlex.colorspace import (
     HslColor,
     LabColor,
+    hsl_to_lab_array,
     hsl_to_srgb,
     srgb_to_lab,
 )
@@ -386,12 +388,18 @@ class TestContextEase:
 
 
 def _round_with(word, key, game="g1", idx=1):
-    return CleanRow(game, idx, "s1", word, key, 1.0,
-                    tuple(map(float, key)), (0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+    """A round with black and white distractors, its Lab and ease its
+    keys'."""
+    return clean_row(game, idx, "s1", word, key, (0, 0, 0), (0, 0, 100))
 
 
 def _rounds(*rows):
     return rounds_from_rows(rows)
+
+
+def _lab_of(key):
+    c = key_lab(key)
+    return (c.l_star, c.a_star, c.b_star)
 
 
 class TestBuildDenotations:
@@ -411,7 +419,7 @@ class TestBuildDenotations:
         )
         chips = build_denotations(rounds, 1)["blue"]
         assert chips.dtype == np.float64
-        assert chips.tolist() == [[1.0, 0.0, 0.0]] * 2
+        assert chips.tolist() == [list(_lab_of((1, 0, 0)))] * 2
 
     def test_counts_match_rounds(self, fixture_clean, fixture_denotations):
         for word, den in fixture_denotations.items():
@@ -526,7 +534,7 @@ class TestSerialization:
                            "# header line")
         lines = buffer.getvalue().splitlines(keepends=True)
         lines[-1] = lines[-1].rsplit("\t", 1)[0] + "\n"
-        with pytest.raises(ValueError, match="14 fields, expected 15"):
+        with pytest.raises(ValueError, match="6 fields, expected 7"):
             read_clean_rounds(io.StringIO("".join(lines)))
 
     def test_rejects_sanitized(self):
@@ -701,33 +709,22 @@ class TestIngestProperties:
 
 # ------------------------------------------------- columnar clean rounds
 
-# Values the reader takes: every Lab value within corpus._LAB_LIMIT and
-# every ease in [0, corpus._EASE_LIMIT], the bounds included.
-_TINY = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e-310]
-_LAB_VALUE = st.one_of(
-    st.sampled_from(_TINY + [-x for x in _TINY[2:]]
-                    + [corpus._LAB_LIMIT, -corpus._LAB_LIMIT]),
-    st.floats(-corpus._LAB_LIMIT, corpus._LAB_LIMIT),
-)
-_EASE = st.one_of(
-    st.sampled_from(_TINY + [corpus._EASE_LIMIT]),
-    st.floats(0.0, corpus._EASE_LIMIT),
-)
+# In-range chip keys: the bounds, and parts of one, two and three digits.
+_CHIP_KEYS = st.tuples(*(
+    st.one_of(st.sampled_from([0, 9, 10, 99, 100, top]),
+              st.integers(0, top))
+    for top in (359, 100, 100)))
 # Ids and words hold "#", spaces and non-ASCII letters, never a tab or a
 # line break (ingest rejects those, and words are single tokens).
 _ID_TEXT = st.text(alphabet="ab#é蓝 -", max_size=5)
 
 _CLEAN_ROUNDS = st.builds(
-    lambda game, idx, speaker, word, key, ease, lab: CleanRow(
-        game, idx, speaker, word, key, ease,
-        tuple(lab[0:3]), tuple(lab[3:6]), tuple(lab[6:9])),
+    clean_row,
     _ID_TEXT,
     st.integers(-10, 10**6),
     st.one_of(st.just(""), _ID_TEXT),
     st.one_of(st.sampled_from(["blue", "蓝", "bleu#", "é"]), _ID_TEXT),
-    st.tuples(st.integers(0, 359), st.integers(0, 100), st.integers(0, 100)),
-    _EASE,
-    st.lists(_LAB_VALUE, min_size=9, max_size=9),
+    _CHIP_KEYS, _CHIP_KEYS, _CHIP_KEYS,
 )
 
 
@@ -756,16 +753,19 @@ def _assert_reads_as_oracle(rows):
     assert repr(rounds_rows(rounds.take(backwards))) == repr(rows[::-1])
 
 
+_KEY_MESSAGE = ("{column}: expected h:s:l with 0 <= h < 360 and "
+                "0 <= s, l <= 100, got {value!r}")
 _MALFORMED_FIELDS = [
-    (5, "nanx", "ease: could not convert string to float"),
-    (5, "1e308", "ease: 1e+308 outside [0.0, 1732.0508075688772]"),
-    (5, "-1.0", "ease: -1.0 outside [0.0, "),
-    (5, "nan", "ease: nan outside [0.0, "),
-    (5, "inf", "ease: inf outside [0.0, "),
     (1, "1.5", "round_index: invalid literal for int()"),
     (4, "1:2", "target_key: expected h:s:l"),
     (4, "1:x:2", "target_key: expected h:s:l with 0 <= h < 360 and "
                  "0 <= s, l <= 100, got '1:x:2'"),
+] + [
+    # a distractor key is read like the target's: on every row, by
+    # every stage
+    (column, value, _KEY_MESSAGE.format(column=name, value=value))
+    for column, name in ((5, "d1_key"), (6, "d2_key"))
+    for value in ("", "x:y:z", "360:0:0", "1:101:0", "01:2:3")
 ]
 
 
@@ -773,26 +773,14 @@ def _assert_named_on_read(tmp_path, rows, column, value, message):
     """Set the field of the fourth row, on line 6, and read the table."""
     path = tmp_path / "clean_rounds.tsv"
     lines = _written(rows[:5]).splitlines(keepends=True)
-    fields = lines[5].split("\t")
+    fields = lines[5].rstrip("\n").split("\t")
     fields[column] = value
-    lines[5] = "\t".join(fields)
+    lines[5] = "\t".join(fields) + "\n"
     path.write_text("".join(lines), encoding="utf-8")
     with open(path, encoding="utf-8") as handle:
         with pytest.raises(ValueError,
                            match=re.escape(f"{path}:6: {message}")):
             read_clean_rounds(handle)
-
-
-def _with_lab(tmp_path, rows, value):
-    """The first five rows written with d1_l of the third row, on line
-    5, set to `value`."""
-    path = tmp_path / "clean_rounds.tsv"
-    lines = _written(rows[:5]).splitlines(keepends=True)
-    fields = lines[4].split("\t")
-    fields[9] = value
-    lines[4] = "\t".join(fields)
-    path.write_text("".join(lines), encoding="utf-8")
-    return path
 
 
 class TestColumnarRead:
@@ -828,40 +816,15 @@ class TestColumnarRead:
             [9, 100, 100], [20, 50, 5], [100, 5, 5]]
         assert rounds.chip_ids.tolist() == [2, 1, 0, 1]
 
-    def test_lab_converted_on_first_access(self, fixture_clean):
-        rounds = read_clean_rounds(io.StringIO(_written(fixture_clean)))
-        assert "target" not in vars(rounds)
-        repeated_chip_subset(rounds)
-        rows_picked = rounds.take([3, 1])
-        assert "target" not in vars(rounds)
-        assert rows_picked.distractor2.tolist() == [
-            list(fixture_clean[3].d2), list(fixture_clean[1].d2)]
-        assert "distractor2" not in vars(rounds)
-
-    def test_malformed_lab_named_when_converted(self, tmp_path,
-                                               fixture_clean):
-        path = _with_lab(tmp_path, fixture_clean, "nanx")
-        with open(path, encoding="utf-8") as handle:
-            rounds = read_clean_rounds(handle)
-        assert rounds.target.shape == (5, 3)
-        with pytest.raises(ValueError, match=re.escape(
-                f"{path}:5: d1_l: could not convert string to float")):
-            rounds.distractor1
-        with pytest.raises(ValueError, match=re.escape(f"{path}:5: d1_l")):
-            rounds.take([4, 2]).distractor1
-        assert rounds.take([4, 1]).distractor1.shape == (2, 3)
-
-    @pytest.mark.parametrize("value", ["1e200", "-500.0000000000001",
-                                       "nan", "-inf"])
-    def test_lab_outside_bound_named_when_converted(self, tmp_path,
-                                                   fixture_clean, value):
-        path = _with_lab(tmp_path, fixture_clean, value)
-        with open(path, encoding="utf-8") as handle:
-            rounds = read_clean_rounds(handle)
-        with pytest.raises(ValueError, match=re.escape(
-                f"{path}:5: d1_l: {float(value)!r} outside [-500.0, 500.0]")):
-            rounds.distractor1
-        assert rounds.take([4, 1]).distractor1.shape == (2, 3)
+    def test_table_with_lab_columns_refused(self, fixture_clean):
+        # the layout that stored Lab and ease beside the target key
+        header = ("game_id\tround_index\tspeaker_id\tword\ttarget_key\t"
+                  "ease\t" + "\t".join(f"{c}_{ch}" for c in
+                                       ("target", "d1", "d2") for ch in "lab"))
+        text = _written(fixture_clean[:2]).replace(
+            "\t".join(corpus._CLEAN_COLUMNS), header)
+        with pytest.raises(ValueError, match="no column header"):
+            read_clean_rounds(io.StringIO(text))
 
     @pytest.mark.parametrize("column, value, message", _MALFORMED_FIELDS)
     def test_malformed_field_named_on_read(self, tmp_path, fixture_clean,
@@ -876,13 +839,6 @@ class TestColumnarRead:
         monkeypatch.setattr(corpus, "_ROW_BLOCK", 2)
         _assert_named_on_read(tmp_path, fixture_clean, column, value,
                               message)
-
-
-# In-range chip keys: the bounds, and parts of one, two and three digits.
-_CHIP_KEYS = st.tuples(*(
-    st.one_of(st.sampled_from([0, 9, 10, 99, 100, top]),
-              st.integers(0, top))
-    for top in (359, 100, 100)))
 
 
 def _clean_of_keys(keys) -> corpus.Rounds:
@@ -949,8 +905,8 @@ class TestChipNumbering:
                 read_clean_rounds(handle)
 
     @pytest.mark.parametrize("edits, message", [
-        # round_index before target_key, target_key before ease, each
-        # whatever its line
+        # round_index before target_key, target_key before d1_key,
+        # each whatever its line
         ({3: (1, "x"), 5: (4, "1:2")}, "{path}:3: round_index:"),
         ({3: (4, "1:2"), 5: (1, "x")}, "{path}:5: round_index:"),
         ({3: (5, "x"), 5: (4, "1:2")}, "{path}:5: target_key:"),
@@ -969,6 +925,15 @@ class TestChipNumbering:
             with pytest.raises(ValueError, match=re.escape(
                     message.format(path=path))):
                 read_clean_rounds(handle)
+
+
+def _set(column, value):
+    """An edit that sets one field of a line."""
+    def edit(line):
+        fields = line.split("\t")
+        fields[column] = value
+        return "\t".join(fields)
+    return edit
 
 
 class TestReadInBlocks:
@@ -1004,13 +969,12 @@ class TestReadInBlocks:
 
     @pytest.mark.parametrize("line, edit, message", [
         (8, lambda s: s.rsplit("\t", 1)[0],
-         "{path}:8: row has 14 fields, expected 15"),
-        (7, lambda s: s.replace("\t1.0\t", "\tx\t", 1),
-         "{path}:7: ease: could not convert"),
-        # the line breaks of a 31-field row fall where those of two
-        # 15-field rows would
-        (7, lambda s: f"{s}\t{s}\tx", "{path}:7: row has 31 fields"),
-        (8, lambda s: s + "\t", "{path}:8: row has 16 fields"),
+         "{path}:8: row has 6 fields, expected 7"),
+        (7, _set(5, "x"), "{path}:7: d1_key: expected h:s:l"),
+        # the line breaks of a 15-field row fall where those of two
+        # 7-field rows would
+        (7, lambda s: f"{s}\t{s}\tx", "{path}:7: row has 15 fields"),
+        (8, lambda s: s + "\t", "{path}:8: row has 8 fields"),
     ])
     def test_bad_row_in_third_block_named_by_its_line(self, tmp_path, line,
                                                       edit, message):
@@ -1025,7 +989,7 @@ class TestReadInBlocks:
 
     def test_trailing_blank_line(self, tmp_path):
         self._raises(tmp_path, _written(self.ROWS) + "\n",
-                     "{path}:9: row has 1 fields, expected 15")
+                     "{path}:9: row has 1 fields, expected 7")
 
     def test_data_row_starting_with_hash(self, tmp_path):
         rows = [r._replace(game_id="#g") if i in (2, 3) else r
@@ -1036,7 +1000,7 @@ class TestReadInBlocks:
     def test_column_header_below_extra_comment_lines(self, tmp_path):
         text = "# one\n# two\n" + self._edited(
             _written(self.ROWS), 6, lambda s: s.rsplit("\t", 1)[0])
-        self._raises(tmp_path, text, "{path}:8: row has 14 fields")
+        self._raises(tmp_path, text, "{path}:8: row has 6 fields")
         _, rounds = self._read(tmp_path, "# one\n# two\n"
                                + _written(self.ROWS))
         assert rounds_rows(rounds) == self.ROWS
@@ -1065,16 +1029,16 @@ class TestReadInBlocks:
     # The first bad block wins; within a block, a row of the wrong
     # width comes before a bad value.
     @pytest.mark.parametrize("edits, message", [
-        # a bad ease in block 1, a short row in block 3
-        ({3: lambda s: s.replace("\t1.0\t", "\tx\t", 1),
-          8: lambda s: s.rsplit("\t", 1)[0]}, "{path}:3: ease"),
-        # a bad ease on the first line of block 2, a short row on its
+        # a bad d1_key in block 1, a short row in block 3
+        ({3: _set(5, "x"), 8: lambda s: s.rsplit("\t", 1)[0]},
+         "{path}:3: d1_key"),
+        # a bad d1_key on the first line of block 2, a short row on its
         # second
-        ({5: lambda s: s.replace("\t1.0\t", "\tx\t", 1),
-          6: lambda s: s.rsplit("\t", 1)[0]}, "{path}:6: row has 14"),
-        # a Lab value is named only when it is converted
-        ({3: lambda s: s.rsplit("\t", 1)[0] + "\tx",
-          8: lambda s: s.rsplit("\t", 1)[0]}, "{path}:8: row has 14"),
+        ({5: _set(5, "x"), 6: lambda s: s.rsplit("\t", 1)[0]},
+         "{path}:6: row has 6"),
+        # a bad d2_key, the last field, in block 1
+        ({3: _set(6, "x"), 8: lambda s: s.rsplit("\t", 1)[0]},
+         "{path}:3: d2_key"),
     ])
     def test_error_order(self, tmp_path, edits, message):
         text = _written(self.ROWS)
@@ -1136,12 +1100,13 @@ class TestCleanOracle:
         assert again.chip_ids.tolist() == rounds.chip_ids.tolist()
 
     def test_iterates_as_clean_rounds(self, fixture_rounds):
-        rows = [CleanRow(r.game_id, r.round_index, r.speaker_id or "",
-                         r.word, r.target_key, r.context_ease,
-                         *((c.l_star, c.a_star, c.b_star)
-                           for c in (r.target, *r.distractors)))
+        rows = [(r.game_id, r.round_index, r.speaker_id or "", r.word,
+                 r.target_key, r.context_ease,
+                 *((c.l_star, c.a_star, c.b_star)
+                   for c in (r.target, *r.distractors)))
                 for r in fixture_rounds]
-        assert repr(rows) == repr(rounds_rows(fixture_rounds))
+        assert repr(rows) == repr([row[:5] + row[7:] for row in
+                                   rounds_rows(fixture_rounds)])
 
     def test_fixture_corpus(self, fixture_corpus, fixture_rounds):
         raw, _ = ingest(fixture_corpus.csv)
@@ -1163,6 +1128,103 @@ class TestCleanOracle:
         assert rounds.chip_keys.shape == (0, 3)
         assert rounds.target.shape == rounds.distractor2.shape == (0, 3)
         assert _rounds_written(rounds) == _written([])
+
+
+# The largest CIELAB distance between a chip and its grid point,
+# 3.33493 at (219.5, 0.995, 0.505), a corner of the cell of 220:100:50.
+# Measured with hsl_to_lab_array over the eight corners of every grid
+# cell (each coordinate half a step, less 1e-9, from its grid point) and
+# a 9 x 9 x 9 sweep of the 2,000 cells whose corners lie farthest: no
+# point inside a cell lay farther than its farthest corner. Over 2
+# million uniform random chips the median was 0.44 and the largest 2.97.
+_GRID_DELTA_E = 3.335
+
+
+def _lab_rows(lab) -> list:
+    """An (n, 3) array's rows as tuples, for a repr that tells -0.0 from
+    0.0."""
+    return list(map(tuple, lab.tolist()))
+
+
+def _grid_corpus(path, keys, scale):
+    """A corpus of one solved one-word round per key, the key's chip the
+    target and the next keys' chips the distractors, in hsl_scale
+    `scale`."""
+    def chip(key):
+        h, s, l = key
+        if scale == "fraction":
+            return h, repr(s / 100), repr(l / 100)
+        return h, s, l
+
+    n = len(keys)
+    _write_csv(path, _MINI_HEADER, [
+        ("g1", i, "blue", *chip(keys[i]), *chip(keys[(i + 1) % n]),
+         *chip(keys[(i + 2) % n]), "true", "s1") for i in range(n)])
+
+
+def _cell_chip(key, offset) -> HslColor:
+    """A chip of the grid cell of `key`, `offset` steps from its grid
+    point in each coordinate (|offset| < 0.5)."""
+    (h, s, l), (dh, ds, dl) = key, offset
+    hue = (h + dh) % 360.0  # a tiny step below 0 rounds up to 360
+    return HslColor(0.0 if hue == 360.0 else hue,
+                    min(max((s + ds) / 100.0, 0.0), 1.0),
+                    min(max((l + dl) / 100.0, 0.0), 1.0))
+
+
+_OFFSETS = st.tuples(*[st.floats(-0.49, 0.49)] * 3)
+
+
+class TestQuantization:
+    """Every chip is its grid key: `clean` gives each chip its grid
+    point's Lab, which is the chip's own on the grid."""
+
+    @pytest.mark.parametrize("scale", ["percent", "fraction"])
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=50,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(keys=st.lists(_CHIP_KEYS, min_size=1, max_size=12))
+    def test_on_grid_chips_keep_their_own_lab(self, tmp_path, scale, keys):
+        path = tmp_path / "grid.csv"
+        _grid_corpus(path, keys, scale)
+        raw, rejects = ingest(path, hsl_scale=scale)
+        assert not rejects
+        rounds = clean(raw)
+        assert len(rounds) == len(keys)
+        for chips, lab in ((raw.target, rounds.target),
+                           (raw.distractor1, rounds.distractor1),
+                           (raw.distractor2, rounds.distractor2)):
+            assert repr(_lab_rows(lab)) == repr(
+                _lab_rows(hsl_to_lab_array(*chips.T)))
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=300)
+    @given(chips=st.lists(_HSL, min_size=1, max_size=8))
+    @example(chips=[HslColor(219.5, 0.995, 0.505)])
+    def test_off_grid_chips_get_their_grid_points_lab(self, chips):
+        raw = RawRounds.from_rows([_raw_round(c, c, c) for c in chips])
+        rounds = clean(raw)
+        grid = [_lab_of(chip_key(c)) for c in chips]
+        for lab in (rounds.target, rounds.distractor1, rounds.distractor2):
+            assert repr(_lab_rows(lab)) == repr(grid)
+        own = hsl_to_lab_array(*raw.target.T)
+        assert (np.sqrt(((own - rounds.target) ** 2).sum(axis=1))
+                <= _GRID_DELTA_E).all()
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=200)
+    @given(key=_CHIP_KEYS, offsets=st.tuples(_OFFSETS, _OFFSETS))
+    def test_one_key_one_lab(self, key, offsets):
+        a, b = (_cell_chip(key, offset) for offset in offsets)
+        rounds = clean(RawRounds.from_rows(
+            [_raw_round(a, b, a, idx=1), _raw_round(b, a, b, idx=2)]))
+        assert rounds.codes.tolist() == [[rounds.codes[0, 0]] * 3] * 2
+        assert rounds.chip_keys.tolist() == [list(key)]
+        rows = {lab.tobytes() for block in (
+            rounds.target, rounds.distractor1, rounds.distractor2)
+            for lab in block}
+        assert rows == {np.array(_lab_of(key)).tobytes()}
+        assert rounds.ease.tolist() == [0.0, 0.0]
 
 
 class TestRawRounds:

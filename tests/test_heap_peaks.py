@@ -4,11 +4,12 @@
 Each of them works through the table `corpus._ROW_BLOCK` rows at a
 time, so its heap peak grows with the table only by what it keeps: the
 table's columns, not whole-table lists of text or floats. The guards
-below bound the `tracemalloc` peak of each on a 20,000-round table: the
-readers' by a multiple of the file's bytes, `clean`'s and the writer's
-by bytes per row. `tracemalloc` counts what Python and numpy allocate,
-not the pages the process holds, so the bounds do not depend on the
-host.
+below bound the `tracemalloc` peak of each on a 20,000-round table:
+`ingest`'s by a multiple of the corpus's bytes, the others' by bytes
+per round (a clean_rounds.tsv line holds three chip keys, about 45
+bytes, so a multiple of its bytes would say little about the table
+read from it). `tracemalloc` counts what Python and numpy allocate, not
+the pages the process holds, so the bounds do not depend on the host.
 
 Each bound sits between the peak of the code these functions replaced
 and their own (measured at this size, in the comment beside it).
@@ -32,23 +33,22 @@ from colorlex.corpus import (
 
 N_ROWS = 20_000
 
-# 8,192-line blocks 5.5 times the file's bytes; 2,048-line blocks, each
-# block's fields freed before the next is read, 2.15 (2.6 when they are
-# not, or when ids are not shared); chip keys read as integer codes,
-# not through a dict of one string per distinct key, 1.60
-READ_PER_BYTE = 1.9
-# one string per row for each id 1.65 times the file's bytes, one per
-# distinct id 1.17 (also with a dict of the distinct key strings, freed
-# on return; 1.67 if it were kept)
-READ_KEEPS_PER_BYTE = 1.3
+# Lab and ease stored as text (209 bytes per row), the Lab kept as text
+# until used, 334 bytes per row; three chip keys per row (45 bytes), the
+# Lab and ease derived on read, each distinct key converted once, 264
+READ_PER_ROW = 300
+# the Lab kept as text 243 bytes per row, as three float64 arrays 174
+READ_KEEPS_PER_ROW = 210
 # 8,192-row blocks, one string per row and id 11.7 times the CSV's
 # bytes; 2,048-row blocks sharing repeated ids and utterances 5.8 (8.5
 # without the sharing)
 INGEST_PER_BYTE = 7.0
-# 8,192-row blocks 421 bytes per row, 2,048-row blocks 269
-CLEAN_PER_ROW = 330
-# 8,192-row blocks 244 bytes per row, 2,048-row blocks 163
-WRITE_PER_ROW = 200
+# 2,048-row blocks of chips converted 250 bytes per row; each distinct
+# chip key converted once, the raw rows' indices freed first, 229
+CLEAN_PER_ROW = 240
+# Lab and ease formatted with repr, 2,048-row blocks, 163 bytes per
+# row; three chip keys, 29
+WRITE_PER_ROW = 100
 
 
 def _raw_rounds(n: int, seed: int) -> RawRounds:
@@ -167,13 +167,13 @@ def test_write_clean_rounds(rounds):
 def test_read_clean_rounds(table):
     with open(table, encoding="utf-8") as handle:
         peak = heap_peak(read_clean_rounds, handle)
-    assert peak <= READ_PER_BYTE * table.stat().st_size
+    assert peak <= READ_PER_ROW * N_ROWS
 
 
 def test_read_table_keeps_one_string_per_id(table):
     with open(table, encoding="utf-8") as handle:
         got, kept = heap_kept(read_clean_rounds, handle)
-    assert kept <= READ_KEEPS_PER_BYTE * table.stat().st_size
+    assert kept <= READ_KEEPS_PER_ROW * N_ROWS
     for column in (got.game_ids, got.speaker_ids):
         objects, values = distinct_objects(column)
         assert objects == values < len(column)

@@ -596,7 +596,7 @@ class TestRowsFromRounds:
         # "a" round is kept; chip 2 is the target once.
         gray = (50.0, 0.0, 0.0)
         rounds = rounds_from_rows([
-            CleanRow("g", i, "", word, key, ease, gray, gray, gray)
+            CleanRow("g", i, "", word, key, key, key, ease, gray, gray, gray)
             for i, (word, key, ease) in enumerate([
                 ("a", (1, 0, 0), 1.0), ("rare", (1, 0, 0), 2.0),
                 ("b", (2, 0, 0), 3.0), ("a", (3, 0, 0), 4.0),

@@ -23,7 +23,6 @@ from _simulate_oracle import (
 from conftest import TOY_I_W, TOY_NAMES
 
 from colorlex import simulate
-from colorlex.corpus import _EASE_LIMIT
 from colorlex.informativeness import WordInfo
 from colorlex.simulate import (
     SimulationError,
@@ -70,7 +69,7 @@ def _table(rows):
 
 def _round(word, key, ease=1.0, game="g", idx=0):
     gray = (50.0, 0.0, 0.0)
-    return CleanRow(game, idx, "", word, key, ease, gray, gray, gray)
+    return CleanRow(game, idx, "", word, key, key, key, ease, gray, gray, gray)
 
 
 def oracle_rebalance(sizes, quota):
@@ -539,8 +538,11 @@ class TestGenerateStimuli:
             assert eases == sorted(eases)
 
 
-# Eases anywhere in the range the reader takes, and eases on the edges
-# of equal-width bins over [lo, lo + 6 * step].
+# The CIELAB distance of two points whose every coordinate lies within
+# 500, beyond any ease that `clean` computes.
+_EASE_LIMIT = 2.0 * math.sqrt(3.0) * 500.0
+# Eases anywhere in [0, _EASE_LIMIT], and eases on the edges of
+# equal-width bins over [lo, lo + 6 * step].
 _EASES = st.one_of(
     st.lists(st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1.0, 2.5,
                                         _EASE_LIMIT]),
