@@ -200,12 +200,14 @@ class TestHslToLabArray:
     def test_empty(self):
         assert hsl_to_lab_array([], [], []).shape == (0, 3)
 
-    def test_within_the_srgb_cube_bounds(self):
-        # Over the sRGB cube each f(t) of the CIELAB formulas is in
-        # [4/29, 1] (up to rounding), so L* is in [0, 100], |a*| at most
-        # 500 * 25/29 and |b*| 200 * 25/29. The a* and b* extremes are at
-        # the sRGB primaries and secondaries (h = 0, 60, ..., 300, s = 1,
-        # l = 0.5).
+    def test_within_the_stage_readers_bound(self):
+        # The stage readers derive every Lab value from a chip key with
+        # this conversion, and every ease from those values, so these are
+        # the bounds of what they read. Over the sRGB cube each f(t) of
+        # the CIELAB formulas is in [4/29, 1] (up to rounding), so L* is
+        # in [0, 100], |a*| at most 500 * 25/29 and |b*| 200 * 25/29. The
+        # a* and b* extremes are at the sRGB primaries and secondaries
+        # (h = 0, 60, ..., 300, s = 1, l = 0.5).
         h, s, l = (a.ravel() for a in np.meshgrid(
             np.arange(0.0, 360.0, 2.0), np.linspace(0.0, 1.0, 21),
             np.linspace(0.0, 1.0, 21), indexing="ij"))

@@ -783,6 +783,18 @@ def _assert_named_on_read(tmp_path, rows, column, value, message):
             read_clean_rounds(handle)
 
 
+def _with_d1_key(tmp_path, rows, value):
+    """The first five rows written with d1_key of the third row, on
+    line 5, set to `value`."""
+    path = tmp_path / "clean_rounds.tsv"
+    lines = _written(rows[:5]).splitlines(keepends=True)
+    fields = lines[4].rstrip("\n").split("\t")
+    fields[5] = value
+    lines[4] = "\t".join(fields) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    return path
+
+
 class TestColumnarRead:
     @settings(derandomize=True, database=None, deadline=None,
               max_examples=200)
@@ -825,6 +837,47 @@ class TestColumnarRead:
             "\t".join(corpus._CLEAN_COLUMNS), header)
         with pytest.raises(ValueError, match="no column header"):
             read_clean_rounds(io.StringIO(text))
+
+    def test_lab_converted_on_first_access(self, fixture_clean):
+        # A table's Lab is first accessed when it is read: read_clean_rounds
+        # converts every key then, so the table holds plain arrays and
+        # take gathers their rows.
+        rounds = read_clean_rounds(io.StringIO(_written(fixture_clean)))
+        assert {"target", "distractor1", "distractor2", "ease"} <= vars(
+            rounds).keys()
+        assert rounds.distractor1.tolist() == [
+            list(row.d1) for row in fixture_clean]
+        repeated_chip_subset(rounds)
+        rows_picked = rounds.take([3, 1])
+        assert rows_picked.distractor2.tolist() == [
+            list(fixture_clean[3].d2), list(fixture_clean[1].d2)]
+        assert rows_picked.ease.tolist() == [
+            fixture_clean[3].ease, fixture_clean[1].ease]
+
+    def test_malformed_lab_named_when_converted(self, tmp_path,
+                                               fixture_clean):
+        # A distractor's Lab is converted from its key on read, so a
+        # malformed key is named there, whichever rows a stage takes.
+        path = _with_d1_key(tmp_path, fixture_clean, "nanx")
+        with open(path, encoding="utf-8") as handle:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{path}:5: "
+                    + _KEY_MESSAGE.format(column="d1_key", value="nanx"))):
+                read_clean_rounds(handle)
+
+    # A key part beyond the grid's bounds, written as a float or as a
+    # value that is not finite, is named when the key is converted.
+    @pytest.mark.parametrize("value", ["1e200", "-500.0000000000001",
+                                       "nan", "-inf"])
+    def test_lab_outside_bound_named_when_converted(self, tmp_path,
+                                                   fixture_clean, value):
+        key = f"{value}:50:50"
+        path = _with_d1_key(tmp_path, fixture_clean, key)
+        with open(path, encoding="utf-8") as handle:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{path}:5: "
+                    + _KEY_MESSAGE.format(column="d1_key", value=key))):
+                read_clean_rounds(handle)
 
     @pytest.mark.parametrize("column, value, message", _MALFORMED_FIELDS)
     def test_malformed_field_named_on_read(self, tmp_path, fixture_clean,
@@ -1032,10 +1085,14 @@ class TestReadInBlocks:
         # a bad d1_key in block 1, a short row in block 3
         ({3: _set(5, "x"), 8: lambda s: s.rsplit("\t", 1)[0]},
          "{path}:3: d1_key"),
-        # a bad d1_key on the first line of block 2, a short row on its
-        # second
-        ({5: _set(5, "x"), 6: lambda s: s.rsplit("\t", 1)[0]},
-         "{path}:6: row has 6"),
+        # a bad d1_key on the first line of block 2, a row of two rows'
+        # fields on its second
+        ({5: _set(5, "x"), 6: lambda s: f"{s}\t{s}"},
+         "{path}:6: row has 14"),
+        # a bad d2_key on the first line of block 3, a row of two rows'
+        # fields on its second
+        ({7: _set(6, "x"), 8: lambda s: f"{s}\t{s}"},
+         "{path}:8: row has 14"),
         # a bad d2_key, the last field, in block 1
         ({3: _set(6, "x"), 8: lambda s: s.rsplit("\t", 1)[0]},
          "{path}:3: d2_key"),
